@@ -15,7 +15,7 @@ from .freealg import (BallPoint, FockVector, NcMatrixPolynomial, NcPolynomial,
                       truncated_mult_matrix, z_vector)
 from .ideals import (IdealSpec, QuotientModel, build_quotient, caratheodory_distance,
                      constrained_von_neumann_check, ideal_subspace, q_commutation_spec,
-                     quotient_distance, quotient_poisson_check, symmetrized_basis)
+                     quotient_distance, quotient_poisson_check)
 from .numerics import (PsdVerdict, as_hermitian, hermitian_sqrt,
                        max_generalized_eigenvalue, operator_norm, psd_check)
 from .pick import (PickCertificate, PickProblem, certify, classical_ball_matrix,
@@ -39,8 +39,8 @@ __all__ = [
     "poisson_compression", "poisson_covariance_check", "poisson_kernel",
     "psd_check", "q_commutation_spec", "quotient_distance", "quotient_poisson_check",
     "radial_scale", "sample_membership_check", "stabilized_sup_norm",
-    "suggest_truncation_degree", "sup_norm_bounds", "symmetrized_basis",
-    "tensor_product", "truncated_mult_matrix", "z_vector",
+    "suggest_truncation_degree", "sup_norm_bounds", "tensor_product",
+    "truncated_mult_matrix", "z_vector",
 ]
 
 __version__ = "0.1.0"

@@ -24,14 +24,13 @@ import numpy as np
 from . import freealg, ideals, pick, poisson
 from .errors import DomainError, ResourceCapError, SingularGramError
 from .freealg import BallPoint, NcMatrixPolynomial, NcPolynomial
-from .numerics import operator_norm, psd_check
+from .numerics import DEFAULT_TOL, operator_norm, psd_check
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
-DEFAULT_TOL = 1e-10
 DEFAULT_KMAX = 20
 CONVERGENCE_SLACK = 1e-3   # slack on soft bounds whose right side converges upward
 
@@ -570,15 +569,9 @@ def _handle_ideal(action, problem, params) -> Report:
         results["compression_norms"] = [operator_norm(model.compressions[i])
                                         for i in range(spec.n)]
         if problem.lambda_q is not None and not model.trivial and model.grades is not None:
-            table = ideals._lambda_table(spec.n, problem.lambda_q)
             keep = np.flatnonzero(model.grades <= model.reliable_degree)
-            worst = 0.0
-            for j in range(2, spec.n + 1):
-                for i in range(1, j):
-                    Bi, Bj = model.compressions[i - 1], model.compressions[j - 1]
-                    resid = (Bj @ Bi - table[j, i] * Bi @ Bj)[:, keep]
-                    worst = max(worst, operator_norm(resid))
-            results["relation_residual"] = float(worst)
+            results["relation_residual"] = max(
+                operator_norm(model.evaluate_polynomial(g)[:, keep]) for g in spec.generators)
         if model.dim <= 32:
             results["compressions"] = [model.compressions[i] for i in range(spec.n)]
         report = Report("ideal compressions", "ideal", params, results)

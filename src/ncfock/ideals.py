@@ -4,8 +4,10 @@ An ideal is presented by polynomial generators.  Its degree-m model is the
 span of all padded products e_alpha (x) g (x) e_beta that fit inside P_m;
 the quotient model lives on the orthogonal complement N, with compressed
 shifts B_i = P_N S_i|_N.  For homogeneous generators the model is exact
-grade by grade; otherwise it is a dense polynomial approximation of the
-weakly closed ideal and results carry an approximation flag.
+grade by grade and built by a recursion from the generators, whose
+coordinates are the compressions; otherwise it is a dense polynomial
+approximation of the weakly closed ideal and results carry an
+approximation flag.
 
 Compressions at the top grade land in truncated territory, so relation and
 semi-invariance statements are only certified on grades up to
@@ -20,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .freealg import NcPolynomial, WordIndex, truncated_mult_matrix, word_value
+from .freealg import (MAX_DENSE_ENTRIES, NcPolynomial, WordIndex, basis_size,
+                      truncated_mult_matrix, word_value)
 from .numerics import operator_norm
 from .poisson import RowContraction, is_c0_certified, poisson_kernel
 
@@ -94,30 +97,6 @@ def q_commutation_spec(n: int, lam, m: int) -> IdealSpec:
     return IdealSpec(n, tuple(gens), m)
 
 
-def _padded_grade_rows(spec: IdealSpec, k: int) -> np.ndarray:
-    """Rows spanning the grade-k component of the padded ideal (homogeneous specs)."""
-    n = spec.n
-    size_k = n ** k
-    blocks = []
-    for g in spec.generators:
-        dg = int(g.degree)
-        if dg > k:
-            continue
-        terms = [(word_value(w, n), c) for w, c in g.terms.items()]
-        for a in range(k - dg + 1):
-            b = k - dg - a
-            cnt = n ** (a + b)
-            block = np.zeros((cnt, size_k), dtype=complex)
-            r = np.arange(cnt)
-            u, w = r // n ** b, r % n ** b
-            for vg, c in terms:
-                block[r, (u * n ** dg + vg) * n ** b + w] += c
-            blocks.append(block)
-    if not blocks:
-        return np.zeros((0, size_k), dtype=complex)
-    return np.vstack(blocks)
-
-
 def _padded_dense_rows(spec: IdealSpec, wi: WordIndex) -> np.ndarray:
     """Rows spanning the padded ideal inside all of P_m (any generators)."""
     n = spec.n
@@ -155,16 +134,57 @@ def _split_row_space(rows: np.ndarray, rank_tol: float):
             np.ascontiguousarray(vh[rank:].T))
 
 
-def _grade_splits(spec: IdealSpec, rank_tol: float):
-    """Per-grade (ideal, complement) orthonormal blocks for homogeneous specs."""
-    out = []
-    for k in range(spec.m + 1):
-        if spec.n ** k > GRADE_COORD_CAP:
+def _grade_recursion(spec: IdealSpec, rank_tol: float):
+    """Grade complements N_k (n^k x r_k) and coordinates C_{k+1} of a homogeneous spec.
+
+    N_0 is C minus the degree-0 generators, and N_{k+1} is the intersection
+    of N_k (x) C^n, C^n (x) N_k and the orthogonal complement of the
+    degree-(k+1) generators.  In the coordinates of C^n (x) N_k, where
+    N_{k+1} = (I (x) N_k) C_{k+1}, the intersection is the right singular
+    space at sigma = 1 of (N_k (x) I)*(I (x) N_k), and a generator g is the
+    vector (I (x) N_k)* g over its coefficient norm, so the rank cut is
+    relative to the unit vectors it is stacked with.
+    """
+    n = spec.n
+    dim = basis_size(n, spec.m)
+    units = [[g.coefficient(())] for g in spec.generators if g.degree == 0]
+    blocks = [_split_row_space(np.array(units, dtype=complex).reshape(-1, 1), rank_tol)[1]]
+    coords = []
+    total = blocks[0].shape[1]
+    for k in range(spec.m):
+        N = blocks[-1]
+        r = N.shape[1]
+        if n * r > GRADE_COORD_CAP:
             raise ResourceCapError(
-                f"grade-{k} coordinate space of size {spec.n ** k} exceeds the cap "
+                f"grade-{k + 1} coordinate space of size {n * r} exceeds the cap "
                 f"{GRADE_COORD_CAP}")
-        out.append(_split_row_space(_padded_grade_rows(spec, k), rank_tol))
-    return out
+        if r in (0, n ** k):
+            # N_k is empty or all of grade k, so it contains C^n (x) N_k
+            vh, kept = np.eye(n * r), n * r
+        else:
+            w = n ** (k - 1)
+            overlap = np.einsum("awr,wbs->rbas", N.reshape(n, w, r).conj(),
+                                N.reshape(w, n, r)).reshape(r * n, n * r)
+            _, s, vh = np.linalg.svd(overlap)
+            kept = int(np.count_nonzero(s >= 1.0 - rank_tol))
+        gens = []
+        for g in spec.generators:
+            if g.degree == k + 1:
+                row = np.zeros((n, r), dtype=complex)
+                for word, c in g.terms.items():
+                    row[word[0] - 1] += c * N[word_value(word[1:], n)].conj()
+                gens.append(row.reshape(1, -1) / np.linalg.norm(list(g.terms.values())))
+        C = vh[:kept].conj().T
+        if gens:
+            C = _split_row_space(np.vstack([vh[kept:].conj()] + gens), rank_tol)[1]
+        total += C.shape[1]
+        if dim * total > MAX_DENSE_ENTRIES:
+            raise ResourceCapError(
+                f"quotient basis of {dim} x {total}+ entries exceeds the cap "
+                f"{MAX_DENSE_ENTRIES}")
+        coords.append(C)
+        blocks.append((N @ C.reshape(n, r, C.shape[1])).reshape(n ** (k + 1), C.shape[1]))
+    return blocks, coords
 
 
 def _assemble(wi: WordIndex, blocks) -> np.ndarray:
@@ -184,12 +204,16 @@ def ideal_subspace(spec: IdealSpec, rank_tol: float = RANK_TOL) -> np.ndarray:
     the dense polynomial model.
     """
     wi = WordIndex(spec.n, spec.m)
-    if spec.homogeneous:
-        return _assemble(wi, [ideal for ideal, _ in _grade_splits(spec, rank_tol)])
-    if wi.dim > GRADE_COORD_CAP:
+    factored = spec.n ** spec.m if spec.homogeneous else wi.dim
+    if factored > GRADE_COORD_CAP:
         raise ResourceCapError(
-            f"dense model of size {wi.dim} exceeds the cap {GRADE_COORD_CAP}; "
-            "only homogeneous generators scale past it")
+            f"coordinate space of size {factored} exceeds the cap {GRADE_COORD_CAP}")
+    if spec.homogeneous:
+        model = build_quotient(spec, rank_tol)
+        return _assemble(wi, [
+            _split_row_space(model.n_basis[wi.grade_slice(k), model.grade_positions(k)].T,
+                             rank_tol)[1]
+            for k in range(spec.m + 1)])
     ideal, _ = _split_row_space(_padded_dense_rows(spec, wi), rank_tol)
     return ideal
 
@@ -205,7 +229,6 @@ class QuotientModel:
     grades: np.ndarray = None
     trivial: bool = False
     approximate: bool = False
-    _blocks: list = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -219,6 +242,18 @@ class QuotientModel:
     def grade_positions(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.grades == k)
 
+    def evaluate_polynomial(self, f: NcPolynomial) -> np.ndarray:
+        """f(B) = sum_alpha coeff(alpha) B_alpha at the compressed shifts."""
+        if f.n != self.spec.n:
+            raise ValueError(f"polynomial over n = {f.n}, ideal over n = {self.spec.n}")
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for word, coeff in f.terms.items():
+            term = coeff * np.eye(self.dim, dtype=complex)
+            for letter in word:
+                term = term @ self.compressions[letter - 1]
+            out += term
+        return out
+
 
 def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel:
     """Quotient model on N = P_m minus the padded ideal, with B_i = P_N S_i|_N.
@@ -231,25 +266,17 @@ def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel
     n, m = spec.n, spec.m
     reliable = m - spec.max_generator_degree
     if spec.homogeneous:
-        comp_blocks = [comp for _, comp in _grade_splits(spec, rank_tol)]
-        n_basis = _assemble(wi, comp_blocks)
-        grades = np.concatenate([np.full(b.shape[1], k, dtype=int)
-                                 for k, b in enumerate(comp_blocks)])
-        r = n_basis.shape[1]
+        blocks, coords = _grade_recursion(spec, rank_tol)
+        sizes = [b.shape[1] for b in blocks]
+        at = np.cumsum([0] + sizes)
+        r = int(at[-1])
         B = np.zeros((n, r, r), dtype=complex)
-        at = np.cumsum([0] + [b.shape[1] for b in comp_blocks])
-        for k in range(m):
-            lo, hi = at[k], at[k + 1]
-            lo1, hi1 = at[k + 1], at[k + 2]
-            if hi == lo or hi1 == lo1:
-                continue
-            size = n ** k
-            for i in range(n):
-                rows = comp_blocks[k + 1][i * size:(i + 1) * size, :]
-                B[i, lo1:hi1, lo:hi] = rows.conj().T @ comp_blocks[k]
-        return QuotientModel(spec, n_basis, B, reliable, grades=grades,
-                             trivial=(r == 0), approximate=False,
-                             _blocks=comp_blocks)
+        for k, C in enumerate(coords):
+            B[:, at[k + 1]:at[k + 2], at[k]:at[k + 1]] = \
+                C.reshape(n, sizes[k], sizes[k + 1]).conj().transpose(0, 2, 1)
+        return QuotientModel(spec, _assemble(wi, blocks), B, reliable,
+                             grades=np.repeat(np.arange(m + 1), sizes),
+                             trivial=(r == 0), approximate=False)
     if wi.dim > GRADE_COORD_CAP:
         raise ResourceCapError(
             f"dense model of size {wi.dim} exceeds the cap {GRADE_COORD_CAP}")
@@ -261,40 +288,6 @@ def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel
         B[i] = n_basis.conj().T @ shift @ n_basis
     return QuotientModel(spec, n_basis, B, reliable, grades=None,
                          trivial=(r == 0), approximate=True)
-
-
-def symmetrized_basis(n: int, lam, m: int) -> np.ndarray:
-    """Orthonormal basis built from explicit symmetrized spanning vectors.
-
-    For each nondecreasing word the vector sums conj(eps(w)) e_w over the
-    rearrangements w, where eps(w) multiplies one commutation factor per
-    inverted letter pair (equal letters contribute 1).  Vectors of different
-    letter multisets have disjoint support, so normalization suffices.
-
-    Spans the same subspace as the complement computed by build_quotient
-    from the commutation-relation generators; the two constructions are kept
-    independent so they can be cross-checked.
-    """
-    if n < 2:
-        raise ValueError("commutation relations need at least two generators")
-    if m > 10:
-        raise ResourceCapError("symmetrization enumerates k! rearrangements; m > 10 is off-scale")
-    table = _lambda_table(n, lam)
-    wi = WordIndex(n, m)
-    columns = []
-    for k in range(m + 1):
-        start = wi.grade_start(k)
-        for alpha in itertools.combinations_with_replacement(range(1, n + 1), k):
-            col = np.zeros(wi.dim, dtype=complex)
-            for w in set(itertools.permutations(alpha)):
-                eps = 1.0 + 0.0j
-                for p in range(k):
-                    for q in range(p + 1, k):
-                        if w[p] > w[q]:
-                            eps *= table[w[p], w[q]]
-                col[start + word_value(w, n)] = np.conj(eps)
-            columns.append(col / np.linalg.norm(col))
-    return np.column_stack(columns)
 
 
 def quotient_distance(f: NcPolynomial, spec: IdealSpec, *, model: QuotientModel = None,
@@ -317,24 +310,8 @@ def quotient_distance(f: NcPolynomial, spec: IdealSpec, *, model: QuotientModel 
         raise ValueError(f"deg f = {f.degree} exceeds the working degree {spec.m}")
     if model.trivial or f.is_zero:
         return 0.0
-    r = model.dim
-    if model._blocks is not None:
-        n, m = spec.n, spec.m
-        blocks = model._blocks
-        at = np.cumsum([0] + [b.shape[1] for b in blocks])
-        F = np.zeros((r, r), dtype=complex)
-        for word, c in f.terms.items():
-            dg = len(word)
-            vg = word_value(word, n)
-            for k in range(m - dg + 1):
-                lo, hi = at[k], at[k + 1]
-                lo1, hi1 = at[k + dg], at[k + dg + 1]
-                if hi == lo or hi1 == lo1:
-                    continue
-                size = n ** k
-                rows = blocks[k + dg][vg * size:(vg + 1) * size, :]
-                F[lo1:hi1, lo:hi] += c * (rows.conj().T @ blocks[k])
-        return operator_norm(F)
+    if not model.approximate:
+        return operator_norm(model.evaluate_polynomial(f))
     mult = truncated_mult_matrix(f, spec.m)
     return operator_norm(model.n_basis.conj().T @ mult @ model.n_basis)
 
@@ -410,22 +387,12 @@ def quotient_poisson_check(T: RowContraction, spec: IdealSpec, m: int,
 
     words = [w for k in range(min(word_degree, m) + 1)
              for w in itertools.product(range(1, T.n + 1), repeat=k)]
-    products = {w: _compression_word(model, w) for w in words}
-    worst = 0.0
-    for alpha in words:
-        Ba = products[alpha]
-        Ta = T.word_product(alpha)
-        for beta in words:
-            mid = Ba @ products[beta].conj().T
-            moved = np.einsum("rs,sij->rij", mid, coords)
-            got = np.einsum("ski,skj->ij", coords.conj(), moved)
-            exact = Ta @ T.word_product(beta).conj().T
-            worst = max(worst, operator_norm(got - exact))
+    # K* (B_alpha B_beta* tensor I) K = Y_alpha* Y_beta with Y_w = (B_w* tensor I) K
+    flat = coords.reshape(model.dim, -1)
+    Y = np.array([(model.evaluate_polynomial(NcPolynomial.from_word(T.n, w)).conj().T
+                   @ flat).reshape(-1, T.d) for w in words])
+    Tw = np.array([T.word_product(w) for w in words])
+    defects = (np.einsum("aki,bkj->abij", Y.conj(), Y)
+               - np.einsum("aij,bkj->abik", Tw, Tw.conj()))
+    worst = np.linalg.norm(defects.reshape(-1, T.d, T.d), 2, axis=(1, 2)).max()
     return (float(range_residual), float(worst))
-
-
-def _compression_word(model: QuotientModel, word) -> np.ndarray:
-    out = np.eye(model.dim, dtype=complex)
-    for letter in word:
-        out = out @ model.compressions[letter - 1]
-    return out

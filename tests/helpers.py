@@ -6,9 +6,13 @@ double precision, and row contractions are scaled strictly inside their
 contractivity bound so hard inequalities carry no rounding excuses.
 """
 
+import itertools
+
 import numpy as np
 
-from ncfock import BallPoint, NcPolynomial, RowContraction
+from ncfock import BallPoint, NcPolynomial, ResourceCapError, RowContraction, WordIndex
+from ncfock.freealg import word_value
+from ncfock.ideals import _lambda_table
 
 
 def random_polynomial(rng, n, degree, terms=5, scale=1.0, homogeneous=False,
@@ -59,3 +63,37 @@ def random_unitary(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def symmetrized_basis(n, lam, m):
+    """Orthonormal basis built from explicit symmetrized spanning vectors.
+
+    For each nondecreasing word the vector sums conj(eps(w)) e_w over the
+    rearrangements w, where eps(w) multiplies one commutation factor per
+    inverted letter pair (equal letters contribute 1).  Vectors of different
+    letter multisets have disjoint support, so normalization suffices.
+
+    Spans the same subspace as the complement computed by build_quotient
+    from the commutation-relation generators; the two constructions are kept
+    independent so they can be cross-checked.
+    """
+    if n < 2:
+        raise ValueError("commutation relations need at least two generators")
+    if m > 10:
+        raise ResourceCapError("symmetrization enumerates k! rearrangements; m > 10 is off-scale")
+    table = _lambda_table(n, lam)
+    wi = WordIndex(n, m)
+    columns = []
+    for k in range(m + 1):
+        start = wi.grade_start(k)
+        for alpha in itertools.combinations_with_replacement(range(1, n + 1), k):
+            col = np.zeros(wi.dim, dtype=complex)
+            for w in set(itertools.permutations(alpha)):
+                eps = 1.0 + 0.0j
+                for p in range(k):
+                    for q in range(p + 1, k):
+                        if w[p] > w[q]:
+                            eps *= table[w[p], w[q]]
+                col[start + word_value(w, n)] = np.conj(eps)
+            columns.append(col / np.linalg.norm(col))
+    return np.column_stack(columns)

@@ -17,9 +17,10 @@ from ncfock import (BallPoint, IdealSpec, NcPolynomial, PickProblem,
                     lagrange_interpolant, min_interpolation_norm, operator_norm,
                     pick_matrix, poisson_covariance_check, poisson_kernel, psd_check,
                     q_commutation_spec, quotient_distance, quotient_poisson_check,
-                    stabilized_sup_norm, sup_norm_bounds, symmetrized_basis,
-                    von_neumann_margin, z_vector, gram)
-from helpers import (random_polynomial, random_row_contraction, separated_points)
+                    stabilized_sup_norm, sup_norm_bounds, von_neumann_margin,
+                    z_vector, gram)
+from helpers import (random_polynomial, random_row_contraction, separated_points,
+                     symmetrized_basis)
 
 TOL = 1e-10
 

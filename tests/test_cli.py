@@ -226,6 +226,14 @@ def test_resource_cap_exit_code(tmp_path, capsys):
     assert "resource cap" in capsys.readouterr().err
 
 
+def test_ideal_grade_cap_exit_code(tmp_path, capsys):
+    doc = {"kind": "ideal", "n": 65, "degree": 3,
+           "generators": [[{"word": [1, 2, 3], "coeff": [1.0, 0.0]}]]}
+    path = _write(tmp_path, "p.json", doc)
+    assert cli.main(["ideal", "basis", path]) == 3
+    assert "resource cap" in capsys.readouterr().err
+
+
 def test_out_flag_writes_file(tmp_path):
     path = _write(tmp_path, "p.json", SCHWARZ)
     out = tmp_path / "report.json"

@@ -1,13 +1,17 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
-from ncfock import (BallPoint, DomainError, IdealSpec, NcPolynomial, RowContraction,
-                    WordIndex, build_quotient, caratheodory_distance,
+from ncfock import ideals
+from ncfock import (BallPoint, DomainError, IdealSpec, NcPolynomial, ResourceCapError,
+                    RowContraction, WordIndex, build_quotient, caratheodory_distance,
                     constrained_von_neumann_check, evaluate, ideal_subspace,
                     mult_matrix, q_commutation_spec, quotient_distance,
-                    quotient_poisson_check, sup_norm_bounds, symmetrized_basis,
-                    tensor_product, truncated_mult_matrix)
-from helpers import random_polynomial
+                    quotient_poisson_check, sup_norm_bounds, tensor_product,
+                    truncated_mult_matrix)
+from helpers import random_polynomial, symmetrized_basis
 
 
 def _projector_distance(a, b):
@@ -122,13 +126,63 @@ def test_symmetrized_basis_dimensions():
 
 def test_symmetrized_matches_quotient_complement():
     rng = np.random.default_rng(101)
-    for n, m in [(2, 5), (3, 4)]:
-        pairs = {(j, i): np.exp(2j * np.pi * rng.uniform())
-                 for j in range(2, n + 1) for i in range(1, j)}
+    cases = [(n, m, {(j, i): np.exp(2j * np.pi * rng.uniform())
+                     for j in range(2, n + 1) for i in range(1, j)})
+             for n, m in [(2, 5), (3, 4)]]
+    cases += [(n, m, lam) for n, m in [(2, 5), (3, 4)] for lam in (0.5j, 3.0, 2 - 1j)]
+    for n, m, pairs in cases:
         sym = symmetrized_basis(n, pairs, m)
         model = build_quotient(q_commutation_spec(n, pairs, m))
         assert sym.shape[1] == model.dim
         assert _projector_distance(sym, model.n_basis) < 1e-10
+
+
+MIXED_TABLE = {(2, 1): 1.0, (3, 1): -1.0, (3, 2): 0.5j}
+
+
+@pytest.mark.parametrize("n, lam", [(n, lam) for n in (2, 3, 4)
+                                    for lam in (0.0, -1.0, 1j, 0.5, 3.0)]
+                         + [(3, MIXED_TABLE)])
+def test_q_commutation_grades_are_symmetric_powers(n, lam):
+    m = {2: 13, 3: 6, 4: 5}[n]
+    model = build_quotient(q_commutation_spec(n, lam, m))
+    assert model.grade_dimensions() == [math.comb(k + n - 1, n - 1) for k in range(m + 1)]
+    keep = np.flatnonzero(model.grades <= model.reliable_degree)
+    for g in model.spec.generators:
+        assert np.linalg.norm(model.evaluate_polynomial(g)[:, keep], 2) <= 1e-10
+
+
+def test_homogeneous_model_matches_dense_padded_complement():
+    # the grade recursion against the complement of all padded generator rows
+    rng = np.random.default_rng(23)
+    for n, m in [(2, 6), (3, 4)]:
+        for _ in range(3):
+            gens = (random_polynomial(rng, n, 2, terms=2, homogeneous=True),
+                    random_polynomial(rng, n, 3, terms=3, homogeneous=True))
+            spec = IdealSpec(n, gens, m)
+            model = build_quotient(spec)
+            rows = ideals._padded_dense_rows(spec, WordIndex(n, m))
+            _, dense = ideals._split_row_space(rows, ideals.RANK_TOL)
+            assert model.dim == dense.shape[1]
+            assert _projector_distance(model.n_basis, dense) < 1e-10
+
+
+def test_homogeneous_grade_coordinate_cap_fails_fast():
+    # grade 2 has n * r_1 = 65 * 65 coordinates, above GRADE_COORD_CAP
+    spec = IdealSpec(65, (NcPolynomial(65, {(1, 2, 3): 1.0}),), 3)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        build_quotient(spec)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_homogeneous_basis_cap_precedes_allocation(monkeypatch):
+    # D(2, 18) * sum_k (k + 1) is about 1e8 entries, above MAX_DENSE_ENTRIES
+    def no_assembly(*args):
+        raise AssertionError("n_basis assembled past the cap")
+    monkeypatch.setattr(ideals, "_assemble", no_assembly)
+    with pytest.raises(ResourceCapError):
+        build_quotient(q_commutation_spec(2, 1.0, 18))
 
 
 def test_grade_exactness_across_truncations():

@@ -4,9 +4,10 @@ import pytest
 from ncfock import (BallPoint, DomainError, NcPolynomial, RowContraction,
                     c0_sequence, evaluate, is_c0_certified, minimal_subspace,
                     poisson_compression, poisson_covariance_check, poisson_kernel,
-                    radial_scale, suggest_truncation_degree, symmetrized_basis,
-                    von_neumann_margin, z_vector)
-from helpers import random_polynomial, random_row_contraction, random_unitary
+                    radial_scale, suggest_truncation_degree, von_neumann_margin,
+                    z_vector)
+from helpers import (random_polynomial, random_row_contraction, random_unitary,
+                     symmetrized_basis)
 
 
 def test_row_contraction_rejects_expansive_tuples():
