@@ -8,7 +8,10 @@ complex, matrices are row-major nested arrays, and polynomials are arrays of
 "block": [row, col]).  Unknown fields are rejected.
 
 Exit codes: 0 computed, 1 computed with a property violation (for example an
-infeasible interpolation problem), 2 input error, 3 resource cap.
+infeasible interpolation problem), 2 input error (schema, domain, singular
+Gram matrix, other ValueError), 3 resource cap (ResourceCapError or
+MemoryError), 4 internal numerical failure (numpy LinAlgError or another
+RuntimeError, such as ARPACK non-convergence).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_KMAX = 20
 CONVERGENCE_SLACK = 1e-3   # slack on soft bounds whose right side converges upward
@@ -411,15 +415,29 @@ def _handle_pick(action, problem, params) -> Report:
             "feasible_at_one": bool(cstar <= 1.0 + params["tol"]),
         }))
     if action == "interpolant":
-        phi = pick.lagrange_interpolant(prob)
+        phi = pick.lagrange_interpolant(prob)  # its caps come before the k N x k N c* solve
+        warnings_ = []
+        try:
+            min_norm = pick.min_interpolation_norm(prob)
+        except SingularGramError as exc:
+            min_norm = None
+            warnings_.append(f"min_norm not computed: {exc}")
         residual = max(operator_norm(phi.evaluate(p) - w)
                        for p, w in zip(prob.points, prob.targets))
+        if residual > params["tol"]:
+            warnings_.append(
+                f"interpolation residual {residual:.3e} exceeds tol: the monomial "
+                f"coefficients of clustered nodes lose digits in double precision")
         report = Report("pick interpolant", "pick", params, dict(base, **{
             "degree": int(phi.degree),
             "max_interpolation_residual": float(residual),
+            "norm_upper": float(sum(phi.grade_norms())),
+            "min_norm": min_norm,
             "interpolant": _serialize_matrix_polynomial(phi),
-        }))
-        report.notes.append("explicit interpolant with no norm control")
+        }), warnings=warnings_)
+        report.notes.append(
+            "min_norm <= ||interpolant|| <= norm_upper: c* is the least norm of any "
+            "interpolant, norm_upper the sum of the grade norms")
         return report
     if action == "classical":
         if prob.target_dim != 1:
@@ -663,16 +681,19 @@ def main(argv=None) -> int:
     try:
         problem = parse_problem(args.problem)
         report = dispatch(command, problem, args)
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except SingularGramError as exc:
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (SchemaError, DomainError, SingularGramError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DomainError, ValueError) as exc:
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _emit(report, args)

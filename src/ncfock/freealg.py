@@ -21,6 +21,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import DomainError, ResourceCapError
+from .numerics import operator_norm
 
 MAX_BASIS_SIZE = 10 ** 6       # cap on D(n, m); keeps everything desk-scale
 MAX_DENSE_ENTRIES = 2 ** 26    # cap on dense matrix allocations
@@ -302,6 +303,21 @@ class NcMatrixPolynomial:
     def degree(self):
         return max((p.degree for row in self.entries for p in row),
                    default=float("-inf"))
+
+    def grade_norms(self) -> list:
+        """Norm ||sum_{|alpha|=k} C_alpha* C_alpha||^{1/2} of each grade 0..degree.
+
+        C_alpha is the coefficient matrix of the word alpha.  The L_alpha of
+        one grade are isometries with orthogonal ranges, so this is the
+        multiplier norm of the grade-k part and the sum bounds the whole.
+        """
+        grades = [{} for _ in range(int(max(self.degree, -1)) + 1)]
+        for a, row in enumerate(self.entries):
+            for b, p in enumerate(row):
+                for word, coeff in p.terms.items():
+                    block = grades[len(word)].setdefault(word, np.zeros(self.shape, complex))
+                    block[a, b] = coeff
+        return [operator_norm(np.vstack(list(g.values()))) if g else 0.0 for g in grades]
 
     def evaluate(self, point) -> np.ndarray:
         point = _as_point(point)

@@ -178,10 +178,10 @@ def _grade_recursion(spec: IdealSpec, rank_tol: float):
         if gens:
             C = _split_row_space(np.vstack([vh[kept:].conj()] + gens), rank_tol)[1]
         total += C.shape[1]
-        if dim * total > MAX_DENSE_ENTRIES:
+        if dim * total > MAX_DENSE_ENTRIES or n * total * total > MAX_DENSE_ENTRIES:
             raise ResourceCapError(
-                f"quotient basis of {dim} x {total}+ entries exceeds the cap "
-                f"{MAX_DENSE_ENTRIES}")
+                f"quotient basis of {dim} x {total}+ entries or compressions of "
+                f"{n} x {total}+ x {total}+ exceed the cap {MAX_DENSE_ENTRIES}")
         coords.append(C)
         blocks.append((N @ C.reshape(n, r, C.shape[1])).reshape(n ** (k + 1), C.shape[1]))
     return blocks, coords
@@ -282,6 +282,9 @@ def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel
             f"dense model of size {wi.dim} exceeds the cap {GRADE_COORD_CAP}")
     _, n_basis = _split_row_space(_padded_dense_rows(spec, wi), rank_tol)
     r = n_basis.shape[1]
+    if n * r * r > MAX_DENSE_ENTRIES:
+        raise ResourceCapError(
+            f"compressions of {n} x {r} x {r} entries exceed the cap {MAX_DENSE_ENTRIES}")
     B = np.zeros((n, r, r), dtype=complex)
     for i in range(n):
         shift = truncated_mult_matrix(NcPolynomial.generator(n, i + 1), m)

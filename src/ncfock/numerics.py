@@ -64,7 +64,7 @@ def operator_norm(a) -> float:
         return 0.0
     if a.ndim == 1:
         return float(np.linalg.norm(a))
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def max_generalized_eigenvalue(b, a, *, pd_tol: float = 1e-12) -> float:

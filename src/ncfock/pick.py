@@ -9,12 +9,15 @@ with the same spectrum; Hermiticity is asserted on construction.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
-from .freealg import BallPoint, NcMatrixPolynomial, NcPolynomial, evaluate, tensor_product
+from .errors import DomainError, ResourceCapError
+from .freealg import (MAX_BASIS_SIZE, MAX_DENSE_ENTRIES, BallPoint, NcMatrixPolynomial,
+                      NcPolynomial)
 from .numerics import (DEFAULT_TOL, PsdVerdict, as_hermitian,
                        max_generalized_eigenvalue, operator_norm, psd_check)
 
@@ -103,6 +106,13 @@ def _assemble_blocks(blocks: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3).reshape(k * N, k * N))
 
 
+def _dense_cap(problem: PickProblem) -> None:
+    size = problem.k * problem.target_dim
+    if size * size > MAX_DENSE_ENTRIES:
+        raise ResourceCapError(
+            f"{size} x {size} block Pick matrix exceeds the cap {MAX_DENSE_ENTRIES}")
+
+
 def pick_matrix(problem: PickProblem, c: float) -> np.ndarray:
     """Block matrix with (i, j) entry G[i][j] * (c^2 I - W_i W_j*).
 
@@ -111,6 +121,7 @@ def pick_matrix(problem: PickProblem, c: float) -> np.ndarray:
     """
     if c < 0:
         raise ValueError("the norm level c must be nonnegative")
+    _dense_cap(problem)
     G = gram(problem)
     N = problem.target_dim
     blocks = G[:, :, None, None] * (c ** 2 * np.eye(N)[None, None] - _target_products(problem))
@@ -125,6 +136,7 @@ def min_interpolation_norm(problem: PickProblem) -> float:
     (G[i][j] W_i W_j*, G[i][j] I).  pick_matrix(problem, c) is PSD exactly
     for c >= c*.
     """
+    _dense_cap(problem)
     G = gram(problem)
     N = problem.target_dim
     A = np.kron(G, np.eye(N))
@@ -149,41 +161,33 @@ def certify(problem: PickProblem, tol: float = DEFAULT_TOL) -> PickCertificate:
     )
 
 
-def _separating_coordinate(base: BallPoint, other: BallPoint) -> int:
-    # smallest index among those maximizing |lambda_{base,q} - lambda_{other,q}|
-    diffs = np.abs(base.coords - other.coords)
-    return int(np.argmax(diffs))
-
-
 def lagrange_interpolant(problem: PickProblem) -> NcMatrixPolynomial:
-    """An explicit interpolant with no norm control.
+    """An explicit interpolant: the least-norm coefficient solve over monomials.
 
-    For each node i0 a product of linear factors e_q - lambda_{jq} vanishes
-    at every other node and is normalized to 1 at lambda_{i0}; the output is
-    the target-weighted sum of these scalar cardinal polynomials.  Degree is
-    at most k - 1.
+    At scalar nodes a word acts through its commutative monomial, so the
+    evaluation matrix E has one column per ordered word i_1 <= ... <= i_j of
+    degree <= d.  d starts at the least value with C(d+n, n) >= k and rises
+    while a singular value of E falls below DEFAULT_TOL relative; at d = k - 1
+    products of linear factors prove full row rank.  At most N^2 C(d+n, n) terms.
     """
-    n = problem.n
-    cardinals = []
-    for i0, base in enumerate(problem.points):
-        psi = NcPolynomial.unit(n)
-        for j, other in enumerate(problem.points):
-            if j == i0:
-                continue
-            q = _separating_coordinate(base, other)
-            factor = NcPolynomial(n, {(q + 1,): 1.0, (): -other.coords[q]})
-            psi = tensor_product(psi, factor)
-        value = evaluate(psi, base)
-        cardinals.append(psi.scale(1.0 / value))
-    N = problem.target_dim
-    entries = [[NcPolynomial.zero(n) for _ in range(N)] for _ in range(N)]
-    for i, phi in enumerate(cardinals):
-        W = problem.targets[i]
-        for a in range(N):
-            for b in range(N):
-                if W[a, b] != 0:
-                    entries[a][b] = entries[a][b] + phi.scale(W[a, b])
-    return NcMatrixPolynomial(n, entries)
+    n, k, N = problem.n, problem.k, problem.target_dim
+    lam, W = _coords(problem), problem.targets.reshape(k, N * N)
+    words, columns, d = [], [], -1
+    while True:
+        d += 1
+        size = math.comb(d + n, n)
+        if k * size > MAX_DENSE_ENTRIES or N * N * size > MAX_BASIS_SIZE:
+            raise ResourceCapError(f"degree-{d} interpolant: C({d + n},{n}) = {size} words "
+                                   f"for {k} nodes and {N}x{N} targets exceed the caps")
+        for word in itertools.combinations_with_replacement(range(n), d):
+            words.append(tuple(i + 1 for i in word))
+            columns.append(np.prod(lam[:, list(word)], axis=1))
+        if size >= k:
+            X, _, _, s = np.linalg.lstsq(np.stack(columns, axis=1), W, rcond=None)
+            if d == k - 1 or s[-1] > DEFAULT_TOL * s[0]:
+                break
+    return NcMatrixPolynomial(n, [[NcPolynomial(n, dict(zip(words, X[:, a * N + b])))
+                                   for b in range(N)] for a in range(N)])
 
 
 def classical_ball_matrix(problem: PickProblem) -> np.ndarray:

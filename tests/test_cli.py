@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from ncfock import cli
+from ncfock import cli, pick
 
 
 def _write(tmp_path, name, doc):
@@ -103,6 +104,89 @@ def test_pick_interpolant_residual(tmp_path, capsys):
     by_word = {tuple(t["word"]): complex(*t["coeff"]) for t in terms}
     assert by_word[()] == pytest.approx(1.0)
     assert by_word[(1,)] == pytest.approx(-2.0)
+
+
+def test_pick_interpolant_brackets_its_norm(tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    points = [(rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) * 0.45 for _ in range(40)]
+    targets = [np.array([[complex(rng.normal(), rng.normal())]]) for _ in range(40)]
+    path = _write(tmp_path, "p.json", _pick_doc(points, targets))
+    assert cli.main(["pick", "interpolant", path, "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["max_interpolation_residual"] <= 1e-10
+    assert results["degree"] == 8  # C(10, 2) = 45 >= 40 monomials
+    assert len(results["interpolant"]) <= 45
+    assert 0.0 < results["min_norm"] <= results["norm_upper"]
+
+
+def test_pick_interpolant_cap_exit_code(tmp_path, capsys, monkeypatch):
+    # collinear nodes climb to degree 17, where 30^2 C(20, 3) terms pass 10^6;
+    # the cap must stop the run before the c* solve
+    def no_cstar(problem):
+        raise AssertionError("c* computed past the interpolant cap")
+    monkeypatch.setattr(pick, "min_interpolation_norm", no_cstar)
+    points = [[t * 0.5, t * 0.5j, t * 0.5] for t in np.linspace(-1.0, 1.0, 20)]
+    path = _write(tmp_path, "p.json", _pick_doc(points, [np.eye(30)] * 20))
+    start = time.perf_counter()
+    assert cli.main(["pick", "interpolant", path]) == 3
+    assert time.perf_counter() - start < 10.0
+    assert "resource cap" in capsys.readouterr().err
+
+
+def test_pick_interpolant_keeps_result_when_gram_is_singular(tmp_path, capsys):
+    # nodes 1e-6 apart: the Gram matrix is singular within 1e-12, c* is not
+    # computed, and the interpolant is still reported
+    rng = np.random.default_rng(11)
+    points = [[0.3, 0.2j], [0.3 + 1e-6, 0.2j], [-0.4, 0.1], [0.1j, -0.5]]
+    targets = [np.array([[complex(rng.normal(), rng.normal())]]) for _ in points]
+    path = _write(tmp_path, "p.json", _pick_doc(points, targets))
+    assert cli.main(["pick", "interpolant", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    results = report["results"]
+    assert results["min_norm"] is None
+    assert any(w.startswith("min_norm not computed") for w in report["warnings"])
+    # coefficients near 1e6 carry the rounding of the residual
+    assert results["max_interpolation_residual"] <= 1e-12 * results["norm_upper"]
+
+
+def test_pick_interpolant_warns_on_lost_digits(tmp_path, capsys):
+    # 40 one-variable nodes in the radius-0.9 disc: the degree-39 monomial
+    # coefficients cannot reproduce the targets to 1e-10
+    rng = np.random.default_rng(13)
+    points = [[complex(*rng.uniform(-0.6, 0.6, 2))] for _ in range(40)]
+    targets = [np.array([[complex(rng.normal(), rng.normal())]]) for _ in range(40)]
+    path = _write(tmp_path, "p.json", _pick_doc(points, targets))
+    assert cli.main(["pick", "interpolant", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    residual = report["results"]["max_interpolation_residual"]
+    assert residual > 1e-10
+    assert any(w.startswith("interpolation residual") for w in report["warnings"])
+
+
+@pytest.mark.parametrize("action", ["interpolant", "norm", "check"])
+def test_pick_dense_cap_exit_code(tmp_path, capsys, monkeypatch, action):
+    # k = 4 nodes with 2 x 2 targets: the interpolant needs 4 * C(4, 2) = 24
+    # dense entries, the block Pick matrix (4 * 2)^2 = 64
+    monkeypatch.setattr(pick, "MAX_DENSE_ENTRIES", 30)
+    rng = np.random.default_rng(17)
+    points = [rng.uniform(-0.4, 0.4, 2) + 0j for _ in range(4)]
+    path = _write(tmp_path, "p.json", _pick_doc(points, [np.eye(2) * 0.5] * 4))
+    assert cli.main(["pick", action, path]) == 3
+    assert "block Pick matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault, code, label", [
+    (np.linalg.LinAlgError("SVD did not converge"), 4, "internal error"),
+    (RuntimeError("ARPACK did not converge"), 4, "internal error"),
+    (MemoryError(), 3, "resource cap"),
+])
+def test_fault_exit_codes(tmp_path, capsys, monkeypatch, fault, code, label):
+    def broken(problem):
+        raise fault
+    monkeypatch.setattr(pick, "min_interpolation_norm", broken)
+    path = _write(tmp_path, "p.json", SCHWARZ)
+    assert cli.main(["pick", "norm", path]) == code
+    assert capsys.readouterr().err.startswith(label)
 
 
 def test_pick_classical(tmp_path, capsys):
@@ -229,6 +313,14 @@ def test_resource_cap_exit_code(tmp_path, capsys):
 def test_ideal_grade_cap_exit_code(tmp_path, capsys):
     doc = {"kind": "ideal", "n": 65, "degree": 3,
            "generators": [[{"word": [1, 2, 3], "coeff": [1.0, 0.0]}]]}
+    path = _write(tmp_path, "p.json", doc)
+    assert cli.main(["ideal", "basis", path]) == 3
+    assert "resource cap" in capsys.readouterr().err
+
+
+def test_ideal_compression_cap_exit_code(tmp_path, capsys):
+    # the free n = 2, m = 12 quotient passes the D * r cap, not the n * r^2 one
+    doc = {"kind": "ideal", "n": 2, "degree": 12, "generators": []}
     path = _write(tmp_path, "p.json", doc)
     assert cli.main(["ideal", "basis", path]) == 3
     assert "resource cap" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncfock import (BallPoint, DomainError, FockVector, NcPolynomial,
+from ncfock import (BallPoint, DomainError, FockVector, NcMatrixPolynomial, NcPolynomial,
                     ResourceCapError, WordIndex, basis_size, evaluate, flip,
                     mult_matrix, sup_norm_bounds, tensor_product, z_vector)
 from helpers import random_polynomial
@@ -255,6 +255,23 @@ def test_sup_norm_bounds_order():
         p = random_polynomial(rng, 2, 3, terms=5)
         lower, upper = sup_norm_bounds(p, 3)
         assert lower <= upper + 1e-12
+
+
+def test_matrix_grade_norms_of_scalar_entry_match_polynomial():
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        p = random_polynomial(rng, 2, 4, terms=8)
+        phi = NcMatrixPolynomial(2, [[p]])
+        assert phi.grade_norms() == pytest.approx(p.grade_norms(), abs=1e-14)
+    assert NcMatrixPolynomial(2, [[NcPolynomial.zero(2)]]).grade_norms() == []
+
+
+def test_matrix_grade_norms_use_the_column_operator():
+    # L_1 (x) E_11 + L_2 (x) E_22 is an isometry: ||C_1*C_1 + C_2*C_2|| = ||I|| = 1,
+    # where summing entrywise l2 norms would give 2
+    one, zero = NcPolynomial(2, {(1,): 1.0}), NcPolynomial.zero(2)
+    phi = NcMatrixPolynomial(2, [[one, zero], [zero, NcPolynomial(2, {(2,): 1.0})]])
+    assert phi.grade_norms() == pytest.approx([0.0, 1.0], abs=1e-15)
 
 
 def test_line_multiplier_norm_matches_circle_sup():

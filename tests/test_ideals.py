@@ -185,6 +185,25 @@ def test_homogeneous_basis_cap_precedes_allocation(monkeypatch):
         build_quotient(q_commutation_spec(2, 1.0, 18))
 
 
+def test_compression_cap_fails_fast():
+    # free n = 2, m = 12: D * r = 8191^2 is under MAX_DENSE_ENTRIES, the
+    # compressions' n * r^2 = 2 * 8191^2 are not
+    spec = IdealSpec(2, (), 12)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="compressions"):
+        build_quotient(spec)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_dense_compression_cap_precedes_allocation(monkeypatch):
+    # the dense path checks n * r^2 before it allocates the compressions
+    spec = IdealSpec(2, (NcPolynomial(2, {(): 1.0, (1, 2): 1.0}),), 3)
+    r = build_quotient(spec).dim
+    monkeypatch.setattr(ideals, "MAX_DENSE_ENTRIES", 2 * r * r - 1)
+    with pytest.raises(ResourceCapError, match="compressions"):
+        build_quotient(spec)
+
+
 def test_grade_exactness_across_truncations():
     spec4 = q_commutation_spec(2, 1.0, 4)
     spec7 = q_commutation_spec(2, 1.0, 7)

@@ -52,6 +52,14 @@ def test_operator_norm_examples():
     assert operator_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0)
 
 
+def test_operator_norm_matches_spectral_norm():
+    # both are the top value of the same LAPACK SVD, so they agree exactly
+    rng = np.random.default_rng(83)
+    for rows, cols in [(2, 2), (1, 5), (7, 3), (30, 30), (200, 30)]:
+        a = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        assert operator_norm(a) == np.linalg.norm(a, 2)
+
+
 def test_generalized_eigenvalue_trivial():
     a = np.array([[2.0, 0.5], [0.5, 1.0]])
     assert max_generalized_eigenvalue(a, a) == pytest.approx(1.0)
