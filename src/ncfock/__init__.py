@@ -11,8 +11,7 @@ quotients by 2-sided ideals such as commutation relations.
 from .errors import DomainError, ResourceCapError, SingularGramError
 from .freealg import (BallPoint, FockVector, NcMatrixPolynomial, NcPolynomial,
                       WordIndex, basis_size, evaluate, flip, mult_matrix,
-                      stabilized_sup_norm, sup_norm_bounds, tensor_product,
-                      truncated_mult_matrix, z_vector)
+                      sup_norm_bounds, tensor_product, truncated_mult_matrix, z_vector)
 from .ideals import (IdealSpec, QuotientModel, build_quotient, caratheodory_distance,
                      constrained_von_neumann_check, ideal_subspace, q_commutation_spec,
                      quotient_distance, quotient_poisson_check)
@@ -23,7 +22,8 @@ from .pick import (PickCertificate, PickProblem, certify, classical_ball_matrix,
                    sample_membership_check)
 from .poisson import (PoissonKernelMatrix, RowContraction, c0_sequence,
                       is_c0_certified, minimal_subspace, poisson_compression,
-                      poisson_covariance_check, poisson_kernel, radial_scale,
+                      poisson_covariance_check, poisson_covariance_residuals,
+                      poisson_kernel, radial_scale,
                       suggest_truncation_degree, von_neumann_margin)
 
 __all__ = [
@@ -36,10 +36,10 @@ __all__ = [
     "gram", "hermitian_sqrt", "ideal_subspace", "is_c0_certified",
     "lagrange_interpolant", "max_generalized_eigenvalue", "min_interpolation_norm",
     "minimal_subspace", "mult_matrix", "operator_norm", "pick_matrix",
-    "poisson_compression", "poisson_covariance_check", "poisson_kernel",
+    "poisson_compression", "poisson_covariance_check",
+    "poisson_covariance_residuals", "poisson_kernel",
     "psd_check", "q_commutation_spec", "quotient_distance", "quotient_poisson_check",
-    "radial_scale", "sample_membership_check", "stabilized_sup_norm",
-    "suggest_truncation_degree", "sup_norm_bounds", "tensor_product",
+    "radial_scale", "sample_membership_check", "suggest_truncation_degree", "sup_norm_bounds", "tensor_product",
     "truncated_mult_matrix", "z_vector",
 ]
 

@@ -37,6 +37,7 @@ EXIT_INTERNAL = 4
 
 DEFAULT_KMAX = 20
 CONVERGENCE_SLACK = 1e-3   # slack on soft bounds whose right side converges upward
+STABILIZED_GAP = 1e-6      # a norm bracket this narrow, relative to max(1, upper), is stabilized
 
 _VOCABULARY = {"kind", "n", "points", "targets", "polynomial", "generators",
                "lambda_q", "degree", "tol", "kmax"}
@@ -327,13 +328,12 @@ def _resolve(problem: ProblemFile, flags) -> dict:
     if tol is None:
         tol = DEFAULT_TOL
     degree = flags.degree if flags.degree is not None else problem.degree
-    explicit = degree is not None
     if degree is None:
         degree = default_degree(problem.n)
     kmax = flags.kmax if flags.kmax is not None else problem.kmax
     if kmax is None:
         kmax = DEFAULT_KMAX
-    return {"tol": tol, "degree": degree, "kmax": kmax, "degree_explicit": explicit}
+    return {"tol": tol, "degree": degree, "kmax": kmax}
 
 
 def _pick_problem(problem: ProblemFile) -> pick.PickProblem:
@@ -468,7 +468,6 @@ def _handle_caratheodory(problem, params, flags) -> Report:
 
 
 def _handle_poisson(action, problem, params) -> Report:
-    degree_explicit = params.pop("degree_explicit", False)
     T = _row_contraction(problem)
     base = {"n": T.n, "d": T.d}
     m = params["degree"]
@@ -504,55 +503,39 @@ def _handle_poisson(action, problem, params) -> Report:
         return report
     if action == "vonneumann":
         p = _scalar_polynomial(problem)
-        if degree_explicit:
-            lower, upper = freealg.sup_norm_bounds(p, m)
-            m_used, stabilized = m, False
-        else:
-            lower, upper, m_used, stabilized = freealg.stabilized_sup_norm(
-                p, start=min(m, 6))
+        lower, upper = bounds = freealg.sup_norm_bounds(p, m)
         lhs = operator_norm(T.evaluate_polynomial(p))
-        hard_slack = 1e-12 * max(1.0, upper)
-        violated = lhs > upper + hard_slack
+        violated = lhs > upper + 1e-12 * max(1.0, upper)
         report = Report("poisson vonneumann", "poisson", params, dict(base, **{
             "lhs": float(lhs),
             "lower": lower,
             "upper": upper,
-            "degree_used": m_used,
-            "stabilized": stabilized,
+            "gap": upper - lower,
+            "upper_method": bounds.upper_method,
+            "degree_used": m,
+            "stabilized": upper - lower <= STABILIZED_GAP * max(1.0, upper),
         }), violation=bool(violated))
         if violated:
             report.warnings.append("hard inequality ||p(T)|| <= upper bound FAILED")
-        elif stabilized and lhs > lower + 1e-4:
-            report.warnings.append(
-                "||p(T)|| exceeds the stabilized lower bound by more than 1e-4")
-        if not stabilized and not degree_explicit:
-            report.warnings.append(
-                "lower bound not stabilized within the resource cap; "
-                "only the hard upper bound is certified")
         return report
     if action == "covariance":
         words = [w for k in range(min(2, m) + 1)
                  for w in itertools.product(range(1, T.n + 1), repeat=k)]
-        worst, arg = 0.0, ((), ())
-        for alpha in words:
-            for beta in words:
-                resid = poisson.poisson_covariance_check(T, alpha, beta, m)
-                if resid > worst:
-                    worst, arg = resid, (alpha, beta)
+        pairs = [(alpha, beta) for alpha in words for beta in words]
+        residuals = poisson.poisson_covariance_residuals(T, pairs, m)
+        worst = int(np.argmax(residuals))
         sigma_tail = poisson.c0_sequence(T, m + 1)[-1]
-        residual_ee = poisson.poisson_covariance_check(T, (), (), m)
         return Report("poisson covariance", "poisson", params, dict(base, **{
-            "max_residual": float(worst),
-            "argmax_alpha": list(arg[0]),
-            "argmax_beta": list(arg[1]),
-            "identity_word_residual": float(residual_ee),
+            "max_residual": float(residuals[worst]),
+            "argmax_alpha": list(pairs[worst][0]),
+            "argmax_beta": list(pairs[worst][1]),
+            "identity_word_residual": float(residuals[0]),
             "sigma_tail": float(sigma_tail),
         }))
     raise SchemaError("$", f"unknown poisson action '{action}'")
 
 
 def _handle_ideal(action, problem, params) -> Report:
-    params.pop("degree_explicit", None)
     m = params["degree"]
     spec = _ideal_spec(problem, m)
     model = ideals.build_quotient(spec)

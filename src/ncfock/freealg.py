@@ -9,7 +9,8 @@ grade k sits at offset D(n, k-1) with D(n, m) = 1 + n + ... + n^m.
 
 Multiplication matrices are always built into the full target grade
 m + deg(p); compressing back to P_m is an explicit, separate step
-(``truncated_mult_matrix``), so certified lower norm bounds stay exact.
+(``truncated_mult_matrix``).  Norm bounds form neither: they work from the
+coefficients of L_p* L_p (``sup_norm_bounds``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import bisect
 
 import numpy as np
-import scipy.sparse
+import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import DomainError, ResourceCapError
@@ -26,6 +27,13 @@ from .numerics import operator_norm
 MAX_BASIS_SIZE = 10 ** 6       # cap on D(n, m); keeps everything desk-scale
 MAX_DENSE_ENTRIES = 2 ** 26    # cap on dense matrix allocations
 COEFF_CHOP = 1e-15             # coefficients below this are dropped after arithmetic
+DENSE_EIG_MAX = 256            # P_m compressions up to this size are diagonalized densely
+FEJER_RIESZ_MAX_PAIRS = 1024   # cap on the prefix pairs of the Fejer-Riesz Gram solve
+FR_MAX_ITER = 60               # interior-point iterations of the Gram solve
+FR_GAP_TOL = 1e-10             # stop once tr(XS) <= this * (1 + tr X) ...
+FR_STALL_TOL = 1e-8            # ... or once it stops halving below this
+CIRCLE_NEWTON_STEPS = 8        # Newton steps from each maximum of the n = 1 FFT grid
+LANCZOS_TOL = 1e-10            # relative residual of the Ritz pair that gives lower
 
 
 def basis_size(n: int, m: int) -> int:
@@ -399,7 +407,7 @@ def _mult_triplets(p: NcPolynomial, m: int, row_cap: int):
     return blocks
 
 
-def mult_matrix(p: NcPolynomial, m: int, sparse: bool = False):
+def mult_matrix(p: NcPolynomial, m: int) -> np.ndarray:
     """Matrix of multiplication by p from P_m into P_{m + deg p}.
 
     The column of the word beta holds the coefficient vector of the product
@@ -411,19 +419,11 @@ def mult_matrix(p: NcPolynomial, m: int, sparse: bool = False):
     d = int(p.degree)
     wi_in = WordIndex(p.n, m)
     wi_out = WordIndex(p.n, m + d)
-    blocks = _mult_triplets(p, m, m + d + 1)
-    if sparse:
-        rows = np.concatenate([b[0] for b in blocks])
-        cols = np.concatenate([b[1] for b in blocks])
-        vals = np.concatenate([np.full(b[0].size, b[2], dtype=complex) for b in blocks])
-        return scipy.sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(wi_out.dim, wi_in.dim)).tocsr()
     if wi_out.dim * wi_in.dim > MAX_DENSE_ENTRIES:
         raise ResourceCapError(
-            f"dense {wi_out.dim} x {wi_in.dim} multiplication matrix exceeds the cap; "
-            "pass sparse=True")
+            f"dense {wi_out.dim} x {wi_in.dim} multiplication matrix exceeds the cap")
     out = np.zeros((wi_out.dim, wi_in.dim), dtype=complex)
-    for rows, cols, coeff in blocks:
+    for rows, cols, coeff in _mult_triplets(p, m, m + d + 1):
         out[rows, cols] += coeff
     return out
 
@@ -468,61 +468,284 @@ def flip(v: FockVector) -> FockVector:
     return FockVector(v.n, v.m, out)
 
 
-def _largest_singular_value(matrix) -> float:
-    if scipy.sparse.issparse(matrix):
-        if min(matrix.shape) <= 2 or matrix.shape[0] * matrix.shape[1] <= 4096:
-            return float(np.linalg.norm(matrix.toarray(), 2))
-        v0 = np.ones(min(matrix.shape))  # fixed start keeps runs deterministic
-        try:
-            s = scipy.sparse.linalg.svds(matrix, k=1, v0=v0,
-                                         return_singular_vectors=False)
-            return float(s.max())
-        except scipy.sparse.linalg.ArpackError:
-            return float(np.linalg.norm(matrix.toarray(), 2))
-    return float(np.linalg.norm(matrix, 2))
+class NormBounds(tuple):
+    """The pair (lower, upper) returned by sup_norm_bounds.
 
-
-def sup_norm_bounds(p: NcPolynomial, m: int):
-    """Certified (lower, upper) bounds for the multiplier sup-norm of p.
-
-    lower is the exact operator norm of the multiplication by p restricted to
-    P_m; it is nondecreasing in m and converges to the sup-norm from below.
-    upper sums the l2 norms of the homogeneous coefficient blocks.  For
-    homogeneous p the two agree already at m = 0.
+    upper_method names the source of upper: "fejer_riesz" when the Gram
+    certificate beat the sum of the grade norms, "grade_norms" otherwise.
     """
-    if p.is_zero:
-        return (0.0, 0.0)
-    upper = float(sum(p.grade_norms()))
-    d = int(p.degree)
-    # past this size a one-vector Lanczos sweep beats the full dense SVD
-    dense_ok = basis_size(p.n, m + d) * basis_size(p.n, m) <= 40_000
-    matrix = mult_matrix(p, m, sparse=not dense_ok)
-    lower = _largest_singular_value(matrix)
-    return (lower, upper)
+
+    def __new__(cls, lower, upper, upper_method: str):
+        self = super().__new__(cls, (float(lower), float(upper)))
+        self.upper_method = upper_method
+        return self
+
+    def __getnewargs__(self):
+        return (*self, self.upper_method)
 
 
-def stabilized_sup_norm(p: NcPolynomial, *, start: int = 2, step: int = 2,
-                        rel_change: float = 1e-6, max_size: int = 200_000):
-    """Grow the truncation degree until the lower bound stabilizes.
+def _symbol(p: NcPolynomial) -> list:
+    """Coefficients of L_p* L_p = r_() I + sum_{gamma != ()} (r_gamma L_gamma + h.c.).
 
-    Stabilized means two consecutive increments each changed the lower bound
-    by less than rel_change.  The schedule stops early at the resource cap
-    max_size on the output basis; no a priori convergence rate is certified,
-    this is the documented heuristic.  Returns (lower, upper, m, stabilized).
+    r_gamma = sum_alpha conj(c_alpha) c_(alpha gamma).  Entry g of the list
+    holds the r_gamma of the n^g words of length g in grade order; entry 0
+    is [||p||_2^2].
     """
-    if p.is_zero:
-        return (0.0, 0.0, start, True)
-    d = int(p.degree)
-    m = max(start, 1)
-    lower, upper = sup_norm_bounds(p, m)
-    changes = []
-    while m < 600:
-        nxt = m + step
-        if basis_size(p.n, min(nxt + d, 64)) > max_size:
+    n, d = p.n, int(p.degree)
+    wi = WordIndex(n, d)
+    c = p.to_fock(d).coeffs
+    blocks = [c[wi.grade_slice(k)] for k in range(d + 1)]
+    return [sum(blocks[a].conj() @ blocks[a + g].reshape(n ** a, n ** g)
+                for a in range(d + 1 - g)) for g in range(d + 1)]
+
+
+def _compressed_square(r: list, wi: WordIndex, x: np.ndarray) -> np.ndarray:
+    """P_m L_p* L_p P_m x for a block x of shape (D(n, m), b), from the symbol r.
+
+    L_gamma maps grade k onto the rows of the words gamma beta, which form
+    row gamma of grade k + |gamma| reshaped as (n^|gamma|, n^k): each grade
+    pair is one outer-product update and its adjoint one contraction.
+    """
+    n = wi.n
+    out = r[0][0].real * x
+    for g in range(1, len(r)):
+        for k in range(wi.m - g + 1):
+            low, high = wi.grade_slice(k), wi.grade_slice(k + g)
+            out[high] += np.multiply.outer(r[g], x[low]).reshape(-1, x.shape[1])
+            out[low] += np.einsum("g,gkb->kb", r[g].conj(), x[high].reshape(n ** g, n ** k, -1))
+    return out
+
+
+def _truncated_norm(r: list, n: int, m: int) -> float:
+    """||L_p restricted to P_m||, the root of the top eigenvalue of P_m L_p* L_p P_m."""
+    wi = WordIndex(n, m)
+    if n == 1:
+        # Hermitian Toeplitz with bandwidth deg p, in LAPACK's lower band storage
+        band = np.zeros((min(len(r), m + 1), m + 1), dtype=complex)
+        for g in range(band.shape[0]):
+            band[g, :m + 1 - g] = r[g][0]
+        top = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,
+                                      select="i", select_range=(m, m))[0]
+    elif wi.dim <= DENSE_EIG_MAX:
+        h = _compressed_square(r, wi, np.eye(wi.dim, dtype=complex))
+        top = scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=[wi.dim - 1] * 2)[0]
+    else:
+        op = scipy.sparse.linalg.LinearOperator(
+            (wi.dim, wi.dim), dtype=complex,
+            matvec=lambda v: _compressed_square(r, wi, v.reshape(-1, 1)).ravel())
+        # a fixed generic start keeps runs deterministic without sharing a symmetry of p
+        v0 = np.random.default_rng(0).standard_normal(wi.dim).astype(complex)
+        top = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, tol=LANCZOS_TOL,
+                                        return_eigenvectors=False)[0]
+    return float(np.sqrt(max(float(np.real(top)), 0.0)))
+
+
+def _circle_max(p: NcPolynomial) -> float:
+    """max |p| on the unit circle for n = 1: the maxima of an FFT grid,
+    refined by safeguarded Newton steps on |p(e^(i theta))|^2."""
+    c = p.to_fock(int(p.degree)).coeffs
+    k = np.arange(c.size)
+    size = 16 * c.size + 48
+    grid = np.abs(np.fft.ifft(c, size)) * size          # |p| at theta_j = 2 pi j / size
+    peaks = np.flatnonzero((grid > np.roll(grid, 1)) & (grid >= np.roll(grid, -1)))
+    peaks = peaks[np.argsort(grid[peaks])[-2 * c.size:]]
+    theta, h = 2 * np.pi * peaks / size, 2 * np.pi / size
+    for _ in range(CIRCLE_NEWTON_STEPS):
+        z = np.exp(1j * np.outer(theta, k))
+        v, v1, v2 = z @ c, z @ (1j * k * c), z @ (-(k * k) * c)
+        slope = 2 * (v.conj() * v1).real
+        curve = 2 * (np.abs(v1) ** 2 + (v.conj() * v2).real)
+        concave = curve < 0
+        step = np.where(concave, -slope / np.where(concave, curve, 1.0), 0.0)
+        theta = theta + np.clip(step, -h, h)
+    refined = np.abs(np.exp(1j * np.outer(theta, k)) @ c)
+    return float(max(grid.max(), refined.max(initial=0.0)))
+
+
+def _prefix_pairs(n: int, d: int):
+    """Index arrays (src, dst, starts) over the splittings beta = alpha gamma,
+    |beta| <= d, gamma nonempty: src indexes alpha and dst beta among the
+    words of length <= d, sorted by gamma; starts[j] is the first pair of
+    the j-th nonempty gamma in grade order.  There are sum_beta |beta| pairs.
+    """
+    wi = WordIndex(n, d)
+    src, dst, con = [], [], []
+    for b in range(1, d + 1):
+        for a in range(b):
+            src.append(np.repeat(np.arange(n ** a) + wi.grade_start(a), n ** (b - a)))
+            dst.append(np.arange(n ** b) + wi.grade_start(b))
+            con.append(np.tile(np.arange(n ** (b - a)) + wi.grade_start(b - a) - 1, n ** a))
+    src, dst, con = (np.concatenate(v) for v in (src, dst, con))
+    order = np.argsort(con, kind="stable")
+    starts = np.flatnonzero(np.diff(con[order], prepend=-1))
+    return src[order], dst[order], starts
+
+
+def _fejer_riesz_gram(r: list, n: int, d: int) -> np.ndarray:
+    """Approximate minimizer of tr Q subject to sum_alpha Q[alpha, alpha gamma]
+    = -r_gamma for every nonempty gamma and Q >= 0 (Q indexed by the words
+    of length <= d), for a symbol scaled to r_() = 1.
+
+    A primal-dual interior-point method: HKM direction with Mehrotra's
+    predictor-corrector, the dual slack S = I - M(y) kept exactly feasible.
+    The Schur complement of the Newton system is gathered from X and S^-1
+    over the prefix pairs; no constraint matrix is formed.  The iterate stays
+    positive definite and is returned when the duality gap stops falling.
+    """
+    src, dst, starts = _prefix_pairs(n, d)
+    size, pairs, cons = basis_size(n, d), src.size, starts.size
+    con = np.repeat(np.arange(cons), np.diff(np.append(starts, pairs)))
+    both = np.concatenate([src, dst])
+    b = -np.concatenate(r[1:])
+    eye = np.eye(size, dtype=complex)
+
+    def constraint(y):
+        """(A(Y) + A(Y*)) / 2 with A(Y)_gamma = sum_alpha Y[alpha, alpha gamma]."""
+        return (np.add.reduceat(y[src, dst], starts)
+                + np.add.reduceat(y[dst, src].conj(), starts)) / 2
+
+    def dual(y):
+        """M(y) = sum_gamma conj(y_gamma) E_gamma + y_gamma E_gamma*, with
+        tr(X M(y)) = 2 Re <y, A(X)>."""
+        out = np.zeros((size, size), dtype=complex)
+        out[src, dst] = y[con]
+        out[dst, src] = y[con].conj()
+        return out
+
+    def quadrants(z):
+        """z at the (src, src), (src, dst), (dst, src) and (dst, dst) index pairs."""
+        g = z[both][:, both]
+        return g[:pairs, :pairs], g[:pairs, pairs:], g[pairs:, :pairs], g[pairs:, pairs:]
+
+    def grouped(t):
+        """Sums of t over the pairs of each gamma, by rows and by columns."""
+        return np.add.reduceat(np.add.reduceat(t, starts, axis=0), starts, axis=1)
+
+    def max_step(inv_chol, dz):
+        """Largest t with Z + t dZ >= 0, for Z = L L* and inv_chol = L^-1."""
+        low = scipy.linalg.eigh(inv_chol @ dz @ inv_chol.conj().T, eigvals_only=True,
+                                subset_by_index=[0, 0], check_finite=False)[0]
+        return -1.0 / low if low < 0 else np.inf
+
+    x, s, y = eye, eye, np.zeros(cons, dtype=complex)
+    chol_x = chol_s = eye
+    mu_prev, tx_last, ts_last = np.inf, 0.0, 0.0
+    for _ in range(FR_MAX_ITER):
+        mu = np.vdot(s, x).real / size
+        scale = 1.0 + np.trace(x).real
+        if mu * size <= FR_GAP_TOL * scale or (mu > 0.5 * mu_prev
+                                              and mu * size <= FR_STALL_TOL * scale):
             break
-        new_lower, upper = sup_norm_bounds(p, nxt)
-        changes.append(abs(new_lower - lower))
-        lower, m = new_lower, nxt
-        if len(changes) >= 2 and changes[-1] < rel_change and changes[-2] < rel_change:
-            return (lower, upper, m, True)
-    return (lower, upper, m, False)
+        mu_prev = mu
+        # LAPACK's triangular inverse: OpenBLAS threads trsm even at this size
+        inv_x = scipy.linalg.lapack.ztrtri(chol_x, lower=1)[0]
+        inv_s = scipy.linalg.lapack.ztrtri(chol_s, lower=1)[0]
+        w = inv_s.conj().T @ inv_s
+        xss, xsd, xds, xdd = quadrants(x)
+        wss, wsd, wds, wdd = quadrants(w)
+        # the linear map dy -> constraint(X M(dy) S^-1) is (minus conj(dy) + plus dy) / 2
+        minus = grouped(xsd * wsd.T + (xds * wds.T).conj())
+        plus = grouped(xss * wdd.T + (xdd * wss.T).conj())
+        tot, diff = minus + plus, plus - minus
+        schur = scipy.linalg.lu_factor(0.5 * np.block([[tot.real, -diff.imag],
+                                                       [tot.imag, diff.real]]))
+
+        def newton(rhs, target, second):
+            sol = scipy.linalg.lu_solve(schur, np.concatenate([rhs.real, rhs.imag]))
+            dy = sol[:cons] + 1j * sol[cons:]
+            md = dual(dy)
+            dx = target * w - x + (x @ md - second) @ w
+            return (dx + dx.conj().T) / 2, dy, -md
+
+        dx, dy, ds = newton(b, 0.0, 0.0)
+        tx, ts = min(1.0, max_step(inv_x, dx)), min(1.0, max_step(inv_s, ds))
+        sigma = (np.vdot(s + ts * ds, x + tx * dx).real / size / mu) ** 3
+        second = dx @ ds
+        dx, dy, ds = newton(b - sigma * mu * constraint(w) + constraint(second @ w),
+                            sigma * mu, second)
+        # step fraction 0.9 + 0.09 min(last steps), as in SDPT3: short steps keep
+        # the iterates away from the boundary, where the method would jam
+        fraction = 0.9 + 0.09 * min(tx_last, ts_last)
+        tx = min(1.0, fraction * max_step(inv_x, dx))
+        ts = min(1.0, fraction * max_step(inv_s, ds))
+        tx_last, ts_last = tx, ts
+        x_new, y_new = x + tx * dx, y + ts * dy
+        s_new = eye - dual(y_new)
+        try:
+            chol_x, chol_s = np.linalg.cholesky(x_new), np.linalg.cholesky(s_new)
+        except np.linalg.LinAlgError:
+            break
+        x, y, s = x_new, y_new, s_new
+    return x
+
+
+def _fejer_riesz_bound(p: NcPolynomial, q: np.ndarray) -> float:
+    """Certified upper bound for ||L_p|| from any Hermitian q indexed by the
+    words of length <= deg p.
+
+    With F the eigenvectors of q scaled by the roots of its clipped
+    eigenvalues, Q+ = F F* is positive semidefinite, so the hereditary square
+    sum Q+[alpha, beta] L_alpha* L_beta is >= 0, and with the residuals
+    e_gamma = r_gamma + sum_alpha Q+[alpha, alpha gamma]:
+    ||L_p||^2 <= r_() + tr Q+ + 2 sum_gamma |e_gamma|.  The slack
+    8 eps (D^2 + P) (tr Q+ + ||c||_1^2), with eps the unit roundoff, D the
+    size of q and P the number of prefix pairs, covers the rounding in
+    forming F F*, r and the sums; a final factor 1 + 4 eps covers the root.
+    """
+    n, d = p.n, int(p.degree)
+    r = _symbol(p)
+    src, dst, starts = _prefix_pairs(n, d)
+    vals, vecs = scipy.linalg.eigh(q)
+    f = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    q_plus = f @ f.conj().T
+    trace = float(np.vdot(f, f).real)
+    residual = np.concatenate(r[1:]) + np.add.reduceat(q_plus[src, dst], starts)
+    eps = np.finfo(float).eps
+    l1 = float(sum(abs(c) for c in p.terms.values()))
+    slack = 8 * eps * (q.shape[0] ** 2 + src.size) * (trace + l1 * l1)
+    square = r[0][0].real + trace + 2 * float(np.abs(residual).sum()) + slack
+    return float(np.sqrt(square)) * (1 + 4 * eps)
+
+
+def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
+    """Certified (lower, upper) bounds for the multiplier sup-norm ||L_p||.
+
+    lower is the exact norm of L_p restricted to P_m: the root of the top
+    eigenvalue of P_m L_p* L_p P_m = sum_gamma r_gamma L_gamma + h.c. (see
+    _symbol), applied grade block by grade block.  It is nondecreasing in m.
+    For n = 1 that operator is a banded Toeplitz matrix, and lower is raised
+    to max |p| on the unit circle, which for n = 1 is the multiplier norm.
+
+    upper is the smaller of the sum of the grade norms and the Fejer-Riesz
+    bound.  By McCullough's noncommutative Fejer-Riesz theorem,
+    c^2 I - L_p* L_p >= 0 exactly when it is a hereditary square with a PSD
+    Gram matrix Q indexed by the words of length <= deg p, so the least
+    tr Q is ||L_p||^2 - r_().  An approximate minimizer certifies
+    ||L_p||^2 <= r_() + tr Q+ + 2 sum |residual| plus a stated rounding
+    slack (_fejer_riesz_bound); that step needs only that a hereditary
+    square is >= 0.  The Gram solve is skipped when p has more than
+    FEJER_RIESZ_MAX_PAIRS prefix pairs; upper_method on the result says
+    which bound won.
+
+    For homogeneous p, L_p is ||p||_2 times an isometry, so lower = upper =
+    ||p||_2 for every m, and no solve is made.
+    """
+    if p.is_zero:
+        return NormBounds(0.0, 0.0, "grade_norms")
+    grade_sum = float(sum(p.grade_norms()))
+    if p.is_homogeneous:
+        return NormBounds(grade_sum, grade_sum, "grade_norms")
+    n, d = p.n, int(p.degree)
+    r = _symbol(p)
+    lower = _truncated_norm(r, n, m)
+    upper, method = grade_sum, "grade_norms"
+    if sum(b * n ** b for b in range(1, d + 1)) <= FEJER_RIESZ_MAX_PAIRS:
+        scale = r[0][0].real
+        gram = _fejer_riesz_gram([rg / scale for rg in r], n, d)
+        bound = _fejer_riesz_bound(p, scale * gram)
+        if bound < upper:
+            upper, method = bound, "fejer_riesz"
+    if n == 1:
+        # evaluation can round above the true maximum; upper is certified
+        lower = max(lower, min(_circle_max(p), upper))
+    return NormBounds(lower, upper, method)

@@ -158,15 +158,16 @@ def _grade_recursion(spec: IdealSpec, rank_tol: float):
             raise ResourceCapError(
                 f"grade-{k + 1} coordinate space of size {n * r} exceeds the cap "
                 f"{GRADE_COORD_CAP}")
-        if r in (0, n ** k):
-            # N_k is empty or all of grade k, so it contains C^n (x) N_k
-            vh, kept = np.eye(n * r), n * r
-        else:
+        # rows orthogonal to N_{k+1} in these coordinates; when N_k is empty or
+        # all of grade k, N_k (x) C^n contains C^n (x) N_k and none are dropped
+        dropped = np.zeros((0, n * r))
+        if r not in (0, n ** k):
             w = n ** (k - 1)
             overlap = np.einsum("awr,wbs->rbas", N.reshape(n, w, r).conj(),
                                 N.reshape(w, n, r)).reshape(r * n, n * r)
             _, s, vh = np.linalg.svd(overlap)
             kept = int(np.count_nonzero(s >= 1.0 - rank_tol))
+            dropped = vh[kept:].conj()
         gens = []
         for g in spec.generators:
             if g.degree == k + 1:
@@ -174,16 +175,21 @@ def _grade_recursion(spec: IdealSpec, rank_tol: float):
                 for word, c in g.terms.items():
                     row[word[0] - 1] += c * N[word_value(word[1:], n)].conj()
                 gens.append(row.reshape(1, -1) / np.linalg.norm(list(g.terms.values())))
-        C = vh[:kept].conj().T
+        C = None   # the identity: N_{k+1} = C^n (x) N_k
         if gens:
-            C = _split_row_space(np.vstack([vh[kept:].conj()] + gens), rank_tol)[1]
-        total += C.shape[1]
+            C = _split_row_space(np.vstack([dropped] + gens), rank_tol)[1]
+        elif dropped.shape[0]:
+            C = vh[:kept].conj().T
+        total += n * r if C is None else C.shape[1]
         if dim * total > MAX_DENSE_ENTRIES or n * total * total > MAX_DENSE_ENTRIES:
             raise ResourceCapError(
                 f"quotient basis of {dim} x {total}+ entries or compressions of "
                 f"{n} x {total}+ x {total}+ exceed the cap {MAX_DENSE_ENTRIES}")
         coords.append(C)
-        blocks.append((N @ C.reshape(n, r, C.shape[1])).reshape(n ** (k + 1), C.shape[1]))
+        if C is None:
+            blocks.append(np.kron(np.eye(n), N))
+        else:
+            blocks.append((N @ C.reshape(n, r, C.shape[1])).reshape(n ** (k + 1), C.shape[1]))
     return blocks, coords
 
 
@@ -272,8 +278,13 @@ def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel
         r = int(at[-1])
         B = np.zeros((n, r, r), dtype=complex)
         for k, C in enumerate(coords):
-            B[:, at[k + 1]:at[k + 2], at[k]:at[k + 1]] = \
-                C.reshape(n, sizes[k], sizes[k + 1]).conj().transpose(0, 2, 1)
+            if C is None:
+                for i in range(n):
+                    B[i, at[k + 1] + i * sizes[k]:at[k + 1] + (i + 1) * sizes[k],
+                      at[k]:at[k + 1]] = np.eye(sizes[k])
+            else:
+                B[:, at[k + 1]:at[k + 2], at[k]:at[k + 1]] = \
+                    C.reshape(n, sizes[k], sizes[k + 1]).conj().transpose(0, 2, 1)
         return QuotientModel(spec, _assemble(wi, blocks), B, reliable,
                              grades=np.repeat(np.arange(m + 1), sizes),
                              trivial=(r == 0), approximate=False)

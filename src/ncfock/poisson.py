@@ -177,24 +177,44 @@ def poisson_kernel(T: RowContraction, m: int, tol: float = DEFAULT_TOL) -> Poiss
     return PoissonKernelMatrix(T.n, T.d, m, K, float(tail), bool(tail < tol))
 
 
-def poisson_compression(T: RowContraction, alpha, beta, m: int) -> np.ndarray:
-    """K* (M_alphabeta tensor I_d) K, where M_alphabeta is the compression to
-    P_m of the operator moving e_(beta delta) to e_(alpha delta)."""
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    if max(len(alpha), len(beta)) > m:
-        raise ValueError(f"word degrees ({len(alpha)}, {len(beta)}) exceed m = {m}")
-    kb = poisson_kernel(T, m).blocks
-    wi = WordIndex(T.n, m)
-    n = T.n
+def _compression(blocks: np.ndarray, wi: WordIndex, alpha: tuple, beta: tuple) -> np.ndarray:
+    """K* (M_alphabeta tensor I_d) K from the kernel's row blocks: the block of
+    each word beta w meets that of alpha w, |w| <= m - max(|alpha|, |beta|)."""
+    n = wi.n
     va, vb = word_value(alpha, n), word_value(beta, n)
-    moved = np.zeros_like(kb)
-    for t in range(m - max(len(alpha), len(beta)) + 1):
+    out = np.zeros(blocks.shape[1:], dtype=complex)
+    for t in range(wi.m - max(len(alpha), len(beta)) + 1):
         size = n ** t
         rows_out = wi.grade_start(t + len(alpha)) + va * size
         rows_in = wi.grade_start(t + len(beta)) + vb * size
-        moved[rows_out:rows_out + size] = kb[rows_in:rows_in + size]
-    return np.einsum("axi,axj->ij", kb.conj(), moved)
+        out += np.einsum("axi,axj->ij", blocks[rows_out:rows_out + size].conj(),
+                         blocks[rows_in:rows_in + size])
+    return out
+
+
+def _word_pairs(pairs, m: int) -> list:
+    pairs = [(tuple(alpha), tuple(beta)) for alpha, beta in pairs]
+    for alpha, beta in pairs:
+        if max(len(alpha), len(beta)) > m:
+            raise ValueError(f"word degrees ({len(alpha)}, {len(beta)}) exceed m = {m}")
+    return pairs
+
+
+def poisson_compression(T: RowContraction, alpha, beta, m: int) -> np.ndarray:
+    """K* (M_alphabeta tensor I_d) K, where M_alphabeta is the compression to
+    P_m of the operator moving e_(beta delta) to e_(alpha delta)."""
+    [(alpha, beta)] = _word_pairs([(alpha, beta)], m)
+    return _compression(poisson_kernel(T, m).blocks, WordIndex(T.n, m), alpha, beta)
+
+
+def poisson_covariance_residuals(T: RowContraction, pairs, m: int) -> list:
+    """Residuals ||K* (M_alphabeta tensor I) K - T_alpha T_beta*|| of the word
+    pairs (alpha, beta), all from one kernel of degree m."""
+    pairs = _word_pairs(pairs, m)
+    blocks, wi = poisson_kernel(T, m).blocks, WordIndex(T.n, m)
+    return [operator_norm(_compression(blocks, wi, alpha, beta)
+                          - T.word_product(alpha) @ T.word_product(beta).conj().T)
+            for alpha, beta in pairs]
 
 
 def poisson_covariance_check(T: RowContraction, alpha, beta, m: int) -> float:
@@ -203,16 +223,16 @@ def poisson_covariance_check(T: RowContraction, alpha, beta, m: int) -> float:
     Vanishes as m grows for pure tuples; at alpha = beta = () it reduces to
     the kernel isometry defect sigma_(m+1).
     """
-    compressed = poisson_compression(T, alpha, beta, m)
-    exact = T.word_product(alpha) @ T.word_product(beta).conj().T
-    return operator_norm(compressed - exact)
+    return poisson_covariance_residuals(T, [(alpha, beta)], m)[0]
 
 
 def von_neumann_margin(T: RowContraction, p: NcPolynomial, m: int):
-    """(lhs, lower, upper) with lhs = ||p(T)|| and certified multiplier bounds.
+    """(lhs, lower, upper): lhs = ||p(T)|| and the certified bracket
+    lower <= ||L_p|| <= upper of sup_norm_bounds(p, m).
 
-    lhs <= upper holds for every row contraction, with no tolerance excuses;
-    lhs <= lower only once the lower bound has converged.
+    lhs <= ||L_p|| <= upper holds for every row contraction (Popescu's
+    noncommutative von Neumann inequality), with no tolerance excuses; lhs
+    exceeds lower by at most the bracket width upper - lower.
     """
     lhs = operator_norm(T.evaluate_polynomial(p))
     lower, upper = sup_norm_bounds(p, m)

@@ -17,7 +17,7 @@ from ncfock import (BallPoint, IdealSpec, NcPolynomial, PickProblem,
                     lagrange_interpolant, min_interpolation_norm, operator_norm,
                     pick_matrix, poisson_covariance_check, poisson_kernel, psd_check,
                     q_commutation_spec, quotient_distance, quotient_poisson_check,
-                    stabilized_sup_norm, sup_norm_bounds, von_neumann_margin,
+                    sup_norm_bounds, von_neumann_margin,
                     z_vector, gram)
 from helpers import (random_polynomial, random_row_contraction, separated_points,
                      symmetrized_basis)
@@ -162,7 +162,8 @@ def test_criterion_6_hard_von_neumann():
         if p.is_homogeneous:
             p = p + NcPolynomial.unit(n, 0.5)
         lhs = operator_norm(t.evaluate_polynomial(p))
-        lower, upper, m_used, stabilized = stabilized_sup_norm(p, rel_change=1e-6)
+        lower, upper = sup_norm_bounds(p, 8)
+        stabilized = upper - lower <= 1e-6 * max(1.0, upper)
         assert lhs <= upper + 1e-12 * max(1.0, upper)
         if stabilized:
             stabilized_count += 1

@@ -257,6 +257,39 @@ def test_poisson_vonneumann(tmp_path, capsys):
     assert res["lhs"] <= res["upper"] + 1e-12
 
 
+@pytest.mark.parametrize("n,flags,degree", [(1, [], 8), (2, [], 8), (2, ["--degree", "5"], 5)])
+def test_poisson_vonneumann_reports_the_certified_bracket(tmp_path, capsys, n, flags, degree):
+    doc = {"kind": "poisson", "n": n,
+           "targets": [[[[0.3, 0.1]]]] + [[[[0.2 * i, 0.0]]] for i in range(1, n)],
+           "polynomial": [{"word": [], "coeff": [0.5, 0.0]},
+                          {"word": [1], "coeff": [1.0, 0.0]},
+                          {"word": [n, 1], "coeff": [0.0, 0.7]}]}
+    path = _write(tmp_path, "p.json", doc)
+    assert cli.main(["poisson", "vonneumann", path, "--json"] + flags) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["degree_used"] == degree
+    assert res["lower"] <= res["upper"]
+    assert res["lhs"] <= res["upper"]
+    assert res["gap"] == pytest.approx(res["upper"] - res["lower"], abs=1e-15)
+    assert res["upper_method"] == "fejer_riesz"
+    assert res["stabilized"] == (res["gap"] <= 1e-6 * max(1.0, res["upper"]))
+    # one generator: the bracket closes on max |p| over the circle
+    assert res["stabilized"] == (n == 1)
+
+
+def test_poisson_covariance_builds_one_kernel(tmp_path, capsys, monkeypatch):
+    from ncfock import poisson
+    builds = []
+    kernel = poisson.poisson_kernel
+    monkeypatch.setattr(poisson, "poisson_kernel", lambda *a: builds.append(a) or kernel(*a))
+    doc = {"kind": "poisson", "n": 3, "points": [[[0.3, 0.0], [0.2, 0.1], [0.0, 0.4]]]}
+    path = _write(tmp_path, "p.json", doc)
+    assert cli.main(["poisson", "covariance", path, "--json", "--degree", "4"]) == 0
+    assert len(builds) == 1
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["identity_word_residual"] == pytest.approx(res["sigma_tail"], abs=1e-12)
+
+
 def test_poisson_covariance(tmp_path, capsys):
     doc = {"kind": "poisson", "n": 2,
            "points": [[[0.3, 0.0], [0.2, 0.0]]]}

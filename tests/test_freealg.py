@@ -3,8 +3,9 @@ import pytest
 
 from ncfock import (BallPoint, DomainError, FockVector, NcMatrixPolynomial, NcPolynomial,
                     ResourceCapError, WordIndex, basis_size, evaluate, flip,
-                    mult_matrix, sup_norm_bounds, tensor_product, z_vector)
-from helpers import random_polynomial
+                    mult_matrix, operator_norm, sup_norm_bounds, tensor_product, z_vector)
+from ncfock import freealg
+from helpers import random_polynomial, random_row_contraction
 
 
 def test_basis_size():
@@ -276,10 +277,11 @@ def test_matrix_grade_norms_use_the_column_operator():
 
 def test_line_multiplier_norm_matches_circle_sup():
     # for one generator the multiplier norm is the sup of |p| on the unit
-    # circle: an oracle independent of the multiplication-matrix route
-    from ncfock import stabilized_sup_norm
+    # circle: an oracle independent of the multiplication-matrix route.  The
+    # grid of 2^20 angles is within about 2e-10 of the sup (|p|'' <= 50 here),
+    # which the n = 1 bracket reaches
     rng = np.random.default_rng(57)
-    theta = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+    theta = np.linspace(0.0, 2 * np.pi, 1 << 20, endpoint=False)
     for _ in range(6):
         p = random_polynomial(rng, 1, 3, terms=4)
         if p.is_zero:
@@ -291,10 +293,101 @@ def test_line_multiplier_norm_matches_circle_sup():
         lower, upper = sup_norm_bounds(p, 6)
         assert lower <= circle_sup + 1e-9
         assert circle_sup <= upper + 1e-9
-        slower, _, _, stabilized = stabilized_sup_norm(p, rel_change=1e-6)
+        slower, supper = sup_norm_bounds(p, 8)
         assert slower <= circle_sup + 1e-9
-        if stabilized:
-            assert circle_sup - slower <= 1e-3
+        assert supper - slower <= 1e-8 * max(1.0, supper)
+
+
+def _norm_test_polynomial(rng, n, degree, dense):
+    """A non-homogeneous polynomial: every word of length <= degree (dense) or
+    a few random words plus a constant (sparse)."""
+    if dense:
+        wi = WordIndex(n, degree)
+        c = rng.normal(size=wi.dim) + 1j * rng.normal(size=wi.dim)
+        return NcPolynomial(n, {wi.word(i): c[i] for i in range(wi.dim)})
+    p = random_polynomial(rng, n, degree, terms=4)
+    return p + NcPolynomial.unit(n, 0.5) if p.is_homogeneous else p
+
+
+def _fine_circle_sup(p):
+    # |p| on 2^20 angles: below the sup by at most (kappa / 2) (pi / 2^20)^2,
+    # kappa the curvature of |p| at its maximum; under 1e-9 for the degree <= 4
+    # polynomials drawn here
+    c = p.to_fock(int(p.degree)).coeffs
+    return float(np.abs(np.fft.fft(c, 1 << 20)).max())
+
+
+def test_norm_bracket_orders_and_bounds_the_von_neumann_side():
+    rng = np.random.default_rng(401)
+    for trial in range(36):
+        n, degree = 1 + trial % 3, 1 + (trial // 3) % 3
+        p = _norm_test_polynomial(rng, n, degree, dense=trial % 2 == 0)
+        lower, upper = sup_norm_bounds(p, {1: 20, 2: 6, 3: 4}[n])
+        assert lower <= upper
+        assert upper <= sum(p.grade_norms()) * (1 + 1e-15)
+        for _ in range(3):
+            t = random_row_contraction(rng, n, int(rng.integers(1, 5)),
+                                       rho=float(rng.uniform(0.5, 1.0)))
+            assert operator_norm(t.evaluate_polynomial(p)) <= upper + 1e-12 * max(1.0, upper)
+
+
+def test_line_bracket_contains_the_circle_sup_and_is_tight():
+    rng = np.random.default_rng(402)
+    for trial in range(8):
+        p = _norm_test_polynomial(rng, 1, 1 + trial % 4, dense=trial % 2 == 0)
+        circle_sup = _fine_circle_sup(p)
+        lower, upper = sup_norm_bounds(p, 4)
+        assert lower <= circle_sup + 1e-9
+        assert circle_sup <= upper
+        assert upper - lower <= 1e-8 * max(1.0, upper)
+
+
+@pytest.mark.parametrize("dense_max", [freealg.DENSE_EIG_MAX, 0])
+def test_lower_bound_is_the_truncated_multiplier_norm(monkeypatch, dense_max):
+    # dense_max = 0 sends every n >= 2 compression through the Lanczos solver
+    monkeypatch.setattr(freealg, "DENSE_EIG_MAX", dense_max)
+    rng = np.random.default_rng(403)
+    for trial in range(18):
+        n, degree = 1 + trial % 3, 1 + (trial // 3) % 3
+        p = _norm_test_polynomial(rng, n, degree, dense=trial % 2 == 0)
+        m = {1: 9, 2: 5, 3: 3}[n]
+        oracle = np.linalg.norm(mult_matrix(p, m), 2)
+        if n == 1:
+            # sup_norm_bounds raises the n = 1 lower bound to the circle sup
+            lower = freealg._truncated_norm(freealg._symbol(p), 1, m)
+        else:
+            lower, _ = sup_norm_bounds(p, m)
+        assert abs(lower - oracle) <= 1e-12 * oracle
+
+
+def test_fejer_riesz_bound_holds_for_a_poor_indefinite_gram_matrix():
+    rng = np.random.default_rng(404)
+    for trial in range(9):
+        n, degree = 1 + trial % 3, 2 + trial % 2
+        p = _norm_test_polynomial(rng, n, degree, dense=True)
+        r = freealg._symbol(p)
+        scale = r[0][0].real
+        q = scale * freealg._fejer_riesz_gram([rg / scale for rg in r], n, degree)
+        # halve the optimal Gram matrix and push it below zero: the trace term
+        # alone then falls short of ||L_p||^2, the residual term must make it up
+        poor = 0.5 * q - 1e-3 * scale * np.eye(q.shape[0])
+        true_below = (_fine_circle_sup(p) if n == 1
+                      else sup_norm_bounds(p, {2: 9, 3: 6}[n])[0])
+        trace_only = np.sqrt(scale + np.clip(np.linalg.eigvalsh(poor), 0, None).sum())
+        assert trace_only < true_below
+        assert freealg._fejer_riesz_bound(p, poor) >= true_below
+
+
+def test_norm_bounds_name_the_upper_method(monkeypatch):
+    rng = np.random.default_rng(405)
+    p = _norm_test_polynomial(rng, 2, 2, dense=True)
+    assert sup_norm_bounds(p, 3).upper_method == "fejer_riesz"
+    homogeneous = random_polynomial(rng, 2, 2, terms=4, homogeneous=True)
+    assert sup_norm_bounds(homogeneous, 3).upper_method == "grade_norms"
+    monkeypatch.setattr(freealg, "FEJER_RIESZ_MAX_PAIRS", 0)
+    lower, upper = bounds = sup_norm_bounds(p, 3)
+    assert bounds.upper_method == "grade_norms"
+    assert upper == pytest.approx(sum(p.grade_norms()), rel=1e-15)
 
 
 def test_zero_polynomial():

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,23 @@ def test_compression_cap_fails_fast():
     with pytest.raises(ResourceCapError, match="compressions"):
         build_quotient(spec)
     assert time.perf_counter() - start < 10.0
+
+
+def test_full_grades_skip_the_identity_coordinates():
+    # the free spec keeps every grade whole: reaching its compression cap
+    # allocates the grade blocks (about 85 MB up to grade 11), and no n r x n r
+    # identity coordinates (128 MB each at grade 11) or products with them
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceCapError, match="compressions"):
+            build_quotient(IdealSpec(2, (), 12))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2 ** 20
+    assert elapsed < 0.5
 
 
 def test_dense_compression_cap_precedes_allocation(monkeypatch):

@@ -3,9 +3,10 @@ import pytest
 
 from ncfock import (BallPoint, DomainError, NcPolynomial, RowContraction,
                     c0_sequence, evaluate, is_c0_certified, minimal_subspace,
-                    poisson_compression, poisson_covariance_check, poisson_kernel,
-                    radial_scale, suggest_truncation_degree, von_neumann_margin,
-                    z_vector)
+                    operator_norm, poisson_compression, poisson_covariance_check,
+                    poisson_covariance_residuals, poisson_kernel, radial_scale,
+                    suggest_truncation_degree, truncated_mult_matrix,
+                    von_neumann_margin, z_vector)
 from helpers import (random_polynomial, random_row_contraction, random_unitary,
                      symmetrized_basis)
 
@@ -120,6 +121,26 @@ def test_covariance_rejects_long_words():
     t = RowContraction([np.array([[0.4]])])
     with pytest.raises(ValueError):
         poisson_covariance_check(t, (1, 1, 1), (), 2)
+
+
+def test_covariance_residuals_match_the_moved_word_operator():
+    # oracle: M_alphabeta = P_m L_alpha L_beta* P_m as a dense matrix
+    rng = np.random.default_rng(14)
+    for n, d, m in [(1, 3, 6), (2, 2, 4), (3, 2, 3)]:
+        t = random_row_contraction(rng, n, d, rho=0.8)
+        K = poisson_kernel(t, m).matrix
+        words = [(), (1,), (n,), (1, n)]
+        pairs = [(alpha, beta) for alpha in words for beta in words]
+        residuals = poisson_covariance_residuals(t, pairs, m)
+        for (alpha, beta), residual in zip(pairs, residuals):
+            la = truncated_mult_matrix(NcPolynomial.from_word(n, alpha), m)
+            lb = truncated_mult_matrix(NcPolynomial.from_word(n, beta), m)
+            moved = K.conj().T @ np.kron(la @ lb.conj().T, np.eye(d)) @ K
+            exact = t.word_product(alpha) @ t.word_product(beta).conj().T
+            assert abs(residual - operator_norm(moved - exact)) <= 1e-13
+            assert residual == poisson_covariance_check(t, alpha, beta, m)
+    with pytest.raises(ValueError):
+        poisson_covariance_residuals(t, [((), ()), ((1, 1, 1, 1), ())], 3)
 
 
 def test_von_neumann_homogeneous_hard_bound():
