@@ -5,7 +5,8 @@ points, targets, polynomial, generators, lambda_q, degree, tol, kmax.
 Complex numbers are two-element arrays [re, im], points are arrays of
 complex, matrices are row-major nested arrays, and polynomials are arrays of
 {"word": [indices], "coeff": [re, im]} objects (matrix-valued entries add
-"block": [row, col]).  Unknown fields are rejected.
+"block": [row, col]).  Unknown fields are rejected, and so are NaN, Infinity
+and integers too large for a double.
 
 Exit codes: 0 computed, 1 computed with a property violation (for example an
 infeasible interpolation problem), 2 input error (schema, domain, singular
@@ -39,16 +40,6 @@ DEFAULT_KMAX = 20
 CONVERGENCE_SLACK = 1e-3   # slack on soft bounds whose right side converges upward
 STABILIZED_GAP = 1e-6      # a norm bracket this narrow, relative to max(1, upper), is stabilized
 
-_VOCABULARY = {"kind", "n", "points", "targets", "polynomial", "generators",
-               "lambda_q", "degree", "tol", "kmax"}
-_KIND_FIELDS = {
-    "pick": {"kind", "n", "points", "targets", "tol"},
-    "caratheodory": {"kind", "n", "polynomial", "degree", "tol"},
-    "poisson": {"kind", "n", "targets", "points", "polynomial", "degree", "tol", "kmax"},
-    "ideal": {"kind", "n", "generators", "lambda_q", "polynomial", "targets", "points",
-              "degree", "tol", "kmax"},
-}
-
 
 class SchemaError(ValueError):
     """Problem-file validation failure, naming the offending field."""
@@ -63,7 +54,9 @@ def default_degree(n: int) -> int:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max   # json.load admits NaN, Infinity and huge ints
 
 
 def _as_complex(value, path) -> complex:
@@ -94,6 +87,12 @@ def _as_point(value, path, n) -> BallPoint:
         raise SchemaError(path, str(exc)) from exc
 
 
+def _as_points(value, path, n) -> list:
+    if not isinstance(value, list) or not value:
+        raise SchemaError(path, "expected a nonempty array of points")
+    return [_as_point(p, f"{path}[{j}]", n) for j, p in enumerate(value)]
+
+
 def _as_matrix(value, path) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise SchemaError(path, "expected a nonempty row-major matrix")
@@ -108,6 +107,18 @@ def _as_matrix(value, path) -> np.ndarray:
             raise SchemaError(f"{path}[{r}]", f"expected {width} entries")
         rows.append([_as_complex(c, f"{path}[{r}][{s}]") for s, c in enumerate(row)])
     return np.array(rows, dtype=complex)
+
+
+def _as_targets(value, path, n) -> list:
+    if not isinstance(value, list) or not value:
+        raise SchemaError(path, "expected a nonempty array of matrices")
+    mats = [_as_matrix(w, f"{path}[{j}]") for j, w in enumerate(value)]
+    for j, w in enumerate(mats):
+        if w.shape != mats[0].shape:
+            raise SchemaError(f"{path}[{j}]", f"shape {w.shape} differs from {mats[0].shape}")
+        if w.shape[0] != w.shape[1]:
+            raise SchemaError(f"{path}[{j}]", "expected a square matrix")
+    return mats
 
 
 def _as_polynomial(value, path, n):
@@ -153,6 +164,18 @@ def _as_polynomial(value, path, n):
     return NcPolynomial(n, scalar_terms)
 
 
+def _as_generators(value, path, n) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(path, "expected an array of polynomials")
+    gens = []
+    for j, g in enumerate(value):
+        g = _as_polynomial(g, f"{path}[{j}]", n)
+        if isinstance(g, NcMatrixPolynomial):
+            raise SchemaError(f"{path}[{j}]", "generators must be scalar polynomials")
+        gens.append(g)
+    return gens
+
+
 def _as_lambda_q(value, path):
     if _is_number(value):
         return complex(value)
@@ -168,6 +191,21 @@ def _as_lambda_q(value, path):
             table[(row[0], row[1])] = complex(row[2], row[3])
         return table
     raise SchemaError(path, "expected a number, [re, im], or an array of [j, i, re, im]")
+
+
+# Every optional document field, in decoding order, with its decoder
+# (value, path, n); the --degree, --tol and --kmax flags use the same ones.
+_FIELDS = {
+    "points": _as_points,
+    "targets": _as_targets,
+    "polynomial": _as_polynomial,
+    "generators": _as_generators,
+    "lambda_q": lambda value, path, n: _as_lambda_q(value, path),
+    "degree": lambda value, path, n: _as_int(value, path),
+    "tol": lambda value, path, n: _as_tol(value, path),
+    "kmax": lambda value, path, n: _as_int(value, path),
+}
+_DEFAULTS = {"tol": DEFAULT_TOL, "kmax": DEFAULT_KMAX}
 
 
 @dataclass
@@ -194,55 +232,20 @@ def parse_document(doc: dict) -> ProblemFile:
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a JSON object")
     kind = doc.get("kind")
-    if kind not in _KIND_FIELDS:
-        raise SchemaError("kind", f"expected one of {sorted(_KIND_FIELDS)}")
-    allowed = _KIND_FIELDS[kind]
+    if kind not in KINDS:
+        raise SchemaError("kind", f"expected one of {sorted(KINDS)}")
     for key in doc:
-        if key not in _VOCABULARY:
+        if key in ("kind", "n"):
+            continue
+        if key not in _FIELDS:
             raise SchemaError(key, "unknown field")
-        if key not in allowed:
+        if key not in KINDS[kind].fields:
             raise SchemaError(key, f"field not allowed for kind '{kind}'")
     if "n" not in doc:
         raise SchemaError("n", "missing field")
     n = _as_int(doc["n"], "n", minimum=1)
-    out = ProblemFile(document=doc, kind=kind, n=n)
-
-    if "points" in doc:
-        if not isinstance(doc["points"], list) or not doc["points"]:
-            raise SchemaError("points", "expected a nonempty array of points")
-        out.points = [_as_point(p, f"points[{j}]", n) for j, p in enumerate(doc["points"])]
-    if "targets" in doc:
-        if not isinstance(doc["targets"], list) or not doc["targets"]:
-            raise SchemaError("targets", "expected a nonempty array of matrices")
-        mats = [_as_matrix(w, f"targets[{j}]") for j, w in enumerate(doc["targets"])]
-        for j, w in enumerate(mats):
-            if w.shape != mats[0].shape:
-                raise SchemaError(f"targets[{j}]",
-                                  f"shape {w.shape} differs from {mats[0].shape}")
-            if w.shape[0] != w.shape[1]:
-                raise SchemaError(f"targets[{j}]", "expected a square matrix")
-        out.targets = mats
-    if "polynomial" in doc:
-        out.polynomial = _as_polynomial(doc["polynomial"], "polynomial", n)
-    if "generators" in doc:
-        if not isinstance(doc["generators"], list):
-            raise SchemaError("generators", "expected an array of polynomials")
-        gens = []
-        for j, g in enumerate(doc["generators"]):
-            g = _as_polynomial(g, f"generators[{j}]", n)
-            if isinstance(g, NcMatrixPolynomial):
-                raise SchemaError(f"generators[{j}]", "generators must be scalar polynomials")
-            gens.append(g)
-        out.generators = gens
-    if "lambda_q" in doc:
-        out.lambda_q = _as_lambda_q(doc["lambda_q"], "lambda_q")
-    if "degree" in doc:
-        out.degree = _as_int(doc["degree"], "degree", minimum=0)
-    if "tol" in doc:
-        out.tol = _as_tol(doc["tol"], "tol")
-    if "kmax" in doc:
-        out.kmax = _as_int(doc["kmax"], "kmax", minimum=0)
-    return out
+    return ProblemFile(document=doc, kind=kind, n=n, **{
+        name: decode(doc[name], name, n) for name, decode in _FIELDS.items() if name in doc})
 
 
 def parse_problem(path: str) -> ProblemFile:
@@ -258,9 +261,7 @@ def parse_problem(path: str) -> ProblemFile:
 
 
 def _jsonify(value):
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, complex):
         return [value.real, value.imag]
@@ -323,27 +324,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _resolve(problem: ProblemFile, flags) -> dict:
-    tol = flags.tol if flags.tol is not None else problem.tol
-    if tol is None:
-        tol = DEFAULT_TOL
-    degree = flags.degree if flags.degree is not None else problem.degree
-    if degree is None:
-        degree = default_degree(problem.n)
-    kmax = flags.kmax if flags.kmax is not None else problem.kmax
-    if kmax is None:
-        kmax = DEFAULT_KMAX
-    return {"tol": tol, "degree": degree, "kmax": kmax}
-
-
-def _pick_problem(problem: ProblemFile) -> pick.PickProblem:
-    if problem.points is None:
-        raise SchemaError("points", "missing field")
-    if problem.targets is None:
-        raise SchemaError("targets", "missing field")
-    return pick.PickProblem(problem.points, problem.targets)
-
-
 def _row_contraction(problem: ProblemFile) -> poisson.RowContraction:
     if problem.targets is not None:
         if len(problem.targets) != problem.n:
@@ -362,16 +342,6 @@ def _scalar_polynomial(problem: ProblemFile) -> NcPolynomial:
     return problem.polynomial
 
 
-def _ideal_spec(problem: ProblemFile, m: int) -> ideals.IdealSpec:
-    if problem.lambda_q is not None and problem.generators is not None:
-        raise SchemaError("lambda_q", "give either 'generators' or 'lambda_q', not both")
-    if problem.lambda_q is not None:
-        return ideals.q_commutation_spec(problem.n, problem.lambda_q, m)
-    if problem.generators is not None:
-        return ideals.IdealSpec(problem.n, tuple(problem.generators), m)
-    raise SchemaError("generators", "an ideal needs 'generators' or 'lambda_q'")
-
-
 def _serialize_matrix_polynomial(phi: NcMatrixPolynomial) -> list:
     out = []
     rows, cols = phi.shape
@@ -386,240 +356,264 @@ def _serialize_matrix_polynomial(phi: NcMatrixPolynomial) -> list:
     return out
 
 
-def _handle_pick(action, problem, params) -> Report:
-    prob = _pick_problem(problem)
-    base = {"k": prob.k, "target_dim": prob.target_dim}
-    if action == "check":
-        cert = pick.certify(prob, params["tol"])
-        report = Report("pick check", "pick", params, dict(base, **{
-            "feasible": cert.feasible,
-            "min_eigenvalue": cert.min_eigenvalue,
-            "min_norm": cert.min_norm,
-            "marginal": cert.marginal,
-        }), violation=not cert.feasible)
-        report.notes.append(
-            "feasibility certifies an interpolant of norm <= 1 in the weakly closed "
-            "multiplier algebra; norm-closed interpolation attains 1 + eps for every "
-            "eps > 0")
-        report.notes.append(
-            "positivity is tested non-strictly within tol; strictly positive versus "
-            "singular PSD differs only on marginal boundary problems")
-        if cert.marginal:
-            report.warnings.append(
-                "marginal verdict: the minimal eigenvalue lies within tolerance of zero")
-        return report
-    if action == "norm":
-        cstar = pick.min_interpolation_norm(prob)
-        return Report("pick norm", "pick", params, dict(base, **{
-            "min_norm": cstar,
-            "feasible_at_one": bool(cstar <= 1.0 + params["tol"]),
-        }))
-    if action == "interpolant":
-        phi = pick.lagrange_interpolant(prob)  # its caps come before the k N x k N c* solve
-        warnings_ = []
-        try:
-            min_norm = pick.min_interpolation_norm(prob)
-        except SingularGramError as exc:
-            min_norm = None
-            warnings_.append(f"min_norm not computed: {exc}")
-        residual = max(operator_norm(phi.evaluate(p) - w)
-                       for p, w in zip(prob.points, prob.targets))
-        if residual > params["tol"]:
-            warnings_.append(
-                f"interpolation residual {residual:.3e} exceeds tol: the monomial "
-                f"coefficients of clustered nodes lose digits in double precision")
-        report = Report("pick interpolant", "pick", params, dict(base, **{
-            "degree": int(phi.degree),
-            "max_interpolation_residual": float(residual),
-            "norm_upper": float(sum(phi.grade_norms())),
-            "min_norm": min_norm,
-            "interpolant": _serialize_matrix_polynomial(phi),
-        }), warnings=warnings_)
-        report.notes.append(
-            "min_norm <= ||interpolant|| <= norm_upper: c* is the least norm of any "
-            "interpolant, norm_upper the sum of the grade norms")
-        return report
-    if action == "classical":
-        if prob.target_dim != 1:
-            raise SchemaError("targets", "the classical comparison needs scalar targets")
-        verdict = psd_check(pick.classical_ball_matrix(prob), params["tol"])
-        return Report("pick classical", "pick", params, dict(base, **{
-            "is_psd": verdict.is_psd,
-            "min_eigenvalue": verdict.min_eigenvalue,
-            "marginal": verdict.is_marginal,
-        }), violation=not verdict.is_psd)
-    raise SchemaError("$", f"unknown pick action '{action}'")
+# Subjects: (problem, params, report) -> the object every action of the kind
+# reads; each puts the kind's leading results and warnings into the report.
+
+def _pick_subject(problem, params, report) -> pick.PickProblem:
+    if problem.points is None:
+        raise SchemaError("points", "missing field")
+    if problem.targets is None:
+        raise SchemaError("targets", "missing field")
+    prob = pick.PickProblem(problem.points, problem.targets)
+    report.results.update(k=prob.k, target_dim=prob.target_dim)
+    return prob
 
 
-def _handle_caratheodory(problem, params, flags) -> Report:
-    p = _scalar_polynomial(problem)
-    if flags.degree is not None:
-        m0 = flags.degree
-    elif problem.degree is not None:
-        m0 = problem.degree
-    else:
-        m0 = max(int(p.degree), 0) if not p.is_zero else 0
-    params = dict(params, degree=m0)
-    distance = ideals.caratheodory_distance(p, m0)
-    return Report("caratheodory", "caratheodory", params, {
-        "degree": m0,
-        "distance": distance,
-    })
-
-
-def _handle_poisson(action, problem, params) -> Report:
+def _poisson_subject(problem, params, report) -> poisson.RowContraction:
     T = _row_contraction(problem)
-    base = {"n": T.n, "d": T.d}
-    m = params["degree"]
-    if action == "c0":
-        sigmas = poisson.c0_sequence(T, params["kmax"])
-        certified = sigmas[-1] < params["tol"]
-        report = Report("poisson c0", "poisson", params, dict(base, **{
-            "sigma": sigmas,
-            "certified_c0": bool(certified),
-        }))
-        if not certified:
-            report.warnings.append(
-                f"sigma_kmax = {sigmas[-1]:.6e} has not decayed below tol; "
-                "kernel truncations carry an uncertified tail")
-        return report
-    if action == "kernel":
-        kernel = poisson.poisson_kernel(T, m, params["tol"])
-        x = np.eye(T.d, dtype=complex)
-        for _ in range(m + 1):
-            x = T.cp_map(x)
-        identity_residual = operator_norm(
-            np.eye(T.d) - kernel.matrix.conj().T @ kernel.matrix - x)
-        report = Report("poisson kernel", "poisson", params, dict(base, **{
-            "rows": int(kernel.matrix.shape[0]),
-            "cols": int(kernel.matrix.shape[1]),
-            "tail": kernel.tail,
-            "certified": kernel.certified,
-            "identity_residual": float(identity_residual),
-        }))
-        if not kernel.certified:
-            report.warnings.append(
-                f"uncertified tail {kernel.tail:.6e} at degree {m}")
-        return report
-    if action == "vonneumann":
-        p = _scalar_polynomial(problem)
-        lower, upper = bounds = freealg.sup_norm_bounds(p, m)
-        lhs = operator_norm(T.evaluate_polynomial(p))
-        violated = lhs > upper + 1e-12 * max(1.0, upper)
-        report = Report("poisson vonneumann", "poisson", params, dict(base, **{
-            "lhs": float(lhs),
-            "lower": lower,
-            "upper": upper,
-            "gap": upper - lower,
-            "upper_method": bounds.upper_method,
-            "degree_used": m,
-            "stabilized": upper - lower <= STABILIZED_GAP * max(1.0, upper),
-        }), violation=bool(violated))
-        if violated:
-            report.warnings.append("hard inequality ||p(T)|| <= upper bound FAILED")
-        return report
-    if action == "covariance":
-        words = [w for k in range(min(2, m) + 1)
-                 for w in itertools.product(range(1, T.n + 1), repeat=k)]
-        pairs = [(alpha, beta) for alpha in words for beta in words]
-        residuals = poisson.poisson_covariance_residuals(T, pairs, m)
-        worst = int(np.argmax(residuals))
-        sigma_tail = poisson.c0_sequence(T, m + 1)[-1]
-        return Report("poisson covariance", "poisson", params, dict(base, **{
-            "max_residual": float(residuals[worst]),
-            "argmax_alpha": list(pairs[worst][0]),
-            "argmax_beta": list(pairs[worst][1]),
-            "identity_word_residual": float(residuals[0]),
-            "sigma_tail": float(sigma_tail),
-        }))
-    raise SchemaError("$", f"unknown poisson action '{action}'")
+    report.results.update(n=T.n, d=T.d)
+    return T
 
 
-def _handle_ideal(action, problem, params) -> Report:
-    m = params["degree"]
-    spec = _ideal_spec(problem, m)
+def _ideal_subject(problem, params, report) -> ideals.QuotientModel:
+    if problem.lambda_q is not None and problem.generators is not None:
+        raise SchemaError("lambda_q", "give either 'generators' or 'lambda_q', not both")
+    if problem.lambda_q is not None:
+        spec = ideals.q_commutation_spec(problem.n, problem.lambda_q, params["degree"])
+    elif problem.generators is not None:
+        spec = ideals.IdealSpec(problem.n, tuple(problem.generators), params["degree"])
+    else:
+        raise SchemaError("generators", "an ideal needs 'generators' or 'lambda_q'")
     model = ideals.build_quotient(spec)
-    base = {"quotient_dim": model.dim, "reliable_degree": model.reliable_degree}
-    warnings_ = []
+    report.results.update(quotient_dim=model.dim, reliable_degree=model.reliable_degree)
     if model.trivial:
-        warnings_.append("trivial quotient: the padded ideal fills the whole space")
+        report.warnings.append("trivial quotient: the padded ideal fills the whole space")
     if model.approximate:
-        warnings_.append(
+        report.warnings.append(
             "non-homogeneous generators: the model is a dense approximation only")
-    if action == "basis":
-        wi = freealg.WordIndex(spec.n, spec.m)
-        report = Report("ideal basis", "ideal", params, dict(base, **{
-            "space_dim": wi.dim,
-            "ideal_dim": wi.dim - model.dim,
-            "grade_dimensions": model.grade_dimensions(),
-        }))
-        report.warnings.extend(warnings_)
-        return report
-    if action == "distance":
-        f = _scalar_polynomial(problem)
-        distance = ideals.quotient_distance(f, spec, model=model)
-        report = Report("ideal distance", "ideal", params, dict(base, **{
-            "distance": distance,
-        }))
-        report.warnings.extend(warnings_)
-        report.notes.append(
-            "finite-degree lower bound, nondecreasing in the working degree")
-        return report
-    if action == "compressions":
-        results = dict(base)
-        results["compression_norms"] = [operator_norm(model.compressions[i])
-                                        for i in range(spec.n)]
-        if problem.lambda_q is not None and not model.trivial and model.grades is not None:
-            keep = np.flatnonzero(model.grades <= model.reliable_degree)
-            results["relation_residual"] = max(
-                operator_norm(model.evaluate_polynomial(g)[:, keep]) for g in spec.generators)
-        if model.dim <= 32:
-            results["compressions"] = [model.compressions[i] for i in range(spec.n)]
-        report = Report("ideal compressions", "ideal", params, results)
-        report.warnings.extend(warnings_)
-        report.notes.append(
-            "relation and semi-invariance statements certified on grades <= "
-            f"{model.reliable_degree} only")
-        return report
-    if action == "check":
-        f = _scalar_polynomial(problem)
-        T = _row_contraction(problem)
-        lhs, rhs = ideals.constrained_von_neumann_check(
-            T, f, spec, model=model, gen_tol=params["tol"])
-        range_residual, covariance_residual = ideals.quotient_poisson_check(
-            T, spec, m, model=model, gen_tol=params["tol"])
-        violated = lhs > rhs + CONVERGENCE_SLACK
-        report = Report("ideal check", "ideal", params, dict(base, **{
-            "lhs": lhs,
-            "rhs": rhs,
-            "range_residual": range_residual,
-            "covariance_residual": covariance_residual,
-            "convergence_slack": CONVERGENCE_SLACK,
-        }), violation=bool(violated))
-        report.warnings.extend(warnings_)
-        if violated:
-            report.warnings.append(
-                "||f(T)|| exceeds the quotient distance beyond the convergence slack")
-        report.notes.append(
-            "rhs is a finite-degree lower bound of the quotient distance")
-        return report
-    raise SchemaError("$", f"unknown ideal action '{action}'")
+    return model
+
+
+def _caratheodory_degree(problem) -> int:
+    p = _scalar_polynomial(problem)
+    return 0 if p.is_zero else int(p.degree)
+
+
+# Actions: (subject, problem, params, report) -> None, filling the report.
+
+def _pick_check(prob, problem, params, report):
+    cert = pick.certify(prob, params["tol"])
+    report.results.update(feasible=cert.feasible, min_eigenvalue=cert.min_eigenvalue,
+                          min_norm=cert.min_norm, marginal=cert.marginal)
+    report.violation = not cert.feasible
+    report.notes.append(
+        "feasibility certifies an interpolant of norm <= 1 in the weakly closed "
+        "multiplier algebra; norm-closed interpolation attains 1 + eps for every "
+        "eps > 0")
+    report.notes.append(
+        "positivity is tested non-strictly within tol; strictly positive versus "
+        "singular PSD differs only on marginal boundary problems")
+    if cert.marginal:
+        report.warnings.append(
+            "marginal verdict: the minimal eigenvalue lies within tolerance of zero")
+
+
+def _pick_norm(prob, problem, params, report):
+    cstar = pick.min_interpolation_norm(prob)
+    report.results.update(min_norm=cstar, feasible_at_one=bool(cstar <= 1.0 + params["tol"]))
+
+
+def _pick_interpolant(prob, problem, params, report):
+    phi = pick.lagrange_interpolant(prob)  # its caps come before the k N x k N c* solve
+    try:
+        min_norm = pick.min_interpolation_norm(prob)
+    except SingularGramError as exc:
+        min_norm = None
+        report.warnings.append(f"min_norm not computed: {exc}")
+    residual = max(operator_norm(phi.evaluate(p) - w)
+                   for p, w in zip(prob.points, prob.targets))
+    if residual > params["tol"]:
+        report.warnings.append(
+            f"interpolation residual {residual:.3e} exceeds tol: the monomial "
+            f"coefficients of clustered nodes lose digits in double precision")
+    report.results.update(degree=int(phi.degree), max_interpolation_residual=float(residual),
+                          norm_upper=float(sum(phi.grade_norms())), min_norm=min_norm,
+                          interpolant=_serialize_matrix_polynomial(phi))
+    report.notes.append(
+        "min_norm <= ||interpolant|| <= norm_upper: c* is the least norm of any "
+        "interpolant, norm_upper the sum of the grade norms")
+
+
+def _pick_classical(prob, problem, params, report):
+    if prob.target_dim != 1:
+        raise SchemaError("targets", "the classical comparison needs scalar targets")
+    verdict = psd_check(pick.classical_ball_matrix(prob), params["tol"])
+    report.results.update(is_psd=verdict.is_psd, min_eigenvalue=verdict.min_eigenvalue,
+                          marginal=verdict.is_marginal)
+    report.violation = not verdict.is_psd
+
+
+def _caratheodory(p, problem, params, report):
+    distance = ideals.caratheodory_distance(p, params["degree"])
+    report.results.update(degree=params["degree"], distance=distance)
+
+
+def _poisson_c0(T, problem, params, report):
+    sigmas = poisson.c0_sequence(T, params["kmax"])
+    certified = sigmas[-1] < params["tol"]
+    report.results.update(sigma=sigmas, certified_c0=bool(certified))
+    if not certified:
+        report.warnings.append(
+            f"sigma_kmax = {sigmas[-1]:.6e} has not decayed below tol; "
+            "kernel truncations carry an uncertified tail")
+
+
+def _poisson_kernel(T, problem, params, report):
+    m = params["degree"]
+    kernel = poisson.poisson_kernel(T, m, params["tol"])
+    x = np.eye(T.d, dtype=complex)
+    for _ in range(m + 1):
+        x = T.cp_map(x)
+    identity_residual = operator_norm(
+        np.eye(T.d) - kernel.matrix.conj().T @ kernel.matrix - x)
+    report.results.update(rows=int(kernel.matrix.shape[0]), cols=int(kernel.matrix.shape[1]),
+                          tail=kernel.tail, certified=kernel.certified,
+                          identity_residual=float(identity_residual))
+    if not kernel.certified:
+        report.warnings.append(f"uncertified tail {kernel.tail:.6e} at degree {m}")
+
+
+def _poisson_vonneumann(T, problem, params, report):
+    p = _scalar_polynomial(problem)
+    m = params["degree"]
+    lower, upper = bounds = freealg.sup_norm_bounds(p, m)
+    lhs = operator_norm(T.evaluate_polynomial(p))
+    violated = lhs > upper + 1e-12 * max(1.0, upper)
+    report.results.update(lhs=float(lhs), lower=lower, upper=upper, gap=upper - lower,
+                          upper_method=bounds.upper_method, degree_used=m,
+                          stabilized=upper - lower <= STABILIZED_GAP * max(1.0, upper))
+    report.violation = bool(violated)
+    if violated:
+        report.warnings.append("hard inequality ||p(T)|| <= upper bound FAILED")
+
+
+def _poisson_covariance(T, problem, params, report):
+    m = params["degree"]
+    # (alpha, beta) and (beta, alpha) give adjoint operators with equal residuals
+    pairs = list(itertools.combinations_with_replacement(
+        freealg.WordIndex(T.n, min(2, m)).words(), 2))
+    residuals = poisson.poisson_covariance_residuals(T, pairs, m)
+    worst = int(np.argmax(residuals))
+    sigma_tail = poisson.c0_sequence(T, m + 1)[-1]
+    report.results.update(max_residual=float(residuals[worst]),
+                          argmax_alpha=list(pairs[worst][0]),
+                          argmax_beta=list(pairs[worst][1]),
+                          identity_word_residual=float(residuals[0]),
+                          sigma_tail=float(sigma_tail))
+
+
+def _ideal_basis(model, problem, params, report):
+    wi = freealg.WordIndex(model.spec.n, model.spec.m)
+    report.results.update(space_dim=wi.dim, ideal_dim=wi.dim - model.dim,
+                          grade_dimensions=model.grade_dimensions())
+
+
+def _ideal_distance(model, problem, params, report):
+    f = _scalar_polynomial(problem)
+    report.results["distance"] = ideals.quotient_distance(f, model.spec, model=model)
+    report.notes.append("finite-degree lower bound, nondecreasing in the working degree")
+
+
+def _ideal_compressions(model, problem, params, report):
+    n = model.spec.n
+    report.results["compression_norms"] = [operator_norm(model.compressions[i])
+                                           for i in range(n)]
+    if problem.lambda_q is not None and not model.trivial and model.grades is not None:
+        keep = np.flatnonzero(model.grades <= model.reliable_degree)
+        report.results["relation_residual"] = max(
+            operator_norm(model.evaluate_polynomial(g)[:, keep]) for g in model.spec.generators)
+    if model.dim <= 32:
+        report.results["compressions"] = [model.compressions[i] for i in range(n)]
+    report.notes.append(
+        "relation and semi-invariance statements certified on grades <= "
+        f"{model.reliable_degree} only")
+
+
+def _ideal_check(model, problem, params, report):
+    f = _scalar_polynomial(problem)
+    T = _row_contraction(problem)
+    lhs, rhs = ideals.constrained_von_neumann_check(
+        T, f, model.spec, model=model, gen_tol=params["tol"])
+    range_residual, covariance_residual = ideals.quotient_poisson_check(
+        T, model.spec, params["degree"], model=model, gen_tol=params["tol"])
+    violated = lhs > rhs + CONVERGENCE_SLACK
+    report.results.update(lhs=lhs, rhs=rhs, range_residual=range_residual,
+                          covariance_residual=covariance_residual,
+                          convergence_slack=CONVERGENCE_SLACK)
+    report.violation = bool(violated)
+    if violated:
+        report.warnings.append(
+            "||f(T)|| exceeds the quotient distance beyond the convergence slack")
+    report.notes.append("rhs is a finite-degree lower bound of the quotient distance")
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One problem kind: its document fields (beyond kind and n), the
+    parameters its reports show, in order, its default degree, its subject
+    builder and its actions (None for a kind with a single command)."""
+
+    fields: frozenset
+    parameters: tuple
+    subject: object
+    actions: dict
+    default_degree: object = lambda problem: default_degree(problem.n)
+
+
+KINDS = {
+    "pick": Kind(
+        frozenset({"points", "targets", "tol"}), ("tol",), _pick_subject,
+        {"check": _pick_check, "norm": _pick_norm, "interpolant": _pick_interpolant,
+         "classical": _pick_classical}),
+    "caratheodory": Kind(
+        frozenset({"polynomial", "degree", "tol"}), ("tol", "degree"),
+        lambda problem, params, report: _scalar_polynomial(problem),
+        {None: _caratheodory}, _caratheodory_degree),
+    "poisson": Kind(
+        frozenset({"targets", "points", "polynomial", "degree", "tol", "kmax"}),
+        ("tol", "degree", "kmax"), _poisson_subject,
+        {"kernel": _poisson_kernel, "c0": _poisson_c0, "vonneumann": _poisson_vonneumann,
+         "covariance": _poisson_covariance}),
+    "ideal": Kind(
+        frozenset({"generators", "lambda_q", "polynomial", "targets", "points", "degree",
+                   "tol", "kmax"}),
+        ("tol", "degree", "kmax"), _ideal_subject,
+        {"basis": _ideal_basis, "distance": _ideal_distance,
+         "compressions": _ideal_compressions, "check": _ideal_check}),
+}
 
 
 def dispatch(command, problem: ProblemFile, flags) -> Report:
-    """Run a (group, action) command against a parsed problem."""
+    """Run a (kind, action) command against a parsed problem.
+
+    Each parameter of the kind is its flag (decoded like the file field),
+    else the file's value, else the kind's default.
+    """
     group, action = command
     if problem.kind != group:
         raise SchemaError("kind", f"kind '{problem.kind}' does not match command '{group}'")
-    params = _resolve(problem, flags)
-    if group == "pick":
-        report = _handle_pick(action, problem, {"tol": params["tol"]})
-    elif group == "caratheodory":
-        report = _handle_caratheodory(problem, {"tol": params["tol"]}, flags)
-    elif group == "poisson":
-        report = _handle_poisson(action, problem, params)
-    else:
-        report = _handle_ideal(action, problem, params)
+    kind = KINDS[group]
+    params = {}
+    for name in kind.parameters:
+        flag = getattr(flags, name)
+        value = getattr(problem, name) if flag is None else _FIELDS[name](
+            flag, f"--{name}", problem.n)
+        if value is None:
+            value = kind.default_degree(problem) if name == "degree" else _DEFAULTS[name]
+        params[name] = value
+    report = Report(" ".join(filter(None, command)), group, params, {})
+    subject = kind.subject(problem, params, report)
+    kind.actions[action](subject, problem, params, report)
     return report
 
 
@@ -628,16 +622,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ncfock",
         description="Numerical noncommutative interpolation and Poisson transforms")
     sub = parser.add_subparsers(dest="group", required=True)
-    groups = {
-        "pick": ["check", "norm", "interpolant", "classical"],
-        "caratheodory": None,
-        "poisson": ["kernel", "c0", "vonneumann", "covariance"],
-        "ideal": ["basis", "distance", "compressions", "check"],
-    }
-    for group, actions in groups.items():
+    for group, kind in KINDS.items():
         g = sub.add_parser(group)
-        if actions:
-            g.add_argument("action", choices=actions)
+        if None not in kind.actions:
+            g.add_argument("action", choices=list(kind.actions))
         g.add_argument("problem", help="path to a JSON problem file")
         g.add_argument("--degree", type=int, default=None, help="truncation degree m")
         g.add_argument("--tol", type=float, default=None, help="tolerance (default 1e-10)")

@@ -16,6 +16,7 @@ coefficients of L_p* L_p (``sup_norm_bounds``).
 from __future__ import annotations
 
 import bisect
+import math
 
 import numpy as np
 import scipy.linalg
@@ -152,6 +153,8 @@ class BallPoint:
         if c.ndim != 1 or c.size == 0:
             raise ValueError("a point needs a nonempty coordinate vector")
         r = float(np.linalg.norm(c))
+        if not math.isfinite(r):
+            raise DomainError("a point needs finite coordinates")
         if r > 1.0 + 1e-12:
             raise DomainError(f"|lambda| = {r:.6g} lies outside the closed unit ball")
         self.coords = c

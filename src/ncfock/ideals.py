@@ -16,7 +16,6 @@ reliable_degree = m - max generator degree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,6 @@ class IdealSpec:
     n: int
     generators: tuple
     m: int
-    homogeneous: bool = None
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -52,12 +50,12 @@ class IdealSpec:
             if g.degree > self.m:
                 raise ValueError(
                     f"generators[{idx}] has degree {g.degree} above the working degree {self.m}")
-        actual = all(g.is_homogeneous for g in gens)
-        if self.homogeneous is None:
-            self.homogeneous = actual
-        elif self.homogeneous != actual:
-            raise ValueError(f"homogeneous flag {self.homogeneous} does not match generators")
         self.generators = gens
+
+    @property
+    def homogeneous(self) -> bool:
+        """True when every generator is homogeneous: the model is then grade-exact."""
+        return all(g.is_homogeneous for g in self.generators)
 
     @property
     def max_generator_degree(self) -> int:
@@ -399,8 +397,7 @@ def quotient_poisson_check(T: RowContraction, spec: IdealSpec, m: int,
     projected = np.einsum("Dr,rij->Dij", basis, coords)
     range_residual = operator_norm((kb - projected).reshape(-1, T.d))
 
-    words = [w for k in range(min(word_degree, m) + 1)
-             for w in itertools.product(range(1, T.n + 1), repeat=k)]
+    words = list(WordIndex(T.n, min(word_degree, m)).words())
     # K* (B_alpha B_beta* tensor I) K = Y_alpha* Y_beta with Y_w = (B_w* tensor I) K
     flat = coords.reshape(model.dim, -1)
     Y = np.array([(model.evaluate_polynomial(NcPolynomial.from_word(T.n, w)).conj().T

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import time
 
 import numpy as np
@@ -389,3 +390,131 @@ def test_text_numbers_have_machine_counterparts(tmp_path, capsys):
     min_norm = payload["results"]["min_norm"]
     assert f"min_norm = {min_norm!r}" in text
     assert len(repr(min_norm).replace("0.", "")) >= 15
+
+
+def test_poisson_covariance_takes_each_unordered_pair_once(tmp_path, capsys, monkeypatch):
+    # (alpha, beta) and (beta, alpha) give adjoint operators with equal residuals
+    from ncfock import poisson
+    seen = []
+    residuals = poisson.poisson_covariance_residuals
+    monkeypatch.setattr(poisson, "poisson_covariance_residuals",
+                        lambda T, pairs, m: seen.extend(pairs) or residuals(T, pairs, m))
+    doc = {"kind": "poisson", "n": 3, "points": [[[0.3, 0.0], [0.2, 0.1], [0.0, 0.4]]]}
+    path = _write(tmp_path, "p.json", doc)
+    assert cli.main(["poisson", "covariance", path, "--json", "--degree", "4"]) == 0
+    assert seen[0] == ((), ())
+    assert len(seen) == len({tuple(sorted(pair)) for pair in seen}) == 13 * 14 // 2
+
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
+
+# (problem file, command) -> (exit code, results keys in report order), or
+# (exit code, None) where the command is an input error on that file
+REPORT_CONTRACT = {
+    ("caratheodory_shift.json", "caratheodory"): (0, ["degree", "distance"]),
+    ("ideal_commuting.json", "ideal basis"): (
+        0, ["quotient_dim", "reliable_degree", "space_dim", "ideal_dim", "grade_dimensions"]),
+    ("ideal_commuting.json", "ideal distance"): (
+        0, ["quotient_dim", "reliable_degree", "distance"]),
+    ("ideal_commuting.json", "ideal compressions"): (
+        0, ["quotient_dim", "reliable_degree", "compression_norms", "relation_residual",
+            "compressions"]),
+    ("ideal_commuting.json", "ideal check"): (
+        0, ["quotient_dim", "reliable_degree", "lhs", "rhs", "range_residual",
+            "covariance_residual", "convergence_slack"]),
+    ("pick_matrix_targets.json", "pick check"): (
+        0, ["k", "target_dim", "feasible", "min_eigenvalue", "min_norm", "marginal"]),
+    ("pick_matrix_targets.json", "pick norm"): (
+        0, ["k", "target_dim", "min_norm", "feasible_at_one"]),
+    ("pick_matrix_targets.json", "pick interpolant"): (
+        0, ["k", "target_dim", "degree", "max_interpolation_residual", "norm_upper",
+            "min_norm", "interpolant"]),
+    ("pick_matrix_targets.json", "pick classical"): (2, None),
+    ("pick_schwarz.json", "pick check"): (
+        0, ["k", "target_dim", "feasible", "min_eigenvalue", "min_norm", "marginal"]),
+    ("pick_schwarz.json", "pick norm"): (0, ["k", "target_dim", "min_norm", "feasible_at_one"]),
+    ("pick_schwarz.json", "pick interpolant"): (
+        0, ["k", "target_dim", "degree", "max_interpolation_residual", "norm_upper",
+            "min_norm", "interpolant"]),
+    ("pick_schwarz.json", "pick classical"): (
+        0, ["k", "target_dim", "is_psd", "min_eigenvalue", "marginal"]),
+    ("poisson_contraction.json", "poisson kernel"): (
+        0, ["n", "d", "rows", "cols", "tail", "certified", "identity_residual"]),
+    ("poisson_contraction.json", "poisson c0"): (0, ["n", "d", "sigma", "certified_c0"]),
+    ("poisson_contraction.json", "poisson vonneumann"): (
+        0, ["n", "d", "lhs", "lower", "upper", "gap", "upper_method", "degree_used",
+            "stabilized"]),
+    ("poisson_contraction.json", "poisson covariance"): (
+        0, ["n", "d", "max_residual", "argmax_alpha", "argmax_beta",
+            "identity_word_residual", "sigma_tail"]),
+}
+
+
+def _contract_cases():
+    for path in sorted(PROBLEMS.glob("*.json")):
+        kind = json.loads(path.read_text())["kind"]
+        for action in cli.KINDS[kind].actions:
+            yield path.name, " ".join(filter(None, (kind, action)))
+
+
+def test_report_contract_covers_every_command():
+    assert set(_contract_cases()) == set(REPORT_CONTRACT)
+
+
+@pytest.mark.parametrize("name, command", list(_contract_cases()))
+def test_report_contract(name, command, capsys):
+    code, keys = REPORT_CONTRACT[name, command]
+    argv = command.split() + [str(PROBLEMS / name)]
+    assert cli.main(argv + ["--json"]) == code
+    payload = capsys.readouterr().out
+    assert cli.main(argv) == code
+    text = capsys.readouterr().out.splitlines()
+    if keys is None:
+        assert payload == "" and text == []
+        return
+    report = json.loads(payload)
+    assert list(report["results"]) == keys
+    lines = ([("param " + key, value) for key, value in report["parameters"].items()]
+             + list(report["results"].items()))
+    assert text[0] == f"ncfock {command} (kind={report['kind']})"
+    for line, (key, value) in zip(text[1:], lines):
+        shown = line.removeprefix(f"  {key} = ")
+        assert shown != line
+        if isinstance(value, bool):
+            assert shown == json.dumps(value)
+        elif isinstance(value, (int, float)):
+            assert shown == repr(value)
+        elif isinstance(value, str):
+            assert shown == value
+        else:
+            assert json.loads(shown) == value
+    assert len(text) >= 1 + len(lines)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["pick", "check", "pick_schwarz.json", "--tol", "-1"], "--tol"),
+    (["pick", "check", "pick_schwarz.json", "--tol", "nan"], "--tol"),
+    (["poisson", "kernel", "poisson_contraction.json", "--degree", "-1"], "--degree"),
+    (["poisson", "c0", "poisson_contraction.json", "--kmax", "-1"], "--kmax"),
+    (["caratheodory", "caratheodory_shift.json", "--degree", "-1"], "--degree"),
+], ids=["tol-negative", "tol-nan", "degree-negative", "kmax-negative", "carath-degree"])
+def test_flags_are_decoded_like_file_fields(capsys, argv, flag):
+    argv = [str(PROBLEMS / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
+
+
+@pytest.mark.parametrize("argv, text, field", [
+    (["pick", "check"], json.dumps(SCHWARZ)[:-1] + ', "tol": NaN}', "tol"),
+    (["pick", "check"], json.dumps(SCHWARZ)[:-1] + ', "tol": 1e999}', "tol"),
+    (["caratheodory"], '{"kind": "caratheodory", "n": 1, "polynomial": '
+                       '[{"word": [1], "coeff": [1' + "0" * 400 + ', 0]}]}',
+     "polynomial[0].coeff"),
+    (["pick", "check"], json.dumps(SCHWARZ).replace("[[0.4, 0.0]]", "[[NaN, 0.0]]"),
+     "points[1][0]"),
+], ids=["tol-nan", "tol-overflow", "coeff-400-digits", "point-nan"])
+def test_non_finite_numbers_are_input_errors(tmp_path, capsys, argv, text, field):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    assert cli.main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {field}: ")

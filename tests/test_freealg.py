@@ -132,6 +132,12 @@ def test_z_vector_domain_error():
         z_vector(BallPoint([0.6, 0.8]), 4)
 
 
+@pytest.mark.parametrize("coords", [[np.nan], [0.1, np.nan], [complex(0.1, np.nan), 0.0]])
+def test_ball_point_rejects_non_finite_coordinates(coords):
+    with pytest.raises(DomainError):
+        BallPoint(coords)
+
+
 def test_reproducing_property():
     rng = np.random.default_rng(5)
     for _ in range(10):

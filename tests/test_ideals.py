@@ -24,10 +24,12 @@ def test_spec_validation():
         IdealSpec(2, (NcPolynomial.zero(2),), 4)
     with pytest.raises(ValueError):
         IdealSpec(2, (NcPolynomial(2, {(1, 1, 1): 1.0}),), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         IdealSpec(2, (NcPolynomial.generator(2, 1),), 4, homogeneous=False)
     spec = IdealSpec(2, (NcPolynomial(2, {(1,): 1.0, (): 1.0}),), 4)
     assert not spec.homogeneous
+    with pytest.raises(AttributeError):
+        spec.homogeneous = True
 
 
 def test_ideal_subspace_single_generator_line():
