@@ -232,7 +232,7 @@ def parse_document(doc: dict) -> ProblemFile:
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a JSON object")
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise SchemaError("kind", f"expected one of {sorted(KINDS)}")
     for key in doc:
         if key in ("kind", "n"):

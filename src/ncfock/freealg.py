@@ -19,8 +19,8 @@ import bisect
 import math
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
+# scipy is imported inside the norm-bound functions that use it: the pick and
+# ideal code needs only numpy, and importing scipy.linalg takes about 0.3 s.
 
 from .errors import DomainError, ResourceCapError
 from .numerics import operator_norm
@@ -46,6 +46,22 @@ def basis_size(n: int, m: int) -> int:
     return m + 1 if n == 1 else (n ** (m + 1) - 1) // (n - 1)
 
 
+def _capped_basis_size(n: int, m: int) -> int:
+    """D(n, m), or ResourceCapError when it exceeds MAX_BASIS_SIZE.
+
+    For n >= 2, D(n, m) > 2^m, so a degree of at least the cap's bit length
+    fails before n^(m+1) is formed: for a huge m that power never finishes.
+    """
+    if n >= 2 and m >= MAX_BASIS_SIZE.bit_length():
+        raise ResourceCapError(
+            f"basis of size D({n},{m}) > 2^{m} exceeds the cap {MAX_BASIS_SIZE}")
+    dim = basis_size(n, m)
+    if dim > MAX_BASIS_SIZE:
+        raise ResourceCapError(
+            f"basis of size D({n},{m}) = {dim} exceeds the cap {MAX_BASIS_SIZE}")
+    return dim
+
+
 def word_value(word, n: int) -> int:
     """Position of a word inside its grade block (base-n digits, leading letter first)."""
     v = 0
@@ -69,10 +85,7 @@ class WordIndex:
     """
 
     def __init__(self, n: int, m: int):
-        dim = basis_size(n, m)
-        if dim > MAX_BASIS_SIZE:
-            raise ResourceCapError(
-                f"basis of size D({n},{m}) = {dim} exceeds the cap {MAX_BASIS_SIZE}")
+        dim = _capped_basis_size(n, m)
         self.n = n
         self.m = m
         self.dim = dim
@@ -116,9 +129,7 @@ class FockVector:
 
     def __init__(self, n: int, m: int, coeffs):
         coeffs = np.ascontiguousarray(coeffs, dtype=complex)
-        dim = basis_size(n, m)
-        if dim > MAX_BASIS_SIZE:
-            raise ResourceCapError(f"D({n},{m}) = {dim} exceeds the cap {MAX_BASIS_SIZE}")
+        dim = _capped_basis_size(n, m)
         if coeffs.shape != (dim,):
             raise ValueError(f"expected {dim} coefficients, got shape {coeffs.shape}")
         self.n = n
@@ -521,6 +532,9 @@ def _compressed_square(r: list, wi: WordIndex, x: np.ndarray) -> np.ndarray:
 
 def _truncated_norm(r: list, n: int, m: int) -> float:
     """||L_p restricted to P_m||, the root of the top eigenvalue of P_m L_p* L_p P_m."""
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     wi = WordIndex(n, m)
     if n == 1:
         # Hermitian Toeplitz with bandwidth deg p, in LAPACK's lower band storage
@@ -595,6 +609,8 @@ def _fejer_riesz_gram(r: list, n: int, d: int) -> np.ndarray:
     over the prefix pairs; no constraint matrix is formed.  The iterate stays
     positive definite and is returned when the duality gap stops falling.
     """
+    import scipy.linalg
+
     src, dst, starts = _prefix_pairs(n, d)
     size, pairs, cons = basis_size(n, d), src.size, starts.size
     con = np.repeat(np.arange(cons), np.diff(np.append(starts, pairs)))
@@ -695,6 +711,8 @@ def _fejer_riesz_bound(p: NcPolynomial, q: np.ndarray) -> float:
     size of q and P the number of prefix pairs, covers the rounding in
     forming F F*, r and the sums; a final factor 1 + 4 eps covers the root.
     """
+    import scipy.linalg
+
     n, d = p.n, int(p.degree)
     r = _symbol(p)
     src, dst, starts = _prefix_pairs(n, d)

@@ -3,20 +3,119 @@
 All tolerances are relative to the spectral scale max(1, ||A||_2); the
 default 1e-10 reflects that feasibility-boundary matrices are numerically
 singular by design.
+
+LAPACK calls on matrices whose larger side lies in SINGLE_THREAD_DIMS run
+on one BLAS thread (see _blas_threads): at those sizes handing work to a
+second OpenBLAS thread costs more than the arithmetic it saves.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+import sys
+import threading
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, SingularGramError
 
 DEFAULT_TOL = 1e-10
 HERMITIAN_RTOL = 1e-12
+# Sizes whose LAPACK calls run on one BLAS thread.  Above 256, two threads
+# win.  Up to 16, eigh and svd ran alike on one and two threads (no stalls in
+# 1,500 calls), so the scope, about 5 us a call, is skipped there.
+SINGLE_THREAD_DIMS = range(17, 257)
+
+# The OpenBLAS builds bundled in the numpy and scipy wheels: the package,
+# the library file next to it, and the suffix of its thread-count symbols.
+_OPENBLAS_BUILDS = (("numpy", "libscipy_openblas64_-*.so", "64_"),
+                    ("scipy", "libscipy_openblas-*.so", ""))
+
+
+def _openblas_thread_functions(package: str, pattern: str, suffix: str):
+    """(get, set) of a bundled OpenBLAS thread count, or the reason there is none."""
+    root = os.path.dirname(os.path.dirname(sys.modules[package].__file__))
+    paths = sorted(glob.glob(os.path.join(root, f"{package}.libs", pattern)))
+    if not paths:
+        return f"no {pattern} in {package}.libs"
+    try:
+        lib = ctypes.CDLL(paths[0])
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+    except (OSError, AttributeError) as exc:
+        return f"{paths[0]}: {exc}"
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+class _BlasThreadScope:
+    """The OpenBLAS thread counts of the process, held at 1 while any scope is open.
+
+    The count is process-wide, so scopes are counted across Python threads:
+    the first to enter saves each library's count and sets 1, the last to
+    exit restores the saved counts.  A library is looked up when its package
+    is first seen in sys.modules at an entry; `status` records, per package,
+    the library in control or why there is none, in which case the scope
+    leaves that library alone.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = []
+        self._functions = {}
+        self.status = {}
+
+    def counts(self) -> dict:
+        """Current thread count of each controlled library, by package."""
+        with self._lock:
+            self._look_up()
+            return {package: get() for package, (get, _) in self._functions.items()}
+
+    def _look_up(self) -> None:
+        for package, pattern, suffix in _OPENBLAS_BUILDS:
+            if package not in self.status and package in sys.modules:
+                found = _openblas_thread_functions(package, pattern, suffix)
+                if isinstance(found, str):
+                    self.status[package] = f"not controlled: {found}"
+                else:
+                    self._functions[package] = found
+                    self.status[package] = "controlled"
+
+    def __enter__(self):
+        with self._lock:
+            if not self._depth:
+                self._look_up()
+                self._saved = [(set_, get()) for get, set_ in self._functions.values()]
+                for set_, count in self._saved:
+                    if count != 1:
+                        set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if not self._depth:
+                for set_, count in self._saved:
+                    if count != 1:
+                        set_(count)
+
+
+_BLAS_SCOPE = _BlasThreadScope()
+_DEFAULT_THREADS = nullcontext()
+
+
+def _blas_threads(dim: int):
+    """Context that runs the enclosed LAPACK calls on one BLAS thread when
+    dim is in SINGLE_THREAD_DIMS, restoring every count on exit, also when a
+    call raises; other sizes keep the process's thread counts."""
+    return _BLAS_SCOPE if dim in SINGLE_THREAD_DIMS else _DEFAULT_THREADS
 
 
 def as_hermitian(a, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
@@ -51,7 +150,8 @@ def psd_check(a, tol: float = DEFAULT_TOL) -> PsdVerdict:
     h = as_hermitian(a)
     if h.size == 0:
         return PsdVerdict(True, 0.0, np.zeros(0, dtype=complex), float(tol), 1.0)
-    vals, vecs = np.linalg.eigh(h)
+    with _blas_threads(h.shape[0]):
+        vals, vecs = np.linalg.eigh(h)
     scale = max(1.0, float(abs(vals[0])), float(abs(vals[-1])))
     return PsdVerdict(bool(vals[0] >= -tol * scale), float(vals[0]),
                       vecs[:, 0].copy(), float(tol), scale)
@@ -64,7 +164,8 @@ def operator_norm(a) -> float:
         return 0.0
     if a.ndim == 1:
         return float(np.linalg.norm(a))
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    with _blas_threads(max(a.shape)):
+        return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def max_generalized_eigenvalue(b, a, *, pd_tol: float = 1e-12) -> float:
@@ -77,16 +178,17 @@ def max_generalized_eigenvalue(b, a, *, pd_tol: float = 1e-12) -> float:
     B = as_hermitian(b)
     if A.shape != B.shape:
         raise ValueError("shape mismatch between the two forms")
-    vals = np.linalg.eigvalsh(A)
-    scale = max(1.0, float(np.abs(vals).max()))
-    if vals[0] <= pd_tol * scale:
-        raise SingularGramError(
-            f"matrix is not positive definite within tolerance "
-            f"(min eigenvalue {vals[0]:.3e}; points too close or |lambda| -> 1)")
-    L = np.linalg.cholesky(A)
-    X = scipy.linalg.solve_triangular(L, B, lower=True)
-    W = scipy.linalg.solve_triangular(L, X.conj().T, lower=True).conj().T
-    vals = np.linalg.eigvalsh((W + W.conj().T) / 2.0)
+    with _blas_threads(A.shape[0]):
+        vals = np.linalg.eigvalsh(A)
+        scale = max(1.0, float(np.abs(vals).max()))
+        if vals[0] <= pd_tol * scale:
+            raise SingularGramError(
+                f"matrix is not positive definite within tolerance "
+                f"(min eigenvalue {vals[0]:.3e}; points too close or |lambda| -> 1)")
+        L = np.linalg.cholesky(A)
+        X = np.linalg.solve(L, B)
+        W = np.linalg.solve(L, X.conj().T).conj().T
+        vals = np.linalg.eigvalsh((W + W.conj().T) / 2.0)
     return float(vals[-1])
 
 
@@ -97,14 +199,15 @@ def hermitian_sqrt(a, *, tol: float = 1e-12) -> np.ndarray:
     anything lower means the input is indefinite and raises.
     """
     h = as_hermitian(a)
-    vals, vecs = np.linalg.eigh(h)
-    scale = max(1.0, float(np.abs(vals).max()))
-    if vals[0] < -tol * scale:
-        raise DomainError(
-            f"matrix is indefinite beyond tolerance: min eigenvalue {vals[0]:.3e}")
-    if vals[0] < 0.0:
-        clamped = int(np.count_nonzero(vals < 0.0))
-        warnings.warn(
-            f"clamped {clamped} negative eigenvalue(s) >= {vals[0]:.3e} to zero",
-            stacklevel=2)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    with _blas_threads(h.shape[0]):
+        vals, vecs = np.linalg.eigh(h)
+        scale = max(1.0, float(np.abs(vals).max()))
+        if vals[0] < -tol * scale:
+            raise DomainError(
+                f"matrix is indefinite beyond tolerance: min eigenvalue {vals[0]:.3e}")
+        if vals[0] < 0.0:
+            clamped = int(np.count_nonzero(vals < 0.0))
+            warnings.warn(
+                f"clamped {clamped} negative eigenvalue(s) >= {vals[0]:.3e} to zero",
+                stacklevel=2)
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T

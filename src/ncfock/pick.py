@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, ResourceCapError
 from .freealg import (MAX_BASIS_SIZE, MAX_DENSE_ENTRIES, BallPoint, NcMatrixPolynomial,
                       NcPolynomial)
-from .numerics import (DEFAULT_TOL, PsdVerdict, as_hermitian,
+from .numerics import (DEFAULT_TOL, PsdVerdict, _blas_threads, as_hermitian,
                        max_generalized_eigenvalue, operator_norm, psd_check)
 
 POINT_SEPARATION = 1e-14
@@ -113,6 +113,19 @@ def _dense_cap(problem: PickProblem) -> None:
             f"{size} x {size} block Pick matrix exceeds the cap {MAX_DENSE_ENTRIES}")
 
 
+def _pick_blocks(G: np.ndarray, products: np.ndarray, c: float) -> np.ndarray:
+    N = products.shape[2]
+    blocks = G[:, :, None, None] * (c ** 2 * np.eye(N)[None, None] - products)
+    return as_hermitian(_assemble_blocks(blocks))
+
+
+def _min_norm(G: np.ndarray, products: np.ndarray) -> float:
+    A = np.kron(G, np.eye(products.shape[2]))
+    B = _assemble_blocks(G[:, :, None, None] * products)
+    top = max_generalized_eigenvalue(B, A)
+    return float(np.sqrt(max(top, 0.0)))
+
+
 def pick_matrix(problem: PickProblem, c: float) -> np.ndarray:
     """Block matrix with (i, j) entry G[i][j] * (c^2 I - W_i W_j*).
 
@@ -122,10 +135,7 @@ def pick_matrix(problem: PickProblem, c: float) -> np.ndarray:
     if c < 0:
         raise ValueError("the norm level c must be nonnegative")
     _dense_cap(problem)
-    G = gram(problem)
-    N = problem.target_dim
-    blocks = G[:, :, None, None] * (c ** 2 * np.eye(N)[None, None] - _target_products(problem))
-    return as_hermitian(_assemble_blocks(blocks))
+    return _pick_blocks(gram(problem), _target_products(problem), c)
 
 
 def min_interpolation_norm(problem: PickProblem) -> float:
@@ -137,19 +147,15 @@ def min_interpolation_norm(problem: PickProblem) -> float:
     for c >= c*.
     """
     _dense_cap(problem)
-    G = gram(problem)
-    N = problem.target_dim
-    A = np.kron(G, np.eye(N))
-    B = _assemble_blocks(G[:, :, None, None] * _target_products(problem))
-    top = max_generalized_eigenvalue(B, A)
-    return float(np.sqrt(max(top, 0.0)))
+    return _min_norm(gram(problem), _target_products(problem))
 
 
 def certify(problem: PickProblem, tol: float = DEFAULT_TOL) -> PickCertificate:
     """Feasibility certificate at norm level 1, cross-checked against c*."""
-    G = gram(problem)
-    verdict = psd_check(pick_matrix(problem, 1.0), tol)
-    cstar = min_interpolation_norm(problem)
+    _dense_cap(problem)
+    G, products = gram(problem), _target_products(problem)
+    verdict = psd_check(_pick_blocks(G, products, 1.0), tol)
+    cstar = _min_norm(G, products)
     consistent = verdict.is_psd == (cstar <= 1.0 + tol)
     return PickCertificate(
         feasible=verdict.is_psd,
@@ -183,7 +189,8 @@ def lagrange_interpolant(problem: PickProblem) -> NcMatrixPolynomial:
             words.append(tuple(i + 1 for i in word))
             columns.append(np.prod(lam[:, list(word)], axis=1))
         if size >= k:
-            X, _, _, s = np.linalg.lstsq(np.stack(columns, axis=1), W, rcond=None)
+            with _blas_threads(size):
+                X, _, _, s = np.linalg.lstsq(np.stack(columns, axis=1), W, rcond=None)
             if d == k - 1 or s[-1] > DEFAULT_TOL * s[0]:
                 break
     return NcMatrixPolynomial(n, [[NcPolynomial(n, dict(zip(words, X[:, a * N + b])))

@@ -119,10 +119,14 @@ def c0_sequence(T: RowContraction, kmax: int) -> list:
 
     The sequence is nonincreasing; vanishing in the limit is the pure decay
     condition that makes kernel truncations certifiable.  Cost is
-    O(kmax n d^3), no word enumeration.
+    O(kmax n d^3), no word enumeration.  kmax d is capped at MAX_BASIS_SIZE,
+    the row cap of the kernels these sequences certify.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    if kmax * T.d > MAX_BASIS_SIZE:
+        raise ResourceCapError(
+            f"decay sequence of {kmax} steps on d = {T.d} exceeds the cap {MAX_BASIS_SIZE}")
     x = np.eye(T.d, dtype=complex)
     out = [operator_norm(x)]
     for _ in range(kmax):

@@ -360,6 +360,29 @@ def test_ideal_compression_cap_exit_code(tmp_path, capsys):
     assert "resource cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["ideal", "basis", "--degree", "1000000000000"],
+     {"kind": "ideal", "n": 2, "lambda_q": 1.0}),
+    (["poisson", "c0"],
+     {"kind": "poisson", "n": 1, "kmax": 10 ** 12, "points": [[[0.5, 0.0]]]}),
+])
+def test_huge_degree_or_kmax_fails_fast(tmp_path, capsys, argv, doc):
+    path = _write(tmp_path, "p.json", doc)
+    start = time.perf_counter()
+    assert cli.main(argv[:2] + [path] + argv[2:]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "resource cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", [["pick"], {"pick": 1}, 3])
+def test_non_string_kind_is_an_input_error(tmp_path, capsys, kind):
+    path = _write(tmp_path, "p.json", {"kind": kind, "n": 1})
+    with pytest.raises(cli.SchemaError, match="kind"):
+        cli.parse_problem(path)
+    assert cli.main(["pick", "check", path]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_out_flag_writes_file(tmp_path):
     path = _write(tmp_path, "p.json", SCHWARZ)
     out = tmp_path / "report.json"

@@ -1,9 +1,28 @@
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import ncfock
 from ncfock import (DomainError, SingularGramError, as_hermitian, hermitian_sqrt,
                     max_generalized_eigenvalue, operator_norm, psd_check)
+from ncfock.numerics import _BLAS_SCOPE, SINGLE_THREAD_DIMS, _blas_threads
 from helpers import random_unitary
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every controlled OpenBLAS at 2 threads, so that a lost restore shows."""
+    before = _BLAS_SCOPE.counts()
+    setters = [set_ for _, set_ in _BLAS_SCOPE._functions.values()]
+    for set_ in setters:
+        set_(2)
+    yield _BLAS_SCOPE.counts()
+    for set_, count in zip(setters, before.values()):
+        set_(count)
 
 
 def test_psd_identity():
@@ -120,3 +139,89 @@ def test_hermitian_sqrt_clamps_with_warning():
 def test_hermitian_sqrt_rejects_indefinite():
     with pytest.raises(DomainError):
         hermitian_sqrt(np.diag([1.0, -0.5]))
+
+
+def test_blas_thread_scope_controls_numpys_openblas():
+    _BLAS_SCOPE.counts()
+    if _BLAS_SCOPE.status["numpy"].startswith("not controlled: no "):
+        pytest.skip("numpy bundles no OpenBLAS here; the scope is a no-op")
+    assert _BLAS_SCOPE.status["numpy"] == "controlled"
+
+
+@pytest.mark.parametrize("size", [40, 600])
+def test_psd_check_leaves_the_thread_count(two_blas_threads, size):
+    rng = np.random.default_rng(size)
+    g = rng.normal(size=(size, size))
+    assert not psd_check(g + g.T).is_psd
+    assert _BLAS_SCOPE.counts() == two_blas_threads
+
+
+@pytest.mark.parametrize("dim", [SINGLE_THREAD_DIMS[0], SINGLE_THREAD_DIMS[-1]])
+def test_small_calls_run_on_one_thread(two_blas_threads, dim):
+    with _blas_threads(dim):
+        assert set(_BLAS_SCOPE.counts().values()) <= {1}
+    assert _BLAS_SCOPE.counts() == two_blas_threads
+
+
+@pytest.mark.parametrize("dim", [SINGLE_THREAD_DIMS[0] - 1, SINGLE_THREAD_DIMS[-1] + 1])
+def test_tiny_and_large_calls_keep_the_process_threads(two_blas_threads, dim):
+    with _blas_threads(dim):
+        assert _BLAS_SCOPE.counts() == two_blas_threads
+
+
+def test_thread_count_is_restored_when_the_call_raises(two_blas_threads):
+    size = SINGLE_THREAD_DIMS[0]
+    with pytest.raises(SingularGramError):
+        max_generalized_eigenvalue(np.eye(size), np.ones((size, size)))
+    with pytest.raises(DomainError):
+        hermitian_sqrt(np.diag(np.linspace(-0.5, 1.0, size)))
+    assert _BLAS_SCOPE.counts() == two_blas_threads
+
+
+def test_nested_scopes_restore_the_outer_count(two_blas_threads):
+    size = SINGLE_THREAD_DIMS[0]
+    with _blas_threads(size):
+        outer = _BLAS_SCOPE.counts()
+        with _blas_threads(size):
+            psd_check(np.eye(size))
+        assert _BLAS_SCOPE.counts() == outer
+    assert _BLAS_SCOPE.counts() == two_blas_threads
+
+
+def test_scopes_from_many_python_threads_restore_the_count(two_blas_threads):
+    a = np.diag(np.arange(1.0, SINGLE_THREAD_DIMS[0] + 1))
+    errors = []
+
+    def work():
+        try:
+            for _ in range(300):
+                psd_check(a)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and not errors
+    assert _BLAS_SCOPE.counts() == two_blas_threads
+
+
+def test_pick_certification_does_not_import_scipy():
+    # 20 nodes, so that the Pick matrix takes the one-thread scope
+    code = ("import sys, numpy, ncfock\n"
+            "nodes = 0.3 * numpy.random.default_rng(1).normal(size=(20, 3))\n"
+            "ncfock.certify(ncfock.PickProblem(nodes, [0.0] * 20))\n"
+            "print('scipy' in sys.modules, ncfock.numerics._BLAS_SCOPE.status)")
+    src = os.path.dirname(os.path.dirname(ncfock.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.startswith("False")
