@@ -14,7 +14,7 @@ from .freealg import (BallPoint, FockVector, NcMatrixPolynomial, NcPolynomial,
                       sup_norm_bounds, tensor_product, truncated_mult_matrix, z_vector)
 from .ideals import (IdealSpec, QuotientModel, build_quotient, caratheodory_distance,
                      constrained_von_neumann_check, ideal_subspace, q_commutation_spec,
-                     quotient_distance, quotient_poisson_check)
+                     quotient_checks, quotient_distance, quotient_poisson_check)
 from .numerics import (PsdVerdict, as_hermitian, hermitian_sqrt,
                        max_generalized_eigenvalue, operator_norm, psd_check)
 from .pick import (PickCertificate, PickProblem, certify, classical_ball_matrix,
@@ -38,7 +38,8 @@ __all__ = [
     "minimal_subspace", "mult_matrix", "operator_norm", "pick_matrix",
     "poisson_compression", "poisson_covariance_check",
     "poisson_covariance_residuals", "poisson_kernel",
-    "psd_check", "q_commutation_spec", "quotient_distance", "quotient_poisson_check",
+    "psd_check", "q_commutation_spec", "quotient_checks", "quotient_distance",
+    "quotient_poisson_check",
     "radial_scale", "sample_membership_check", "suggest_truncation_degree", "sup_norm_bounds", "tensor_product",
     "truncated_mult_matrix", "z_vector",
 ]

@@ -206,6 +206,10 @@ _FIELDS = {
     "kmax": lambda value, path, n: _as_int(value, path),
 }
 _DEFAULTS = {"tol": DEFAULT_TOL, "kmax": DEFAULT_KMAX}
+# The parameter flags: type and help; a kind accepts those in its parameters.
+_FLAGS = {"degree": (int, "truncation degree m"),
+          "tol": (float, "tolerance (default 1e-10)"),
+          "kmax": (int, "decay-sequence length")}
 
 
 @dataclass
@@ -490,7 +494,8 @@ def _poisson_vonneumann(T, problem, params, report):
     lhs = operator_norm(T.evaluate_polynomial(p))
     violated = lhs > upper + 1e-12 * max(1.0, upper)
     report.results.update(lhs=float(lhs), lower=lower, upper=upper, gap=upper - lower,
-                          upper_method=bounds.upper_method, degree_used=m,
+                          lower_method=bounds.lower_method, upper_method=bounds.upper_method,
+                          degree_used=m,
                           stabilized=upper - lower <= STABILIZED_GAP * max(1.0, upper))
     report.violation = bool(violated)
     if violated:
@@ -542,10 +547,8 @@ def _ideal_compressions(model, problem, params, report):
 def _ideal_check(model, problem, params, report):
     f = _scalar_polynomial(problem)
     T = _row_contraction(problem)
-    lhs, rhs = ideals.constrained_von_neumann_check(
-        T, f, model.spec, model=model, gen_tol=params["tol"])
-    range_residual, covariance_residual = ideals.quotient_poisson_check(
-        T, model.spec, params["degree"], model=model, gen_tol=params["tol"])
+    lhs, rhs, range_residual, covariance_residual = ideals.quotient_checks(
+        T, f, model.spec, params["degree"], model=model, gen_tol=params["tol"])
     violated = lhs > rhs + CONVERGENCE_SLACK
     report.results.update(lhs=lhs, rhs=rhs, range_residual=range_residual,
                           covariance_residual=covariance_residual,
@@ -597,12 +600,16 @@ def dispatch(command, problem: ProblemFile, flags) -> Report:
     """Run a (kind, action) command against a parsed problem.
 
     Each parameter of the kind is its flag (decoded like the file field),
-    else the file's value, else the kind's default.
+    else the file's value, else the kind's default.  A flag that is not a
+    parameter of the kind is an input error.
     """
     group, action = command
     if problem.kind != group:
         raise SchemaError("kind", f"kind '{problem.kind}' does not match command '{group}'")
     kind = KINDS[group]
+    for name in _FLAGS:
+        if name not in kind.parameters and getattr(flags, name) is not None:
+            raise SchemaError(f"--{name}", f"not used by kind '{group}'")
     params = {}
     for name in kind.parameters:
         flag = getattr(flags, name)
@@ -627,9 +634,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if None not in kind.actions:
             g.add_argument("action", choices=list(kind.actions))
         g.add_argument("problem", help="path to a JSON problem file")
-        g.add_argument("--degree", type=int, default=None, help="truncation degree m")
-        g.add_argument("--tol", type=float, default=None, help="tolerance (default 1e-10)")
-        g.add_argument("--kmax", type=int, default=None, help="decay-sequence length")
+        for name, (convert, text) in _FLAGS.items():
+            g.add_argument(f"--{name}", type=convert, default=None, help=text)
         g.add_argument("--json", action="store_true", help="emit a JSON report")
         g.add_argument("--out", default=None, help="write the report to a file")
     return parser

@@ -9,8 +9,10 @@ grade k sits at offset D(n, k-1) with D(n, m) = 1 + n + ... + n^m.
 
 Multiplication matrices are always built into the full target grade
 m + deg(p); compressing back to P_m is an explicit, separate step
-(``truncated_mult_matrix``).  Norm bounds form neither: they work from the
-coefficients of L_p* L_p (``sup_norm_bounds``).
+(``truncated_mult_matrix``).  Norm bounds form neither: both sides of the
+bracket come from one Fejer-Riesz Gram solve over the coefficients of
+L_p* L_p, its primal point certifying the upper bound and its dual point
+the lower one (``sup_norm_bounds``).
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from .numerics import operator_norm
 MAX_BASIS_SIZE = 10 ** 6       # cap on D(n, m); keeps everything desk-scale
 MAX_DENSE_ENTRIES = 2 ** 26    # cap on dense matrix allocations
 COEFF_CHOP = 1e-15             # coefficients below this are dropped after arithmetic
-DENSE_EIG_MAX = 256            # P_m compressions up to this size are diagonalized densely
 FEJER_RIESZ_MAX_PAIRS = 1024   # cap on the prefix pairs of the Fejer-Riesz Gram solve
 FR_MAX_ITER = 60               # interior-point iterations of the Gram solve
 FR_GAP_TOL = 1e-10             # stop once tr(XS) <= this * (1 + tr X) ...
 FR_STALL_TOL = 1e-8            # ... or once it stops halving below this
 CIRCLE_NEWTON_STEPS = 8        # Newton steps from each maximum of the n = 1 FFT grid
-LANCZOS_TOL = 1e-10            # relative residual of the Ritz pair that gives lower
+LANCZOS_TOL = 1e-10            # relative residual of the Ritz pair of the truncated fallback
 
 
 def basis_size(n: int, m: int) -> int:
@@ -487,15 +488,19 @@ class NormBounds(tuple):
 
     upper_method names the source of upper: "fejer_riesz" when the Gram
     certificate beat the sum of the grade norms, "grade_norms" otherwise.
+    lower_method names the source of lower: "fejer_riesz_dual" (the dual
+    point of the Gram solve), "circle" (n = 1), "truncated" (the norm on
+    P_m, above the pair cap of the solve) or "grade_norms" (homogeneous p).
     """
 
-    def __new__(cls, lower, upper, upper_method: str):
+    def __new__(cls, lower, upper, upper_method: str, lower_method: str):
         self = super().__new__(cls, (float(lower), float(upper)))
         self.upper_method = upper_method
+        self.lower_method = lower_method
         return self
 
     def __getnewargs__(self):
-        return (*self, self.upper_method)
+        return (*self, self.upper_method, self.lower_method)
 
 
 def _symbol(p: NcPolynomial) -> list:
@@ -531,29 +536,21 @@ def _compressed_square(r: list, wi: WordIndex, x: np.ndarray) -> np.ndarray:
 
 
 def _truncated_norm(r: list, n: int, m: int) -> float:
-    """||L_p restricted to P_m||, the root of the top eigenvalue of P_m L_p* L_p P_m."""
-    import scipy.linalg
+    """||L_p restricted to P_m||, the root of the top eigenvalue of
+    P_m L_p* L_p P_m, by Lanczos on the symbol.  A Ritz value never exceeds
+    the top eigenvalue, so the result is a lower bound at any convergence."""
+    if m == 0:
+        return float(np.sqrt(r[0][0].real))   # L_p maps the empty word to p
     import scipy.sparse.linalg
 
     wi = WordIndex(n, m)
-    if n == 1:
-        # Hermitian Toeplitz with bandwidth deg p, in LAPACK's lower band storage
-        band = np.zeros((min(len(r), m + 1), m + 1), dtype=complex)
-        for g in range(band.shape[0]):
-            band[g, :m + 1 - g] = r[g][0]
-        top = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,
-                                      select="i", select_range=(m, m))[0]
-    elif wi.dim <= DENSE_EIG_MAX:
-        h = _compressed_square(r, wi, np.eye(wi.dim, dtype=complex))
-        top = scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=[wi.dim - 1] * 2)[0]
-    else:
-        op = scipy.sparse.linalg.LinearOperator(
-            (wi.dim, wi.dim), dtype=complex,
-            matvec=lambda v: _compressed_square(r, wi, v.reshape(-1, 1)).ravel())
-        # a fixed generic start keeps runs deterministic without sharing a symmetry of p
-        v0 = np.random.default_rng(0).standard_normal(wi.dim).astype(complex)
-        top = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, tol=LANCZOS_TOL,
-                                        return_eigenvectors=False)[0]
+    op = scipy.sparse.linalg.LinearOperator(
+        (wi.dim, wi.dim), dtype=complex,
+        matvec=lambda v: _compressed_square(r, wi, v.reshape(-1, 1)).ravel())
+    # a fixed generic start keeps runs deterministic without sharing a symmetry of p
+    v0 = np.random.default_rng(0).standard_normal(wi.dim).astype(complex)
+    top = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, tol=LANCZOS_TOL,
+                                    return_eigenvectors=False)[0]
     return float(np.sqrt(max(float(np.real(top)), 0.0)))
 
 
@@ -580,10 +577,12 @@ def _circle_max(p: NcPolynomial) -> float:
 
 
 def _prefix_pairs(n: int, d: int):
-    """Index arrays (src, dst, starts) over the splittings beta = alpha gamma,
-    |beta| <= d, gamma nonempty: src indexes alpha and dst beta among the
-    words of length <= d, sorted by gamma; starts[j] is the first pair of
-    the j-th nonempty gamma in grade order.  There are sum_beta |beta| pairs.
+    """Index arrays (src, dst, con, starts) over the splittings
+    beta = alpha gamma, |beta| <= d, gamma nonempty: src indexes alpha and
+    dst beta among the words of length <= d, sorted by gamma; con[k] is the
+    index of the gamma of pair k among the nonempty words in grade order,
+    and starts[j] is the first pair of the j-th one.  There are
+    sum_beta |beta| pairs.
     """
     wi = WordIndex(n, d)
     src, dst, con = [], [], []
@@ -595,25 +594,37 @@ def _prefix_pairs(n: int, d: int):
     src, dst, con = (np.concatenate(v) for v in (src, dst, con))
     order = np.argsort(con, kind="stable")
     starts = np.flatnonzero(np.diff(con[order], prepend=-1))
-    return src[order], dst[order], starts
+    return src[order], dst[order], con[order], starts
 
 
-def _fejer_riesz_gram(r: list, n: int, d: int) -> np.ndarray:
-    """Approximate minimizer of tr Q subject to sum_alpha Q[alpha, alpha gamma]
-    = -r_gamma for every nonempty gamma and Q >= 0 (Q indexed by the words
-    of length <= d), for a symbol scaled to r_() = 1.
+def _dual_matrix(y, src, dst, con, size: int) -> np.ndarray:
+    """M(y) = sum_gamma conj(y_gamma) E_gamma + y_gamma E_gamma*, with
+    tr(X M(y)) = 2 Re <y, A(X)>.  Every entry is one y_gamma or its
+    conjugate, placed off the diagonal, so I - M(y) is formed exactly."""
+    out = np.zeros((size, size), dtype=complex)
+    out[src, dst] = y[con]
+    out[dst, src] = y[con].conj()
+    return out
+
+
+def _fejer_riesz_gram(r: list, n: int, d: int):
+    """Approximate primal-dual solution (Q, y) of min tr Q subject to
+    sum_alpha Q[alpha, alpha gamma] = -r_gamma for every nonempty gamma and
+    Q >= 0 (Q indexed by the words of length <= d), for a symbol scaled to
+    r_() = 1, and of its dual: max -2 Re <y, r> subject to I - M(y) >= 0.
 
     A primal-dual interior-point method: HKM direction with Mehrotra's
     predictor-corrector, the dual slack S = I - M(y) kept exactly feasible.
     The Schur complement of the Newton system is gathered from X and S^-1
-    over the prefix pairs; no constraint matrix is formed.  The iterate stays
-    positive definite and is returned when the duality gap stops falling.
+    over the prefix pairs; no constraint matrix is formed.  The iterates stay
+    positive definite and are returned when the duality gap stops falling;
+    y (one entry per nonempty gamma, in grade order) is the last point
+    whose S had a Cholesky factor.
     """
     import scipy.linalg
 
-    src, dst, starts = _prefix_pairs(n, d)
+    src, dst, con, starts = _prefix_pairs(n, d)
     size, pairs, cons = basis_size(n, d), src.size, starts.size
-    con = np.repeat(np.arange(cons), np.diff(np.append(starts, pairs)))
     both = np.concatenate([src, dst])
     b = -np.concatenate(r[1:])
     eye = np.eye(size, dtype=complex)
@@ -622,14 +633,6 @@ def _fejer_riesz_gram(r: list, n: int, d: int) -> np.ndarray:
         """(A(Y) + A(Y*)) / 2 with A(Y)_gamma = sum_alpha Y[alpha, alpha gamma]."""
         return (np.add.reduceat(y[src, dst], starts)
                 + np.add.reduceat(y[dst, src].conj(), starts)) / 2
-
-    def dual(y):
-        """M(y) = sum_gamma conj(y_gamma) E_gamma + y_gamma E_gamma*, with
-        tr(X M(y)) = 2 Re <y, A(X)>."""
-        out = np.zeros((size, size), dtype=complex)
-        out[src, dst] = y[con]
-        out[dst, src] = y[con].conj()
-        return out
 
     def quadrants(z):
         """z at the (src, src), (src, dst), (dst, src) and (dst, dst) index pairs."""
@@ -672,7 +675,7 @@ def _fejer_riesz_gram(r: list, n: int, d: int) -> np.ndarray:
         def newton(rhs, target, second):
             sol = scipy.linalg.lu_solve(schur, np.concatenate([rhs.real, rhs.imag]))
             dy = sol[:cons] + 1j * sol[cons:]
-            md = dual(dy)
+            md = _dual_matrix(dy, src, dst, con, size)
             dx = target * w - x + (x @ md - second) @ w
             return (dx + dx.conj().T) / 2, dy, -md
 
@@ -689,20 +692,21 @@ def _fejer_riesz_gram(r: list, n: int, d: int) -> np.ndarray:
         ts = min(1.0, fraction * max_step(inv_s, ds))
         tx_last, ts_last = tx, ts
         x_new, y_new = x + tx * dx, y + ts * dy
-        s_new = eye - dual(y_new)
+        s_new = eye - _dual_matrix(y_new, src, dst, con, size)
         try:
             chol_x, chol_s = np.linalg.cholesky(x_new), np.linalg.cholesky(s_new)
         except np.linalg.LinAlgError:
             break
         x, y, s = x_new, y_new, s_new
-    return x
+    return x, y
 
 
-def _fejer_riesz_bound(p: NcPolynomial, q: np.ndarray) -> float:
-    """Certified upper bound for ||L_p|| from any Hermitian q indexed by the
-    words of length <= deg p.
+def _fejer_riesz_bounds(p: NcPolynomial, q: np.ndarray, y: np.ndarray):
+    """Certified (lower, upper) for ||L_p|| from any Hermitian q indexed by
+    the words of length <= deg p and any dual point y, one entry per
+    nonempty gamma in grade order.
 
-    With F the eigenvectors of q scaled by the roots of its clipped
+    upper: with F the eigenvectors of q scaled by the roots of its clipped
     eigenvalues, Q+ = F F* is positive semidefinite, so the hereditary square
     sum Q+[alpha, beta] L_alpha* L_beta is >= 0, and with the residuals
     e_gamma = r_gamma + sum_alpha Q+[alpha, alpha gamma]:
@@ -710,63 +714,83 @@ def _fejer_riesz_bound(p: NcPolynomial, q: np.ndarray) -> float:
     8 eps (D^2 + P) (tr Q+ + ||c||_1^2), with eps the unit roundoff, D the
     size of q and P the number of prefix pairs, covers the rounding in
     forming F F*, r and the sums; a final factor 1 + 4 eps covers the root.
+
+    lower: by McCullough's theorem the least trace of a PSD Gram matrix is
+    t* = ||L_p||^2 - r_(), attained by some Q*.  With S = I - M(y) and
+    delta = max(0, -lambda_min(S)), weak duality gives
+    t* + 2 Re <y, r> = tr(Q* S) >= -delta t*, and t* <= upper^2 - r_(), so
+    ||L_p||^2 >= r_() - 2 Re <y, r> - delta (upper^2 - r_()) for every y.
+    S is formed exactly.  The slack 16 eps D (||S||_F (upper^2 - r_())
+    + (1 + ||y||_1) r_()) covers eigh's error in lambda_min(S), which LAPACK
+    bounds by a small multiple of eps ||S||, and the rounding in r_(), in
+    each r_gamma (at most D eps r_() by Cauchy-Schwarz) and in the sums; a
+    factor 1 - 4 eps covers the root.
     """
     import scipy.linalg
 
     n, d = p.n, int(p.degree)
     r = _symbol(p)
-    src, dst, starts = _prefix_pairs(n, d)
+    r0, symbol = r[0][0].real, np.concatenate(r[1:])
+    src, dst, con, starts = _prefix_pairs(n, d)
+    size, eps = q.shape[0], np.finfo(float).eps
     vals, vecs = scipy.linalg.eigh(q)
     f = vecs * np.sqrt(np.clip(vals, 0.0, None))
     q_plus = f @ f.conj().T
     trace = float(np.vdot(f, f).real)
-    residual = np.concatenate(r[1:]) + np.add.reduceat(q_plus[src, dst], starts)
-    eps = np.finfo(float).eps
+    residual = symbol + np.add.reduceat(q_plus[src, dst], starts)
     l1 = float(sum(abs(c) for c in p.terms.values()))
-    slack = 8 * eps * (q.shape[0] ** 2 + src.size) * (trace + l1 * l1)
-    square = r[0][0].real + trace + 2 * float(np.abs(residual).sum()) + slack
-    return float(np.sqrt(square)) * (1 + 4 * eps)
+    slack = 8 * eps * (size ** 2 + src.size) * (trace + l1 * l1)
+    square = r0 + trace + 2 * float(np.abs(residual).sum()) + slack
+    upper = float(np.sqrt(square)) * (1 + 4 * eps)
+
+    s = np.eye(size) - _dual_matrix(y, src, dst, con, size)
+    delta = max(0.0, -float(scipy.linalg.eigh(s, eigvals_only=True, subset_by_index=[0, 0])[0]))
+    excess = max(0.0, upper * upper - r0)
+    slack = 16 * eps * size * (float(np.linalg.norm(s)) * excess
+                               + (1 + float(np.abs(y).sum())) * r0)
+    square = r0 - 2 * float(np.vdot(y, symbol).real) - delta * excess - slack
+    lower = float(np.sqrt(max(square, 0.0))) * (1 - 4 * eps)
+    return lower, upper
 
 
 def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     """Certified (lower, upper) bounds for the multiplier sup-norm ||L_p||.
 
-    lower is the exact norm of L_p restricted to P_m: the root of the top
-    eigenvalue of P_m L_p* L_p P_m = sum_gamma r_gamma L_gamma + h.c. (see
-    _symbol), applied grade block by grade block.  It is nondecreasing in m.
-    For n = 1 that operator is a banded Toeplitz matrix, and lower is raised
-    to max |p| on the unit circle, which for n = 1 is the multiplier norm.
+    By McCullough's noncommutative Fejer-Riesz theorem, c^2 I - L_p* L_p >= 0
+    exactly when it is a hereditary square with a PSD Gram matrix Q indexed
+    by the words of length <= deg p, so the least tr Q is ||L_p||^2 - r_()
+    (see _symbol).  One interior-point solve of that semidefinite program
+    gives both sides, upper from its Gram matrix and lower from its dual
+    point by weak duality, each with a stated rounding slack and valid
+    whether or not the solve converged (_fejer_riesz_bounds).  upper is the
+    smaller of this bound and the sum of the grade norms.
 
-    upper is the smaller of the sum of the grade norms and the Fejer-Riesz
-    bound.  By McCullough's noncommutative Fejer-Riesz theorem,
-    c^2 I - L_p* L_p >= 0 exactly when it is a hereditary square with a PSD
-    Gram matrix Q indexed by the words of length <= deg p, so the least
-    tr Q is ||L_p||^2 - r_().  An approximate minimizer certifies
-    ||L_p||^2 <= r_() + tr Q+ + 2 sum |residual| plus a stated rounding
-    slack (_fejer_riesz_bound); that step needs only that a hereditary
-    square is >= 0.  The Gram solve is skipped when p has more than
-    FEJER_RIESZ_MAX_PAIRS prefix pairs; upper_method on the result says
-    which bound won.
-
-    For homogeneous p, L_p is ||p||_2 times an isometry, so lower = upper =
-    ||p||_2 for every m, and no solve is made.
+    For n = 1, lower is max |p| on the unit circle, which there is the
+    multiplier norm (capped at upper, since evaluation can round above it).
+    For n >= 2 above FEJER_RIESZ_MAX_PAIRS prefix pairs the solve is
+    skipped: upper is the grade-norm sum and lower the norm of L_p on P_m
+    (Lanczos on the symbol), the only place m enters.  For homogeneous p,
+    L_p is ||p||_2 times an isometry, so lower = upper = ||p||_2 and no solve
+    is made.  upper_method and lower_method on the result say which bounds
+    were used.
     """
     if p.is_zero:
-        return NormBounds(0.0, 0.0, "grade_norms")
+        return NormBounds(0.0, 0.0, "grade_norms", "grade_norms")
     grade_sum = float(sum(p.grade_norms()))
     if p.is_homogeneous:
-        return NormBounds(grade_sum, grade_sum, "grade_norms")
+        return NormBounds(grade_sum, grade_sum, "grade_norms", "grade_norms")
     n, d = p.n, int(p.degree)
     r = _symbol(p)
-    lower = _truncated_norm(r, n, m)
-    upper, method = grade_sum, "grade_norms"
+    upper, upper_method = grade_sum, "grade_norms"
+    lower = None
     if sum(b * n ** b for b in range(1, d + 1)) <= FEJER_RIESZ_MAX_PAIRS:
         scale = r[0][0].real
-        gram = _fejer_riesz_gram([rg / scale for rg in r], n, d)
-        bound = _fejer_riesz_bound(p, scale * gram)
+        gram, dual = _fejer_riesz_gram([rg / scale for rg in r], n, d)
+        lower, bound = _fejer_riesz_bounds(p, scale * gram, dual)
         if bound < upper:
-            upper, method = bound, "fejer_riesz"
+            upper, upper_method = bound, "fejer_riesz"
     if n == 1:
-        # evaluation can round above the true maximum; upper is certified
-        lower = max(lower, min(_circle_max(p), upper))
-    return NormBounds(lower, upper, method)
+        return NormBounds(min(_circle_max(p), upper), upper, upper_method, "circle")
+    if lower is None:
+        return NormBounds(_truncated_norm(r, n, m), upper, upper_method, "truncated")
+    return NormBounds(lower, upper, upper_method, "fejer_riesz_dual")

@@ -342,7 +342,8 @@ def caratheodory_distance(p: NcPolynomial, m0: int) -> float:
     return operator_norm(truncated_mult_matrix(p, m0))
 
 
-def _require_annihilates(T: RowContraction, spec: IdealSpec, tol: float):
+def _require_admissible(T: RowContraction, spec: IdealSpec, tol: float, kmax: int):
+    """Require a tuple that annihilates every generator and is certified pure."""
     offenders = []
     for idx, g in enumerate(spec.generators):
         norm = operator_norm(T.evaluate_polynomial(g))
@@ -351,12 +352,15 @@ def _require_annihilates(T: RowContraction, spec: IdealSpec, tol: float):
     if offenders:
         raise DomainError(
             "tuple does not annihilate the ideal generators: " + "; ".join(offenders))
-
-
-def _require_pure(T: RowContraction, kmax: int):
     if not is_c0_certified(T, kmax):
         raise DomainError(
             f"tuple is not certified pure: sigma_{kmax} has not decayed below 1")
+
+
+def _von_neumann_sides(T, f, spec, model):
+    lhs = operator_norm(T.evaluate_polynomial(f))
+    rhs = quotient_distance(f, spec, model=model)
+    return (float(lhs), float(rhs))
 
 
 def constrained_von_neumann_check(T: RowContraction, f: NcPolynomial, spec: IdealSpec,
@@ -369,26 +373,11 @@ def constrained_von_neumann_check(T: RowContraction, f: NcPolynomial, spec: Idea
     inequality lhs <= rhs is asserted by callers only once rhs has
     stabilized, and with an explicit convergence slack.
     """
-    _require_annihilates(T, spec, gen_tol)
-    _require_pure(T, c0_kmax)
-    lhs = operator_norm(T.evaluate_polynomial(f))
-    rhs = quotient_distance(f, spec, model=model)
-    return (float(lhs), float(rhs))
+    _require_admissible(T, spec, gen_tol, c0_kmax)
+    return _von_neumann_sides(T, f, spec, model)
 
 
-def quotient_poisson_check(T: RowContraction, spec: IdealSpec, m: int,
-                           *, model: QuotientModel = None, gen_tol: float = 1e-10,
-                           c0_kmax: int = 30, word_degree: int = 2):
-    """(range_residual, covariance_residual) for the kernel against the model.
-
-    range_residual measures how far the kernel columns stick out of
-    N tensor C^d; covariance_residual is the worst defect of
-    K* (B_alpha B_beta* tensor I) K against T_alpha T_beta* over words of
-    length up to word_degree.  Both vanish with the truncation tail for pure
-    tuples.
-    """
-    _require_annihilates(T, spec, gen_tol)
-    _require_pure(T, c0_kmax)
+def _poisson_residuals(T, spec, m, model, word_degree):
     if model is None:
         model = build_quotient(spec.at_degree(m))
     kb = poisson_kernel(T, m).blocks
@@ -407,3 +396,29 @@ def quotient_poisson_check(T: RowContraction, spec: IdealSpec, m: int,
                - np.einsum("aij,bkj->abik", Tw, Tw.conj()))
     worst = np.linalg.norm(defects.reshape(-1, T.d, T.d), 2, axis=(1, 2)).max()
     return (float(range_residual), float(worst))
+
+
+def quotient_poisson_check(T: RowContraction, spec: IdealSpec, m: int,
+                           *, model: QuotientModel = None, gen_tol: float = 1e-10,
+                           c0_kmax: int = 30, word_degree: int = 2):
+    """(range_residual, covariance_residual) for the kernel against the model.
+
+    range_residual measures how far the kernel columns stick out of
+    N tensor C^d; covariance_residual is the worst defect of
+    K* (B_alpha B_beta* tensor I) K against T_alpha T_beta* over words of
+    length up to word_degree.  Both vanish with the truncation tail for pure
+    tuples.
+    """
+    _require_admissible(T, spec, gen_tol, c0_kmax)
+    return _poisson_residuals(T, spec, m, model, word_degree)
+
+
+def quotient_checks(T: RowContraction, f: NcPolynomial, spec: IdealSpec, m: int,
+                    *, model: QuotientModel = None, gen_tol: float = 1e-10,
+                    c0_kmax: int = 30):
+    """(lhs, rhs, range_residual, covariance_residual): the results of
+    constrained_von_neumann_check and quotient_poisson_check (word degree 2)
+    for one tuple, which is checked once."""
+    _require_admissible(T, spec, gen_tol, c0_kmax)
+    return (*_von_neumann_sides(T, f, spec, model),
+            *_poisson_residuals(T, spec, m, model, 2))

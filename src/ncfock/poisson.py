@@ -21,6 +21,11 @@ from .freealg import (MAX_BASIS_SIZE, BallPoint, NcPolynomial, WordIndex,
 from .numerics import DEFAULT_TOL, hermitian_sqrt, operator_norm
 
 CONTRACTION_CLAMP = 1e-10
+# c0_sequence work per step, in units of d^3 multiply-adds: on a 2-vCPU host a
+# step at d = 1 takes about 20 us and a unit 2.5-5 ns, so the costliest
+# admitted call takes about 1 s (at most 2.1 s measured over n <= 3, d <= 256)
+C0_STEP_OVERHEAD = 2 ** 13
+C0_MAX_WORK = 2 ** 28
 
 
 class RowContraction:
@@ -80,7 +85,8 @@ class RowContraction:
 
     def cp_map(self, x: np.ndarray) -> np.ndarray:
         """The completely positive map Phi(X) = sum_i T_i X T_i*."""
-        return np.einsum("iab,bc,idc->ad", self.matrices, x, self.matrices.conj())
+        # two contractions of n d^3 each: one three-operand einsum would loop over n d^4
+        return np.einsum("iac,idc->ad", self.matrices @ x, self.matrices.conj())
 
     def evaluate_polynomial(self, p: NcPolynomial) -> np.ndarray:
         """p(T), the target-algebra value sum_alpha coeff(alpha) T_alpha."""
@@ -118,15 +124,16 @@ def c0_sequence(T: RowContraction, kmax: int) -> list:
     """sigma_k = ||Phi^k(I)|| for k = 0..kmax, by iterating the CP map.
 
     The sequence is nonincreasing; vanishing in the limit is the pure decay
-    condition that makes kernel truncations certifiable.  Cost is
-    O(kmax n d^3), no word enumeration.  kmax d is capped at MAX_BASIS_SIZE,
-    the row cap of the kernels these sequences certify.
+    condition that makes kernel truncations certifiable.  Each step costs a
+    fixed C0_STEP_OVERHEAD plus (n + 1) d^3 (the map and the norm), no word
+    enumeration; kmax such steps are capped at C0_MAX_WORK.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    if kmax * T.d > MAX_BASIS_SIZE:
+    if kmax * (C0_STEP_OVERHEAD + (T.n + 1) * T.d ** 3) > C0_MAX_WORK:
         raise ResourceCapError(
-            f"decay sequence of {kmax} steps on d = {T.d} exceeds the cap {MAX_BASIS_SIZE}")
+            f"decay sequence of {kmax} steps on n = {T.n}, d = {T.d} exceeds the work "
+            f"cap {C0_MAX_WORK}")
     x = np.eye(T.d, dtype=complex)
     out = [operator_norm(x)]
     for _ in range(kmax):

@@ -273,9 +273,11 @@ def test_poisson_vonneumann_reports_the_certified_bracket(tmp_path, capsys, n, f
     assert res["lhs"] <= res["upper"]
     assert res["gap"] == pytest.approx(res["upper"] - res["lower"], abs=1e-15)
     assert res["upper_method"] == "fejer_riesz"
+    assert res["lower_method"] == ("circle" if n == 1 else "fejer_riesz_dual")
     assert res["stabilized"] == (res["gap"] <= 1e-6 * max(1.0, res["upper"]))
-    # one generator: the bracket closes on max |p| over the circle
-    assert res["stabilized"] == (n == 1)
+    # the Gram solve's dual point (or, for one generator, max |p| over the
+    # circle) closes the bracket
+    assert res["stabilized"]
 
 
 def test_poisson_covariance_builds_one_kernel(tmp_path, capsys, monkeypatch):
@@ -323,13 +325,19 @@ def test_ideal_compressions(tmp_path, capsys):
     assert payload["results"]["relation_residual"] < 1e-10
 
 
-def test_ideal_check(tmp_path, capsys):
+def test_ideal_check(tmp_path, capsys, monkeypatch):
+    from ncfock import poisson
+    sequences = []
+    c0_sequence = poisson.c0_sequence
+    monkeypatch.setattr(poisson, "c0_sequence", lambda *a: sequences.append(a) or c0_sequence(*a))
     doc = {"kind": "ideal", "n": 2, "lambda_q": 1.0, "degree": 6,
            "points": [[[0.3, 0.0], [0.1, 0.0]], [[-0.2, 0.0], [0.3, 0.0]]],
            "polynomial": [{"word": [], "coeff": [0.5, 0.0]},
                           {"word": [1], "coeff": [1.0, 0.0]}]}
     path = _write(tmp_path, "p.json", doc)
     assert cli.main(["ideal", "check", path, "--json"]) == 0
+    # the tuple is admitted (annihilation and purity) once for both checks
+    assert len(sequences) == 1
     payload = json.loads(capsys.readouterr().out)
     res = payload["results"]
     assert res["lhs"] <= res["rhs"] + res["convergence_slack"]
@@ -365,6 +373,8 @@ def test_ideal_compression_cap_exit_code(tmp_path, capsys):
      {"kind": "ideal", "n": 2, "lambda_q": 1.0}),
     (["poisson", "c0"],
      {"kind": "poisson", "n": 1, "kmax": 10 ** 12, "points": [[[0.5, 0.0]]]}),
+    (["poisson", "c0"],
+     {"kind": "poisson", "n": 1, "kmax": 10 ** 6, "points": [[[0.5, 0.0]]]}),
 ])
 def test_huge_degree_or_kmax_fails_fast(tmp_path, capsys, argv, doc):
     path = _write(tmp_path, "p.json", doc)
@@ -465,8 +475,8 @@ REPORT_CONTRACT = {
         0, ["n", "d", "rows", "cols", "tail", "certified", "identity_residual"]),
     ("poisson_contraction.json", "poisson c0"): (0, ["n", "d", "sigma", "certified_c0"]),
     ("poisson_contraction.json", "poisson vonneumann"): (
-        0, ["n", "d", "lhs", "lower", "upper", "gap", "upper_method", "degree_used",
-            "stabilized"]),
+        0, ["n", "d", "lhs", "lower", "upper", "gap", "lower_method", "upper_method",
+            "degree_used", "stabilized"]),
     ("poisson_contraction.json", "poisson covariance"): (
         0, ["n", "d", "max_residual", "argmax_alpha", "argmax_beta",
             "identity_word_residual", "sigma_tail"]),
@@ -520,7 +530,10 @@ def test_report_contract(name, command, capsys):
     (["poisson", "kernel", "poisson_contraction.json", "--degree", "-1"], "--degree"),
     (["poisson", "c0", "poisson_contraction.json", "--kmax", "-1"], "--kmax"),
     (["caratheodory", "caratheodory_shift.json", "--degree", "-1"], "--degree"),
-], ids=["tol-negative", "tol-nan", "degree-negative", "kmax-negative", "carath-degree"])
+    (["pick", "check", "pick_schwarz.json", "--degree", "-1"], "--degree"),
+    (["caratheodory", "caratheodory_shift.json", "--kmax", "-5"], "--kmax"),
+], ids=["tol-negative", "tol-nan", "degree-negative", "kmax-negative", "carath-degree",
+        "pick-unused-degree", "carath-unused-kmax"])
 def test_flags_are_decoded_like_file_fields(capsys, argv, flag):
     argv = [str(PROBLEMS / a) if a.endswith(".json") else a for a in argv]
     assert cli.main(argv) == 2

@@ -325,12 +325,15 @@ def _fine_circle_sup(p):
 
 def test_norm_bracket_orders_and_bounds_the_von_neumann_side():
     rng = np.random.default_rng(401)
-    for trial in range(36):
+    for trial in range(63):
         n, degree = 1 + trial % 3, 1 + (trial // 3) % 3
         p = _norm_test_polynomial(rng, n, degree, dense=trial % 2 == 0)
-        lower, upper = sup_norm_bounds(p, {1: 20, 2: 6, 3: 4}[n])
+        m = {1: 20, 2: 6, 3: 4}[n]
+        lower, upper = sup_norm_bounds(p, m)
         assert lower <= upper
         assert upper <= sum(p.grade_norms()) * (1 + 1e-15)
+        assert upper - lower <= 1e-8 * max(1.0, upper)
+        assert lower >= np.linalg.norm(mult_matrix(p, m), 2) * (1 - 1e-12)
         for _ in range(3):
             t = random_row_contraction(rng, n, int(rng.integers(1, 5)),
                                        rho=float(rng.uniform(0.5, 1.0)))
@@ -348,22 +351,39 @@ def test_line_bracket_contains_the_circle_sup_and_is_tight():
         assert upper - lower <= 1e-8 * max(1.0, upper)
 
 
-@pytest.mark.parametrize("dense_max", [freealg.DENSE_EIG_MAX, 0])
-def test_lower_bound_is_the_truncated_multiplier_norm(monkeypatch, dense_max):
-    # dense_max = 0 sends every n >= 2 compression through the Lanczos solver
-    monkeypatch.setattr(freealg, "DENSE_EIG_MAX", dense_max)
+def test_lower_bound_is_the_truncated_multiplier_norm():
+    # the dual bound of the Gram solve (n >= 2) and the circle sup (n = 1)
+    # are within rounding of ||L_p||, so at least the norm of L_p on any P_m
     rng = np.random.default_rng(403)
     for trial in range(18):
         n, degree = 1 + trial % 3, 1 + (trial // 3) % 3
         p = _norm_test_polynomial(rng, n, degree, dense=trial % 2 == 0)
         m = {1: 9, 2: 5, 3: 3}[n]
         oracle = np.linalg.norm(mult_matrix(p, m), 2)
-        if n == 1:
-            # sup_norm_bounds raises the n = 1 lower bound to the circle sup
-            lower = freealg._truncated_norm(freealg._symbol(p), 1, m)
-        else:
-            lower, _ = sup_norm_bounds(p, m)
-        assert abs(lower - oracle) <= 1e-12 * oracle
+        lower, _ = sup_norm_bounds(p, m)
+        assert lower >= oracle * (1 - 1e-12)
+
+
+def test_truncated_fallback_is_the_multiplier_norm_on_p_m(monkeypatch):
+    # above the pair cap the n >= 2 lower bound is Lanczos on P_m, at
+    # D(n, m) <= 256 (once diagonalized densely) and above (D(2, 8) = 511)
+    monkeypatch.setattr(freealg, "FEJER_RIESZ_MAX_PAIRS", 0)
+    rng = np.random.default_rng(406)
+    for n, m in [(2, 0), (2, 1), (2, 5), (3, 3), (2, 8)]:
+        for dense in (True, False):
+            p = _norm_test_polynomial(rng, n, 3, dense)
+            bounds = sup_norm_bounds(p, m)
+            assert bounds.lower_method == "truncated"
+            oracle = np.linalg.norm(mult_matrix(p, m), 2)
+            assert abs(bounds[0] - oracle) <= 1e-10 * oracle
+
+
+def _gram_solve(p):
+    """(Q, y) of the Fejer-Riesz solve, Q scaled back to the symbol of p."""
+    r = freealg._symbol(p)
+    scale = r[0][0].real
+    q, y = freealg._fejer_riesz_gram([rg / scale for rg in r], p.n, int(p.degree))
+    return scale * q, y
 
 
 def test_fejer_riesz_bound_holds_for_a_poor_indefinite_gram_matrix():
@@ -371,9 +391,8 @@ def test_fejer_riesz_bound_holds_for_a_poor_indefinite_gram_matrix():
     for trial in range(9):
         n, degree = 1 + trial % 3, 2 + trial % 2
         p = _norm_test_polynomial(rng, n, degree, dense=True)
-        r = freealg._symbol(p)
-        scale = r[0][0].real
-        q = scale * freealg._fejer_riesz_gram([rg / scale for rg in r], n, degree)
+        q, y = _gram_solve(p)
+        scale = freealg._symbol(p)[0][0].real
         # halve the optimal Gram matrix and push it below zero: the trace term
         # alone then falls short of ||L_p||^2, the residual term must make it up
         poor = 0.5 * q - 1e-3 * scale * np.eye(q.shape[0])
@@ -381,19 +400,43 @@ def test_fejer_riesz_bound_holds_for_a_poor_indefinite_gram_matrix():
                       else sup_norm_bounds(p, {2: 9, 3: 6}[n])[0])
         trace_only = np.sqrt(scale + np.clip(np.linalg.eigvalsh(poor), 0, None).sum())
         assert trace_only < true_below
-        assert freealg._fejer_riesz_bound(p, poor) >= true_below
+        assert freealg._fejer_riesz_bounds(p, poor, y)[1] >= true_below
+
+
+def test_fejer_riesz_dual_bound_holds_for_a_poor_dual_point():
+    rng = np.random.default_rng(407)
+    for trial in range(12):
+        n = 1 + trial % 3
+        p = _norm_test_polynomial(rng, n, 1 + trial % 3, dense=trial % 2 == 0)
+        q, y = _gram_solve(p)
+        _, upper = freealg._fejer_riesz_bounds(p, q, y)
+        r = freealg._symbol(p)
+        src, dst, con, _ = freealg._prefix_pairs(n, int(p.degree))
+        for poor in (1.5 * y, 3 * y):
+            # scaled past the optimum, the dual value alone overshoots
+            # ||L_p||^2 and I - M(y) is indefinite: the penalty must undo it
+            value = r[0][0].real - 2 * np.vdot(poor, np.concatenate(r[1:])).real
+            s = np.eye(q.shape[0]) - freealg._dual_matrix(poor, src, dst, con, q.shape[0])
+            assert value > upper ** 2
+            assert np.linalg.eigvalsh(s)[0] < 0
+            assert freealg._fejer_riesz_bounds(p, q, poor)[0] <= upper
 
 
 def test_norm_bounds_name_the_upper_method(monkeypatch):
     rng = np.random.default_rng(405)
     p = _norm_test_polynomial(rng, 2, 2, dense=True)
-    assert sup_norm_bounds(p, 3).upper_method == "fejer_riesz"
+    bounds = sup_norm_bounds(p, 3)
+    assert (bounds.lower_method, bounds.upper_method) == ("fejer_riesz_dual", "fejer_riesz")
+    line = _norm_test_polynomial(rng, 1, 2, dense=True)
+    assert sup_norm_bounds(line, 3).lower_method == "circle"
     homogeneous = random_polynomial(rng, 2, 2, terms=4, homogeneous=True)
-    assert sup_norm_bounds(homogeneous, 3).upper_method == "grade_norms"
+    bounds = sup_norm_bounds(homogeneous, 3)
+    assert (bounds.lower_method, bounds.upper_method) == ("grade_norms", "grade_norms")
     monkeypatch.setattr(freealg, "FEJER_RIESZ_MAX_PAIRS", 0)
     lower, upper = bounds = sup_norm_bounds(p, 3)
-    assert bounds.upper_method == "grade_norms"
+    assert (bounds.lower_method, bounds.upper_method) == ("truncated", "grade_norms")
     assert upper == pytest.approx(sum(p.grade_norms()), rel=1e-15)
+    assert sup_norm_bounds(line, 3).lower_method == "circle"
 
 
 def test_zero_polynomial():
