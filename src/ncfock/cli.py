@@ -281,6 +281,8 @@ def _jsonify(value):
 
 
 def _format_value(value) -> str:
+    if value is None:
+        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -394,7 +396,7 @@ def _ideal_subject(problem, params, report) -> ideals.QuotientModel:
         report.warnings.append("trivial quotient: the padded ideal fills the whole space")
     if model.approximate:
         report.warnings.append(
-            "non-homogeneous generators: the model is a dense approximation only")
+            "non-homogeneous generators: the model is an approximation only")
     return model
 
 
@@ -495,7 +497,7 @@ def _poisson_vonneumann(T, problem, params, report):
     violated = lhs > upper + 1e-12 * max(1.0, upper)
     report.results.update(lhs=float(lhs), lower=lower, upper=upper, gap=upper - lower,
                           lower_method=bounds.lower_method, upper_method=bounds.upper_method,
-                          degree_used=m,
+                          degree_used=m if bounds.lower_method == "truncated" else None,
                           stabilized=upper - lower <= STABILIZED_GAP * max(1.0, upper))
     report.violation = bool(violated)
     if violated:

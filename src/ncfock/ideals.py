@@ -5,9 +5,17 @@ span of all padded products e_alpha (x) g (x) e_beta that fit inside P_m;
 the quotient model lives on the orthogonal complement N, with compressed
 shifts B_i = P_N S_i|_N.  For homogeneous generators the model is exact
 grade by grade and built by a recursion from the generators, whose
-coordinates are the compressions; otherwise it is a dense polynomial
-approximation of the weakly closed ideal and results carry an
-approximation flag.
+coordinates are the compressions.  Otherwise it is a polynomial
+approximation of the weakly closed ideal, and results carry an
+approximation flag.  It is built by a recursion over degrees
+(_degree_recursion): N_k is the null space, over w candidates built from
+N_{k-1}, of stacked shift and generator constraints, found by an economic
+QR, then an SVD of R, with the absolute cut RANK_TOL.  Shifts act as moves
+of word indices, so no D x D matrix is formed.  Before each degree, w must
+stay within GRADE_COORD_CAP and the D(n, k) x w candidates within
+MAX_DENSE_ENTRIES; the n compressions of r x r entries are checked against
+MAX_DENSE_ENTRIES before the recursion, from r >= D minus the number of
+padded products, and again once r is known.
 
 Compressions at the top grade land in truncated territory, so relation and
 semi-invariance statements are only certified on grades up to
@@ -23,7 +31,7 @@ import numpy as np
 from .errors import DomainError, ResourceCapError
 from .freealg import (MAX_DENSE_ENTRIES, NcPolynomial, WordIndex, basis_size,
                       truncated_mult_matrix, word_value)
-from .numerics import operator_norm
+from .numerics import _blas_threads, operator_norm
 from .poisson import RowContraction, is_c0_certified, poisson_kernel
 
 GRADE_COORD_CAP = 4096       # largest single-grade coordinate space we factorize
@@ -93,28 +101,6 @@ def q_commutation_spec(n: int, lam, m: int) -> IdealSpec:
         for i in range(1, j):
             gens.append(NcPolynomial(n, {(j, i): 1.0, (i, j): -table[j, i]}))
     return IdealSpec(n, tuple(gens), m)
-
-
-def _padded_dense_rows(spec: IdealSpec, wi: WordIndex) -> np.ndarray:
-    """Rows spanning the padded ideal inside all of P_m (any generators)."""
-    n = spec.n
-    blocks = []
-    for g in spec.generators:
-        dg = int(g.degree)
-        terms = [(word_value(w, n), len(w), c) for w, c in g.terms.items()]
-        for a in range(spec.m - dg + 1):
-            for b in range(spec.m - dg - a + 1):
-                cnt = n ** (a + b)
-                block = np.zeros((cnt, wi.dim), dtype=complex)
-                r = np.arange(cnt)
-                u, w = r // n ** b, r % n ** b
-                for vg, dgam, c in terms:
-                    cols = wi.grade_start(a + dgam + b) + (u * n ** dgam + vg) * n ** b + w
-                    block[r, cols] += c
-                blocks.append(block)
-    if not blocks:
-        return np.zeros((0, wi.dim), dtype=complex)
-    return np.vstack(blocks)
 
 
 def _split_row_space(rows: np.ndarray, rank_tol: float):
@@ -191,6 +177,126 @@ def _grade_recursion(spec: IdealSpec, rank_tol: float):
     return blocks, coords
 
 
+def _adjoint_shifts(X: np.ndarray, n: int, m: int) -> np.ndarray:
+    """[L_1* X, ..., L_n* X, R_1* X, ..., R_n* X] for columns X in P_m, of shape
+    (2n, D(n, m-1), w): L_i and R_i put the letter i in front of a word and
+    at its end, so their adjoints move grade-(k+1) rows to grade k."""
+    w = X.shape[1]
+    out = np.empty((2 * n, basis_size(n, m - 1), w), dtype=complex)
+    at = 0
+    for k in range(m):
+        size = n ** k
+        block = X[1 + n * at:1 + n * (at + size)]
+        out[:n, at:at + size] = block.reshape(n, size, w)
+        out[n:, at:at + size] = block.reshape(size, n, w).transpose(1, 0, 2)
+        at += size
+    return out
+
+
+def _null_space(A: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal columns spanning {x : A x = 0}, singular values <= tol cut."""
+    w = A.shape[1]
+    if not A.size:
+        return np.eye(w, dtype=complex)
+    if A.shape[0] > w:
+        with _blas_threads(A.shape[0]):
+            A = np.linalg.qr(A, mode="r")
+    with _blas_threads(max(A.shape)):
+        _, s, vh = np.linalg.svd(A)
+    return vh[np.count_nonzero(s > tol):].conj().T
+
+
+def _left_multiply(f: NcPolynomial, X: np.ndarray, wi: WordIndex) -> np.ndarray:
+    """L_f X compressed to P_m: the word alpha moves the grade-k rows of X to
+    the grade-(k + |alpha|) rows that start with alpha."""
+    n, w = wi.n, X.shape[1]
+    out = np.zeros_like(X)
+    for word, c in f.terms.items():
+        size, v = n ** len(word), word_value(word, n)
+        for k in range(wi.m - len(word) + 1):
+            out[wi.grade_slice(k + len(word))].reshape(size, n ** k, w)[v] += \
+                c * X[wi.grade_slice(k)]
+    return out
+
+
+def _padded_count(spec: IdealSpec) -> int:
+    """Number of padded products e_alpha g e_beta inside P_m, at least dim V_m."""
+    n, m = spec.n, spec.m
+    return sum((t + 1) * n ** t for g in spec.generators for t in range(m - int(g.degree) + 1))
+
+
+def _degree_recursion(spec: IdealSpec, rank_tol: float) -> np.ndarray:
+    """Orthonormal basis of the complement N_m of the padded ideal V_m in P_m.
+
+    V_k = V_{k-1} + sum_i (L_i V_{k-1} + R_i V_{k-1}) + the degree-k
+    generators, so N_k holds the v in P_k with P_{k-1} v, L_i* v and R_i* v in
+    N_{k-1} and v orthogonal to those generators (see _next_complement).
+    Below the lowest generator degree nothing is cut: N_k is all of P_k.
+    """
+    n, m = spec.n, spec.m
+    wi = WordIndex(n, m)
+    lowest = min(int(g.degree) for g in spec.generators)
+    N = np.eye(wi.grade_start(lowest), dtype=complex)
+    for k in range(lowest, m + 1):
+        if not N.shape[1]:   # the ideal fills P_m
+            return np.zeros((wi.dim, 0), dtype=complex)
+        # one scope per degree: where D(n, k) is small, its products run on one
+        # thread with its factorizations, and the count is set once
+        with _blas_threads(wi.grade_start(k + 1)):
+            N = _next_complement(spec, wi, N, k, rank_tol)
+    return N
+
+
+def _next_complement(spec: IdealSpec, wi: WordIndex, N: np.ndarray, k: int,
+                     rank_tol: float) -> np.ndarray:
+    """N_k from N = N_{k-1}.
+
+    The grade-k part of v in N_k lies in C^n (x) range(U), U an orthonormal
+    basis of the range of N's grade-(k-1) block, so N_k = Phi x over the
+    w = r + n q orthonormal candidates Phi = [N | I_n (x) U] with
+    (I - N N*) L_i* Phi x = 0, (I - N N*) R_i* Phi x = 0 and g* Phi x = 0 for
+    the unit-normalized degree-k generators g.  Each constraint block maps
+    the orthonormal candidates by a contraction and each generator row is a
+    unit vector, so the null space keeps the singular values above the
+    absolute cut rank_tol.
+    """
+    n = spec.n
+    r, below, dim = N.shape[1], wi.grade_start(k), wi.grade_start(k + 1)
+    top = N[wi.grade_slice(k - 1)]
+    with _blas_threads(max(top.shape)):
+        u, s, _ = np.linalg.svd(top, full_matrices=False)
+    q = np.count_nonzero(s > rank_tol)
+    w = r + n * q
+    if w > GRADE_COORD_CAP:
+        raise ResourceCapError(
+            f"degree-{k} candidate space of size {w} exceeds the cap {GRADE_COORD_CAP}")
+    if dim * w > MAX_DENSE_ENTRIES:
+        raise ResourceCapError(
+            f"degree-{k} candidates of {dim} x {w} entries exceed the cap {MAX_DENSE_ENTRIES}")
+    phi = np.zeros((dim, w), dtype=complex)
+    phi[:below, :r] = N
+    size = len(top)
+    for i in range(n):   # I_n (x) U
+        phi[below + i * size:below + (i + 1) * size, r + i * q:r + (i + 1) * q] = u[:, :q]
+    images = _adjoint_shifts(phi, n, k)
+    if below - r < r:
+        # I - N N* = C C* for an orthonormal basis C of the complement of N in
+        # P_{k-1}; when that is the smaller side, C* gives the same singular
+        # values in fewer rows
+        with _blas_threads(below):
+            C = np.linalg.qr(N, mode="complete")[0][:, r:]
+        images = C.conj().T @ images
+    else:
+        images -= N @ (N.conj().T @ images)
+    rows = [images.reshape(-1, w)]
+    for g in spec.generators:
+        if g.degree == k:
+            scale = np.linalg.norm(list(g.terms.values()))
+            rows.append(sum(np.conj(c) / scale * phi[wi.index(word)]
+                            for word, c in g.terms.items())[None])
+    return phi @ _null_space(np.vstack(rows), rank_tol)
+
+
 def _assemble(wi: WordIndex, blocks) -> np.ndarray:
     total = sum(b.shape[1] for b in blocks)
     out = np.zeros((wi.dim, total), dtype=complex)
@@ -205,7 +311,7 @@ def ideal_subspace(spec: IdealSpec, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the degree-m component of the padded ideal.
 
     For homogeneous generators this is exact grade by grade; otherwise it is
-    the dense polynomial model.
+    the orthogonal complement of the quotient model's N in P_m.
     """
     wi = WordIndex(spec.n, spec.m)
     factored = spec.n ** spec.m if spec.homogeneous else wi.dim
@@ -218,8 +324,7 @@ def ideal_subspace(spec: IdealSpec, rank_tol: float = RANK_TOL) -> np.ndarray:
             _split_row_space(model.n_basis[wi.grade_slice(k), model.grade_positions(k)].T,
                              rank_tol)[1]
             for k in range(spec.m + 1)])
-    ideal, _ = _split_row_space(_padded_dense_rows(spec, wi), rank_tol)
-    return ideal
+    return _split_row_space(build_quotient(spec, rank_tol).n_basis.T, rank_tol)[1]
 
 
 @dataclass
@@ -259,12 +364,19 @@ class QuotientModel:
         return out
 
 
+def _require_compressions_fit(n: int, r: int) -> None:
+    if n * r * r > MAX_DENSE_ENTRIES:
+        raise ResourceCapError(
+            f"compressions of {n} x {r} x {r} entries exceed the cap {MAX_DENSE_ENTRIES}")
+
+
 def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel:
     """Quotient model on N = P_m minus the padded ideal, with B_i = P_N S_i|_N.
 
     Homogeneous generators give grade-exact bases and block-bidiagonal
     compressions; the top grade maps into truncated territory, so relation
-    checks only hold on grades up to reliable_degree.
+    checks only hold on grades up to reliable_degree.  Other generators give
+    the degree recursion's approximate model, with B_i = (L_i* N)* N.
     """
     wi = WordIndex(spec.n, spec.m)
     n, m = spec.n, spec.m
@@ -286,18 +398,14 @@ def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel
         return QuotientModel(spec, _assemble(wi, blocks), B, reliable,
                              grades=np.repeat(np.arange(m + 1), sizes),
                              trivial=(r == 0), approximate=False)
-    if wi.dim > GRADE_COORD_CAP:
-        raise ResourceCapError(
-            f"dense model of size {wi.dim} exceeds the cap {GRADE_COORD_CAP}")
-    _, n_basis = _split_row_space(_padded_dense_rows(spec, wi), rank_tol)
+    # dim N >= D minus the padded products: a model whose compressions cannot
+    # fit fails before the recursion starts
+    _require_compressions_fit(n, max(wi.dim - _padded_count(spec), 0))
+    n_basis = _degree_recursion(spec, rank_tol)
     r = n_basis.shape[1]
-    if n * r * r > MAX_DENSE_ENTRIES:
-        raise ResourceCapError(
-            f"compressions of {n} x {r} x {r} entries exceed the cap {MAX_DENSE_ENTRIES}")
-    B = np.zeros((n, r, r), dtype=complex)
-    for i in range(n):
-        shift = truncated_mult_matrix(NcPolynomial.generator(n, i + 1), m)
-        B[i] = n_basis.conj().T @ shift @ n_basis
+    _require_compressions_fit(n, r)
+    # B_i = N* L_i N = (L_i* N)* P_{m-1} N
+    B = _adjoint_shifts(n_basis, n, m)[:n].conj().transpose(0, 2, 1) @ n_basis[:wi.grade_start(m)]
     return QuotientModel(spec, n_basis, B, reliable, grades=None,
                          trivial=(r == 0), approximate=True)
 
@@ -324,8 +432,8 @@ def quotient_distance(f: NcPolynomial, spec: IdealSpec, *, model: QuotientModel 
         return 0.0
     if not model.approximate:
         return operator_norm(model.evaluate_polynomial(f))
-    mult = truncated_mult_matrix(f, spec.m)
-    return operator_norm(model.n_basis.conj().T @ mult @ model.n_basis)
+    N = model.n_basis
+    return operator_norm(N.conj().T @ _left_multiply(f, N, WordIndex(spec.n, spec.m)))
 
 
 def caratheodory_distance(p: NcPolynomial, m0: int) -> float:

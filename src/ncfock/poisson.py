@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, ResourceCapError
 from .freealg import (MAX_BASIS_SIZE, BallPoint, NcPolynomial, WordIndex,
                       sup_norm_bounds, word_value)
-from .numerics import DEFAULT_TOL, hermitian_sqrt, operator_norm
+from .numerics import DEFAULT_TOL, _blas_threads, hermitian_sqrt, operator_norm
 
 CONTRACTION_CLAMP = 1e-10
 # c0_sequence work per step, in units of d^3 multiply-adds: on a 2-vCPU host a
@@ -135,10 +135,13 @@ def c0_sequence(T: RowContraction, kmax: int) -> list:
             f"decay sequence of {kmax} steps on n = {T.n}, d = {T.d} exceeds the work "
             f"cap {C0_MAX_WORK}")
     x = np.eye(T.d, dtype=complex)
-    out = [operator_norm(x)]
-    for _ in range(kmax):
-        x = T.cp_map(x)
-        out.append(operator_norm(x))
+    # one thread scope for the whole loop, so the map's products and the norms
+    # do not toggle the thread count on every step
+    with _blas_threads(T.d):
+        out = [operator_norm(x)]
+        for _ in range(kmax):
+            x = T.cp_map(x)
+            out.append(operator_norm(x))
     return out
 
 

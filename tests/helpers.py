@@ -97,3 +97,29 @@ def symmetrized_basis(n, lam, m):
                 col[start + word_value(w, n)] = np.conj(eps)
             columns.append(col / np.linalg.norm(col))
     return np.column_stack(columns)
+
+
+def padded_dense_rows(spec, wi):
+    """Rows spanning the padded ideal inside all of P_m (any generators).
+
+    One row per padded product e_alpha g e_beta: the dense oracle that the
+    quotient builders are checked against.
+    """
+    n = spec.n
+    blocks = []
+    for g in spec.generators:
+        dg = int(g.degree)
+        terms = [(word_value(w, n), len(w), c) for w, c in g.terms.items()]
+        for a in range(spec.m - dg + 1):
+            for b in range(spec.m - dg - a + 1):
+                cnt = n ** (a + b)
+                block = np.zeros((cnt, wi.dim), dtype=complex)
+                r = np.arange(cnt)
+                u, w = r // n ** b, r % n ** b
+                for vg, dgam, c in terms:
+                    cols = wi.grade_start(a + dgam + b) + (u * n ** dgam + vg) * n ** b + w
+                    block[r, cols] += c
+                blocks.append(block)
+    if not blocks:
+        return np.zeros((0, wi.dim), dtype=complex)
+    return np.vstack(blocks)

@@ -267,8 +267,11 @@ def test_poisson_vonneumann_reports_the_certified_bracket(tmp_path, capsys, n, f
                           {"word": [n, 1], "coeff": [0.0, 0.7]}]}
     path = _write(tmp_path, "p.json", doc)
     assert cli.main(["poisson", "vonneumann", path, "--json"] + flags) == 0
-    res = json.loads(capsys.readouterr().out)["results"]
-    assert res["degree_used"] == degree
+    payload = json.loads(capsys.readouterr().out)
+    res = payload["results"]
+    assert payload["parameters"]["degree"] == degree
+    # the Gram solve (or the circle max) gives the bracket: no degree entered it
+    assert res["degree_used"] is None
     assert res["lower"] <= res["upper"]
     assert res["lhs"] <= res["upper"]
     assert res["gap"] == pytest.approx(res["upper"] - res["lower"], abs=1e-15)
@@ -278,6 +281,20 @@ def test_poisson_vonneumann_reports_the_certified_bracket(tmp_path, capsys, n, f
     # the Gram solve's dual point (or, for one generator, max |p| over the
     # circle) closes the bracket
     assert res["stabilized"]
+
+
+def test_poisson_vonneumann_reports_the_degree_of_the_truncated_bound(tmp_path, capsys):
+    # degree 7 at n = 2 is above the Gram solve's pair cap, so lower is the
+    # norm of L_p on P_m and m is the degree used
+    doc = {"kind": "poisson", "n": 2, "targets": [[[[0.3, 0.1]]], [[[0.2, 0.0]]]],
+           "polynomial": [{"word": [], "coeff": [0.5, 0.0]},
+                          {"word": [1, 2, 2, 1, 1, 2, 1], "coeff": [1.0, 0.0]}]}
+    path = _write(tmp_path, "p.json", doc)
+    assert cli.main(["poisson", "vonneumann", path, "--json", "--degree", "9"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["lower_method"] == "truncated"
+    assert res["degree_used"] == 9
+    assert res["lhs"] <= res["upper"]
 
 
 def test_poisson_covariance_builds_one_kernel(tmp_path, capsys, monkeypatch):
@@ -358,6 +375,33 @@ def test_ideal_grade_cap_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "p.json", doc)
     assert cli.main(["ideal", "basis", path]) == 3
     assert "resource cap" in capsys.readouterr().err
+
+
+def test_ideal_non_homogeneous_candidate_cap_exit_code(tmp_path, capsys):
+    # degree 2 has 66 + 65^2 candidates, above GRADE_COORD_CAP
+    doc = {"kind": "ideal", "n": 65, "degree": 3,
+           "generators": [[{"word": [1, 2, 3], "coeff": [1.0, 0.0]},
+                           {"word": [1], "coeff": [0.5, 0.0]}]]}
+    path = _write(tmp_path, "p.json", doc)
+    start = time.perf_counter()
+    assert cli.main(["ideal", "basis", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "resource cap" in capsys.readouterr().err
+
+
+def test_ideal_non_homogeneous_model_past_the_old_dense_cap(tmp_path, capsys):
+    # D(2, 12) = 8191 is past the 4096 that the dense model allowed
+    doc = {"kind": "ideal", "n": 2, "degree": 12,
+           "generators": [[{"word": [1], "coeff": [1.0, 0.0]},
+                           {"word": [2], "coeff": [-0.5, 0.0]},
+                           {"word": [], "coeff": [0.3, 0.0]}]]}
+    path = _write(tmp_path, "p.json", doc)
+    assert cli.main(["ideal", "basis", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["space_dim"] == 8191
+    assert payload["results"]["quotient_dim"] == 13
+    assert payload["warnings"] == [
+        "non-homogeneous generators: the model is an approximation only"]
 
 
 def test_ideal_compression_cap_exit_code(tmp_path, capsys):

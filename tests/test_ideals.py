@@ -12,7 +12,7 @@ from ncfock import (BallPoint, DomainError, IdealSpec, NcPolynomial, ResourceCap
                     mult_matrix, q_commutation_spec, quotient_distance,
                     quotient_poisson_check, sup_norm_bounds, tensor_product,
                     truncated_mult_matrix)
-from helpers import random_polynomial, symmetrized_basis
+from helpers import padded_dense_rows, random_polynomial, symmetrized_basis
 
 
 def _projector_distance(a, b):
@@ -164,10 +164,96 @@ def test_homogeneous_model_matches_dense_padded_complement():
                     random_polynomial(rng, n, 3, terms=3, homogeneous=True))
             spec = IdealSpec(n, gens, m)
             model = build_quotient(spec)
-            rows = ideals._padded_dense_rows(spec, WordIndex(n, m))
+            rows = padded_dense_rows(spec, WordIndex(n, m))
             _, dense = ideals._split_row_space(rows, ideals.RANK_TOL)
             assert model.dim == dense.shape[1]
             assert _projector_distance(model.n_basis, dense) < 1e-10
+
+
+def _random_complex(rng):
+    return complex(*rng.normal(size=2))
+
+
+def _non_homogeneous_specs():
+    """[e1, e2] + c e1, random complex degree-1 generators with a constant,
+    and random degree-2 plus degree-3 pairs."""
+    rng = np.random.default_rng(31)
+    for n, m_max in [(2, 7), (3, 4)]:
+        for m in range(2, m_max + 1):
+            c = 0.2 + 0.3 * rng.uniform()
+            g = NcPolynomial(n, {(1, 2): 1.0, (2, 1): -1.0, (1,): c})
+            yield pytest.param(IdealSpec(n, (g,), m), id=f"commutator-n{n}-m{m}")
+    for n, m in [(2, 5), (3, 3)]:
+        for t in range(2):
+            g = NcPolynomial(n, {(): _random_complex(rng),
+                                 **{(i,): _random_complex(rng) for i in range(1, n + 1)}})
+            yield pytest.param(IdealSpec(n, (g,), m), id=f"linear-n{n}-m{m}-{t}")
+    for n, m in [(2, 6), (3, 4)]:
+        for t in range(2):
+            gens = (random_polynomial(rng, n, 2, terms=3) + NcPolynomial(n, {(2, 1): 1.0}),
+                    random_polynomial(rng, n, 3, terms=4) + NcPolynomial(n, {(1, 2, 2): 1.0}))
+            yield pytest.param(IdealSpec(n, gens, m), id=f"degree23-n{n}-m{m}-{t}")
+
+
+@pytest.mark.parametrize("spec", _non_homogeneous_specs())
+def test_non_homogeneous_model_matches_dense_padded_complement(spec):
+    # the degree recursion against the complement of all padded generator
+    # rows and the compressions N* S N of the dense truncated shifts
+    n, m = spec.n, spec.m
+    model = build_quotient(spec)
+    _, dense = ideals._split_row_space(padded_dense_rows(spec, WordIndex(n, m)),
+                                       ideals.RANK_TOL)
+    assert not spec.homogeneous and model.approximate
+    assert model.dim == dense.shape[1]
+    assert _projector_distance(model.n_basis, dense) < 1e-10
+    W = dense.conj().T @ model.n_basis
+    for i in range(n):
+        shift = truncated_mult_matrix(NcPolynomial.generator(n, i + 1), m)
+        expected = W.conj().T @ (dense.conj().T @ shift @ dense) @ W
+        assert np.linalg.norm(model.compressions[i] - expected, 2) < 1e-10
+    rng = np.random.default_rng(m)
+    for _ in range(10):
+        f = random_polynomial(rng, n, int(rng.integers(0, m + 1)), terms=4)
+        expected = np.linalg.norm(dense.conj().T @ truncated_mult_matrix(f, m) @ dense, 2)
+        assert quotient_distance(f, spec, model=model) == pytest.approx(expected, rel=1e-10)
+
+
+def test_non_homogeneous_candidate_cap_fails_fast():
+    # degree 2 has 66 + 65^2 candidates, above GRADE_COORD_CAP
+    spec = IdealSpec(65, (NcPolynomial(65, {(1, 2, 3): 1.0, (1,): 0.5}),), 3)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        build_quotient(spec)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("cap, value, message", [
+    ("GRADE_COORD_CAP", 40, "degree-6 candidate space of size 53"),
+    ("MAX_DENSE_ENTRIES", 4000, "degree-6 candidates of 127 x 53 entries")],
+    ids=["coordinate-cap", "entry-cap"])
+def test_non_homogeneous_caps_precede_each_degree(monkeypatch, cap, value, message):
+    # degree 6 of [e1, e2] + c e1 has 53 candidates in P_6 (D = 127), degree
+    # 5 has 37 in P_5 (D = 63); the caps stop degree 6 before its shifts are
+    # formed, while the final compressions (2 x 28 x 28) would fit
+    spec = IdealSpec(2, (NcPolynomial(2, {(1, 2): 1.0, (2, 1): -1.0, (1,): 0.3}),), 6)
+    degrees = []
+    shifts = ideals._adjoint_shifts
+    monkeypatch.setattr(ideals, "_adjoint_shifts",
+                        lambda X, n, m: degrees.append(m) or shifts(X, n, m))
+    monkeypatch.setattr(ideals, cap, value)
+    with pytest.raises(ResourceCapError, match=message):
+        build_quotient(spec)
+    assert degrees[-1] == 5
+
+
+def test_non_homogeneous_model_past_the_old_dense_cap():
+    # D(2, 12) = 8191 builds; ideal_subspace returns D rows and keeps its cap
+    spec = IdealSpec(2, (NcPolynomial(2, {(1,): 1.0, (2,): -0.5, (): 0.3}),), 12)
+    model = build_quotient(spec)
+    assert model.n_basis.shape == (8191, 13)
+    assert np.linalg.norm(model.n_basis.conj().T @ model.n_basis - np.eye(13), 2) < 1e-12
+    with pytest.raises(ResourceCapError):
+        ideal_subspace(spec)
 
 
 def test_homogeneous_grade_coordinate_cap_fails_fast():

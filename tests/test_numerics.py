@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import ncfock
-from ncfock import (DomainError, SingularGramError, as_hermitian, hermitian_sqrt,
+from ncfock import (DomainError, SingularGramError, as_hermitian, c0_sequence, hermitian_sqrt,
                     max_generalized_eigenvalue, operator_norm, psd_check)
 from ncfock.numerics import _BLAS_SCOPE, SINGLE_THREAD_DIMS, _blas_threads
-from helpers import random_unitary
+from helpers import random_row_contraction, random_unitary
 
 
 @pytest.fixture
@@ -225,3 +225,25 @@ def test_pick_certification_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.startswith("False")
+
+
+def test_c0_sequence_holds_one_scope_around_its_loop(two_blas_threads, monkeypatch):
+    # at d = 32 the map's products and the norms run on one thread, and the
+    # values are those of the loop run on the process's threads
+    T = random_row_contraction(np.random.default_rng(5), 2, 32)
+    x, expected = np.eye(32, dtype=complex), [1.0]
+    for _ in range(20):
+        x = T.cp_map(x)
+        expected.append(float(np.linalg.svd(x, compute_uv=False)[0]))
+    counts, cp_map = [], T.cp_map
+    monkeypatch.setattr(T, "cp_map", lambda x: counts.append(_BLAS_SCOPE.counts()) or cp_map(x))
+    assert c0_sequence(T, 20) == pytest.approx(expected, rel=1e-13, abs=0)
+    assert len(counts) == 20 and all(set(c.values()) <= {1} for c in counts)
+    assert _BLAS_SCOPE.counts() == two_blas_threads
+
+    def failing(x):
+        raise FloatingPointError("map failed")
+    monkeypatch.setattr(T, "cp_map", failing)
+    with pytest.raises(FloatingPointError):
+        c0_sequence(T, 5)
+    assert _BLAS_SCOPE.counts() == two_blas_threads
