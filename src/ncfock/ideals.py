@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .freealg import (MAX_DENSE_ENTRIES, NcPolynomial, WordIndex, basis_size,
-                      truncated_mult_matrix, word_value)
+from .freealg import (MAX_DENSE_ENTRIES, NcPolynomial, WordIndex, _mult_triplets,
+                      basis_size, truncated_mult_matrix, word_value)
 from .numerics import _blas_threads, operator_norm
 from .poisson import RowContraction, is_c0_certified, poisson_kernel
 
@@ -206,19 +206,6 @@ def _null_space(A: np.ndarray, tol: float) -> np.ndarray:
     return vh[np.count_nonzero(s > tol):].conj().T
 
 
-def _left_multiply(f: NcPolynomial, X: np.ndarray, wi: WordIndex) -> np.ndarray:
-    """L_f X compressed to P_m: the word alpha moves the grade-k rows of X to
-    the grade-(k + |alpha|) rows that start with alpha."""
-    n, w = wi.n, X.shape[1]
-    out = np.zeros_like(X)
-    for word, c in f.terms.items():
-        size, v = n ** len(word), word_value(word, n)
-        for k in range(wi.m - len(word) + 1):
-            out[wi.grade_slice(k + len(word))].reshape(size, n ** k, w)[v] += \
-                c * X[wi.grade_slice(k)]
-    return out
-
-
 def _padded_count(spec: IdealSpec) -> int:
     """Number of padded products e_alpha g e_beta inside P_m, at least dim V_m."""
     n, m = spec.n, spec.m
@@ -236,15 +223,25 @@ def _degree_recursion(spec: IdealSpec, rank_tol: float) -> np.ndarray:
     n, m = spec.n, spec.m
     wi = WordIndex(n, m)
     lowest = min(int(g.degree) for g in spec.generators)
+    # N_{lowest-1} is all of P_{lowest-1}, so the first degree has its
+    # D(n, lowest) candidates known before anything is allocated
+    first = wi.grade_start(lowest + 1)
+    _require_candidates_fit(lowest, first, first)
     N = np.eye(wi.grade_start(lowest), dtype=complex)
     for k in range(lowest, m + 1):
         if not N.shape[1]:   # the ideal fills P_m
             return np.zeros((wi.dim, 0), dtype=complex)
-        # one scope per degree: where D(n, k) is small, its products run on one
-        # thread with its factorizations, and the count is set once
-        with _blas_threads(wi.grade_start(k + 1)):
-            N = _next_complement(spec, wi, N, k, rank_tol)
+        N = _next_complement(spec, wi, N, k, rank_tol)
     return N
+
+
+def _require_candidates_fit(k: int, dim: int, w: int) -> None:
+    if w > GRADE_COORD_CAP:
+        raise ResourceCapError(
+            f"degree-{k} candidate space of size {w} exceeds the cap {GRADE_COORD_CAP}")
+    if dim * w > MAX_DENSE_ENTRIES:
+        raise ResourceCapError(
+            f"degree-{k} candidates of {dim} x {w} entries exceed the cap {MAX_DENSE_ENTRIES}")
 
 
 def _next_complement(spec: IdealSpec, wi: WordIndex, N: np.ndarray, k: int,
@@ -267,12 +264,7 @@ def _next_complement(spec: IdealSpec, wi: WordIndex, N: np.ndarray, k: int,
         u, s, _ = np.linalg.svd(top, full_matrices=False)
     q = np.count_nonzero(s > rank_tol)
     w = r + n * q
-    if w > GRADE_COORD_CAP:
-        raise ResourceCapError(
-            f"degree-{k} candidate space of size {w} exceeds the cap {GRADE_COORD_CAP}")
-    if dim * w > MAX_DENSE_ENTRIES:
-        raise ResourceCapError(
-            f"degree-{k} candidates of {dim} x {w} entries exceed the cap {MAX_DENSE_ENTRIES}")
+    _require_candidates_fit(k, dim, w)
     phi = np.zeros((dim, w), dtype=complex)
     phi[:below, :r] = N
     size = len(top)
@@ -433,7 +425,10 @@ def quotient_distance(f: NcPolynomial, spec: IdealSpec, *, model: QuotientModel 
     if not model.approximate:
         return operator_norm(model.evaluate_polynomial(f))
     N = model.n_basis
-    return operator_norm(N.conj().T @ _left_multiply(f, N, WordIndex(spec.n, spec.m)))
+    fN = np.zeros_like(N)   # L_f N compressed to P_m, as moves of word indices
+    for rows, cols, c in _mult_triplets(f, spec.m, spec.m + 1):
+        fN[rows] += c * N[cols]
+    return operator_norm(N.conj().T @ fN)
 
 
 def caratheodory_distance(p: NcPolynomial, m0: int) -> float:

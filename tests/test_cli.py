@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import time
@@ -378,15 +379,19 @@ def test_ideal_grade_cap_exit_code(tmp_path, capsys):
 
 
 def test_ideal_non_homogeneous_candidate_cap_exit_code(tmp_path, capsys):
-    # degree 2 has 66 + 65^2 candidates, above GRADE_COORD_CAP
-    doc = {"kind": "ideal", "n": 65, "degree": 3,
-           "generators": [[{"word": [1, 2, 3], "coeff": [1.0, 0.0]},
-                           {"word": [1], "coeff": [0.5, 0.0]}]]}
+    # e1^12 + 0.5 and 2500 degree-12 monomials at n = 2: dim N is small
+    # enough for the compressions, but degree 12 has D(2, 12) = 8191
+    # candidates, above GRADE_COORD_CAP
+    words = itertools.islice(itertools.product([1, 2], repeat=12), 2500)
+    doc = {"kind": "ideal", "n": 2, "degree": 12,
+           "generators": [[{"word": [1] * 12, "coeff": [1.0, 0.0]},
+                           {"word": [], "coeff": [0.5, 0.0]}]]
+           + [[{"word": list(word), "coeff": [1.0, 0.0]}] for word in words]}
     path = _write(tmp_path, "p.json", doc)
     start = time.perf_counter()
     assert cli.main(["ideal", "basis", path]) == 3
     assert time.perf_counter() - start < 1.0
-    assert "resource cap" in capsys.readouterr().err
+    assert "candidate space of size 8191" in capsys.readouterr().err
 
 
 def test_ideal_non_homogeneous_model_past_the_old_dense_cap(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -218,11 +219,21 @@ def test_non_homogeneous_model_matches_dense_padded_complement(spec):
         assert quotient_distance(f, spec, model=model) == pytest.approx(expected, rel=1e-10)
 
 
-def test_non_homogeneous_candidate_cap_fails_fast():
-    # degree 2 has 66 + 65^2 candidates, above GRADE_COORD_CAP
-    spec = IdealSpec(65, (NcPolynomial(65, {(1, 2, 3): 1.0, (1,): 0.5}),), 3)
+@pytest.mark.parametrize("n, m, lead, count, message", [
+    (2, 12, (1,) * 12, 2500, "degree-12 candidate space of size 8191"),
+    (65, 2, (1,), 3200, "degree-2 candidate space of size 4290")],
+    ids=["first-degree", "later-degree"])
+def test_non_homogeneous_candidate_cap_fails_fast(n, m, lead, count, message):
+    # e_lead + 0.5 and `count` degree-m monomials: the padded products leave
+    # dim N small enough for the compressions' pre-check, but the candidates
+    # pass GRADE_COORD_CAP, at the first degree (all of P_12) or at degree 2
+    # (65 + 65^2, after the grade-1 block of N_1 has full rank)
+    words = itertools.islice(itertools.product(range(1, n + 1), repeat=m), count)
+    gens = (NcPolynomial(n, {lead: 1.0, (): 0.5}),) + tuple(
+        NcPolynomial(n, {word: 1.0}) for word in words)
+    spec = IdealSpec(n, gens, m)
     start = time.perf_counter()
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match=message):
         build_quotient(spec)
     assert time.perf_counter() - start < 1.0
 
