@@ -535,10 +535,11 @@ def _ideal_compressions(model, problem, params, report):
     n = model.spec.n
     report.results["compression_norms"] = [operator_norm(model.compressions[i])
                                            for i in range(n)]
-    if problem.lambda_q is not None and not model.trivial and model.grades is not None:
+    if model.grades is not None:
         keep = np.flatnonzero(model.grades <= model.reliable_degree)
         report.results["relation_residual"] = max(
-            operator_norm(model.evaluate_polynomial(g)[:, keep]) for g in model.spec.generators)
+            (operator_norm(model.evaluate_polynomial(g)[:, keep]) for g in model.spec.generators),
+            default=0.0)
     if model.dim <= 32:
         report.results["compressions"] = [model.compressions[i] for i in range(n)]
     report.notes.append(

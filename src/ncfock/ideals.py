@@ -3,19 +3,20 @@
 An ideal is presented by polynomial generators.  Its degree-m model is the
 span of all padded products e_alpha (x) g (x) e_beta that fit inside P_m;
 the quotient model lives on the orthogonal complement N, with compressed
-shifts B_i = P_N S_i|_N.  For homogeneous generators the model is exact
-grade by grade and built by a recursion from the generators, whose
-coordinates are the compressions.  Otherwise it is a polynomial
-approximation of the weakly closed ideal, and results carry an
-approximation flag.  It is built by a recursion over degrees
-(_degree_recursion): N_k is the null space, over w candidates built from
-N_{k-1}, of stacked shift and generator constraints, found by an economic
-QR, then an SVD of R, with the absolute cut RANK_TOL.  Shifts act as moves
-of word indices, so no D x D matrix is formed.  Before each degree, w must
-stay within GRADE_COORD_CAP and the D(n, k) x w candidates within
-MAX_DENSE_ENTRIES; the n compressions of r x r entries are checked against
-MAX_DENSE_ENTRIES before the recursion, from r >= D minus the number of
-padded products, and again once r is known.
+shifts B_i = P_N S_i|_N.  One recursion over degrees builds N for every
+spec (_complement_recursion): N_k is the null space, over w candidates built
+from N_{k-1}, of stacked shift and generator constraints, found by an SVD
+(after an economic QR for tall stacks) with the absolute cut RANK_TOL on
+the singular values.  Shifts act as moves of word indices, so no D x D
+matrix is formed.  For homogeneous generators every grade is cut on its
+own: the model is exact grade by grade, the candidates are C^n (x) the
+previous grade, and the step coordinates are the compressions.
+Otherwise the model is a polynomial approximation of the weakly closed
+ideal, and results carry an approximation flag.  Before each degree, w must
+stay within GRADE_COORD_CAP and the candidates within MAX_DENSE_ENTRIES
+entries; the basis (D rows) and the n compressions of the model are checked
+against MAX_DENSE_ENTRIES before the recursion, from dim N >= D minus the
+number of padded products, and again after each degree.
 
 Compressions at the top grade land in truncated territory, so relation and
 semi-invariance statements are only certified on grades up to
@@ -24,18 +25,20 @@ reliable_degree = m - max generator degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .freealg import (MAX_DENSE_ENTRIES, NcPolynomial, WordIndex, _mult_triplets,
-                      basis_size, truncated_mult_matrix, word_value)
+                      basis_size, truncated_mult_matrix)
 from .numerics import _blas_threads, operator_norm
 from .poisson import RowContraction, is_c0_certified, poisson_kernel
 
 GRADE_COORD_CAP = 4096       # largest single-grade coordinate space we factorize
 RANK_TOL = 1e-10
+SMALL_STACK = 1024           # null-space stacks up to this many entries skip the QR
 
 
 @dataclass
@@ -103,136 +106,58 @@ def q_commutation_spec(n: int, lam, m: int) -> IdealSpec:
     return IdealSpec(n, tuple(gens), m)
 
 
-def _split_row_space(rows: np.ndarray, rank_tol: float):
-    """Orthonormal (row-space basis, complement basis) columns of the ambient space.
-
-    The rows of vh span the row space as vectors, so the column bases use a
-    plain transpose; vh being unitary keeps both column families orthonormal.
-    """
-    dim = rows.shape[1]
-    if rows.shape[0] == 0:
-        return (np.zeros((dim, 0), dtype=complex), np.eye(dim, dtype=complex))
-    _, s, vh = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
-    return (np.ascontiguousarray(vh[:rank].T),
-            np.ascontiguousarray(vh[rank:].T))
-
-
-def _grade_recursion(spec: IdealSpec, rank_tol: float):
-    """Grade complements N_k (n^k x r_k) and coordinates C_{k+1} of a homogeneous spec.
-
-    N_0 is C minus the degree-0 generators, and N_{k+1} is the intersection
-    of N_k (x) C^n, C^n (x) N_k and the orthogonal complement of the
-    degree-(k+1) generators.  In the coordinates of C^n (x) N_k, where
-    N_{k+1} = (I (x) N_k) C_{k+1}, the intersection is the right singular
-    space at sigma = 1 of (N_k (x) I)*(I (x) N_k), and a generator g is the
-    vector (I (x) N_k)* g over its coefficient norm, so the rank cut is
-    relative to the unit vectors it is stacked with.
-    """
-    n = spec.n
-    dim = basis_size(n, spec.m)
-    units = [[g.coefficient(())] for g in spec.generators if g.degree == 0]
-    blocks = [_split_row_space(np.array(units, dtype=complex).reshape(-1, 1), rank_tol)[1]]
-    coords = []
-    total = blocks[0].shape[1]
-    for k in range(spec.m):
-        N = blocks[-1]
-        r = N.shape[1]
-        if n * r > GRADE_COORD_CAP:
-            raise ResourceCapError(
-                f"grade-{k + 1} coordinate space of size {n * r} exceeds the cap "
-                f"{GRADE_COORD_CAP}")
-        # rows orthogonal to N_{k+1} in these coordinates; when N_k is empty or
-        # all of grade k, N_k (x) C^n contains C^n (x) N_k and none are dropped
-        dropped = np.zeros((0, n * r))
-        if r not in (0, n ** k):
-            w = n ** (k - 1)
-            overlap = np.einsum("awr,wbs->rbas", N.reshape(n, w, r).conj(),
-                                N.reshape(w, n, r)).reshape(r * n, n * r)
-            _, s, vh = np.linalg.svd(overlap)
-            kept = int(np.count_nonzero(s >= 1.0 - rank_tol))
-            dropped = vh[kept:].conj()
-        gens = []
-        for g in spec.generators:
-            if g.degree == k + 1:
-                row = np.zeros((n, r), dtype=complex)
-                for word, c in g.terms.items():
-                    row[word[0] - 1] += c * N[word_value(word[1:], n)].conj()
-                gens.append(row.reshape(1, -1) / np.linalg.norm(list(g.terms.values())))
-        C = None   # the identity: N_{k+1} = C^n (x) N_k
-        if gens:
-            C = _split_row_space(np.vstack([dropped] + gens), rank_tol)[1]
-        elif dropped.shape[0]:
-            C = vh[:kept].conj().T
-        total += n * r if C is None else C.shape[1]
-        if dim * total > MAX_DENSE_ENTRIES or n * total * total > MAX_DENSE_ENTRIES:
-            raise ResourceCapError(
-                f"quotient basis of {dim} x {total}+ entries or compressions of "
-                f"{n} x {total}+ x {total}+ exceed the cap {MAX_DENSE_ENTRIES}")
-        coords.append(C)
-        if C is None:
-            blocks.append(np.kron(np.eye(n), N))
-        else:
-            blocks.append((N @ C.reshape(n, r, C.shape[1])).reshape(n ** (k + 1), C.shape[1]))
-    return blocks, coords
-
-
 def _adjoint_shifts(X: np.ndarray, n: int, m: int) -> np.ndarray:
     """[L_1* X, ..., L_n* X, R_1* X, ..., R_n* X] for columns X in P_m, of shape
-    (2n, D(n, m-1), w): L_i and R_i put the letter i in front of a word and
+    (D(n, m-1), 2n, w): L_i and R_i put the letter i in front of a word and
     at its end, so their adjoints move grade-(k+1) rows to grade k."""
     w = X.shape[1]
-    out = np.empty((2 * n, basis_size(n, m - 1), w), dtype=complex)
+    out = np.empty((basis_size(n, m - 1), 2 * n, w), dtype=complex)
     at = 0
     for k in range(m):
         size = n ** k
         block = X[1 + n * at:1 + n * (at + size)]
-        out[:n, at:at + size] = block.reshape(n, size, w)
-        out[n:, at:at + size] = block.reshape(size, n, w).transpose(1, 0, 2)
+        out[at:at + size, :n] = block.reshape(n, size, w).transpose(1, 0, 2)
+        out[at:at + size, n:] = block.reshape(size, n, w)
         at += size
     return out
 
 
 def _null_space(A: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal columns spanning {x : A x = 0}, singular values <= tol cut."""
+    """Orthonormal columns spanning {x : A x = 0}, singular values <= tol cut.
+
+    A stack taller than its width w is first reduced to its w x w triangle
+    R, unless it has at most SMALL_STACK entries, where one SVD costs less
+    than the two calls.  The QR takes the thread scope of a square with as
+    many entries as the stack (_tall_threads), the SVD that of w.
+    """
     w = A.shape[1]
     if not A.size:
         return np.eye(w, dtype=complex)
-    if A.shape[0] > w:
-        with _blas_threads(A.shape[0]):
+    if len(A) > w and A.size > SMALL_STACK:
+        with _tall_threads(A):
             A = np.linalg.qr(A, mode="r")
-    with _blas_threads(max(A.shape)):
-        _, s, vh = np.linalg.svd(A)
+    with _blas_threads(w):
+        _, s, vh = np.linalg.svd(A, full_matrices=len(A) < w)
     return vh[np.count_nonzero(s > tol):].conj().T
+
+
+def _tall_threads(A: np.ndarray):
+    """The thread scope of a square with as many entries as the tall A.
+
+    Keyed on its larger side, a tall, narrow call ran on two threads, and
+    from 9,216 entries (512 x 18) to 45,056 those ran up to twice as long
+    as on one, or stalled for tens of milliseconds in some processes; from
+    81,920 entries on, two threads were faster (8188 x 33: 8-10 ms against
+    12-13 ms).  Up to SMALL_STACK entries the scope costs more than it
+    saves, so those keep the process's threads.
+    """
+    return _blas_threads(math.isqrt(A.size) if A.size > SMALL_STACK else 0)
 
 
 def _padded_count(spec: IdealSpec) -> int:
     """Number of padded products e_alpha g e_beta inside P_m, at least dim V_m."""
     n, m = spec.n, spec.m
     return sum((t + 1) * n ** t for g in spec.generators for t in range(m - int(g.degree) + 1))
-
-
-def _degree_recursion(spec: IdealSpec, rank_tol: float) -> np.ndarray:
-    """Orthonormal basis of the complement N_m of the padded ideal V_m in P_m.
-
-    V_k = V_{k-1} + sum_i (L_i V_{k-1} + R_i V_{k-1}) + the degree-k
-    generators, so N_k holds the v in P_k with P_{k-1} v, L_i* v and R_i* v in
-    N_{k-1} and v orthogonal to those generators (see _next_complement).
-    Below the lowest generator degree nothing is cut: N_k is all of P_k.
-    """
-    n, m = spec.n, spec.m
-    wi = WordIndex(n, m)
-    lowest = min(int(g.degree) for g in spec.generators)
-    # N_{lowest-1} is all of P_{lowest-1}, so the first degree has its
-    # D(n, lowest) candidates known before anything is allocated
-    first = wi.grade_start(lowest + 1)
-    _require_candidates_fit(lowest, first, first)
-    N = np.eye(wi.grade_start(lowest), dtype=complex)
-    for k in range(lowest, m + 1):
-        if not N.shape[1]:   # the ideal fills P_m
-            return np.zeros((wi.dim, 0), dtype=complex)
-        N = _next_complement(spec, wi, N, k, rank_tol)
-    return N
 
 
 def _require_candidates_fit(k: int, dim: int, w: int) -> None:
@@ -244,49 +169,109 @@ def _require_candidates_fit(k: int, dim: int, w: int) -> None:
             f"degree-{k} candidates of {dim} x {w} entries exceed the cap {MAX_DENSE_ENTRIES}")
 
 
-def _next_complement(spec: IdealSpec, wi: WordIndex, N: np.ndarray, k: int,
-                     rank_tol: float) -> np.ndarray:
-    """N_k from N = N_{k-1}.
+def _require_model_fits(dim: int, n: int, r: int) -> None:
+    if dim * r > MAX_DENSE_ENTRIES or n * r * r > MAX_DENSE_ENTRIES:
+        raise ResourceCapError(
+            f"quotient basis of {dim} x {r} entries or compressions of {n} x {r} x {r} "
+            f"entries exceed the cap {MAX_DENSE_ENTRIES}")
+
+
+def _complement_recursion(spec: IdealSpec, rank_tol: float):
+    """(blocks, coords): the complement N of the padded ideal V_m in P_m.
+
+    V_k = V_{k-1} + sum_i (L_i V_{k-1} + R_i V_{k-1}) + the degree-k
+    generators, so N_k holds the v in P_k with P_{k-1} v, L_i* v and R_i* v
+    in N_{k-1} and v orthogonal to those generators.  Below the lowest
+    generator degree k0 nothing is cut and N_{k0-1} is all of P_{k0-1};
+    each later degree is one _next_complement step.  For a homogeneous spec
+    every grade is cut on its own, so blocks[k] is the grade-k block of N
+    and coords[k] its coordinates over the step's candidates, None for the
+    whole grades below k0; otherwise blocks is [N_m].  Caps: a lower bound
+    of dim N (D minus the padded products) before anything is allocated,
+    the first step's candidates before N_{k0-1} is, the candidates of each
+    step before it allocates (_next_complement), and the model so far after
+    each step.
+    """
+    n, m, graded = spec.n, spec.m, spec.homogeneous
+    wi = WordIndex(n, m)
+    _require_model_fits(wi.dim, n, max(wi.dim - _padded_count(spec), 0))
+    # unit-normalized generator rows by degree: the rows of their words,
+    # counted from the end of P_k, where grade k closes every step's rows
+    units = {}
+    for g in spec.generators:
+        k, coeffs = int(g.degree), np.array(list(g.terms.values()))
+        units.setdefault(k, []).append(
+            ([wi.index(word) - wi.grade_start(k + 1) for word in g.terms],
+             coeffs.conj() / np.linalg.norm(coeffs)))
+    k0 = min(units, default=m + 1)
+    if k0 == 0:   # a nonzero constant generates all of P_m
+        k0, blocks = 1, [np.zeros((1, 0), dtype=complex)]
+    else:
+        _require_model_fits(wi.dim, n, wi.grade_start(k0))
+        if k0 <= m:   # the first candidates are all of grade k0, or of P_k0
+            first = n ** k0 if graded else wi.grade_start(k0 + 1)
+            _require_candidates_fit(k0, first, first)
+        blocks = ([np.eye(n ** k, dtype=complex) for k in range(k0)] if graded
+                  else [np.eye(wi.grade_start(k0), dtype=complex)])
+    coords = [None] * k0
+    for k in range(k0, m + 1):
+        N, X = _next_complement(blocks[-1], n, k, units.get(k, ()), graded, rank_tol)
+        blocks = blocks + [N] if graded else [N]
+        coords.append(X)
+        _require_model_fits(wi.dim, n, sum(b.shape[1] for b in blocks))
+    return blocks, coords
+
+
+def _next_complement(N: np.ndarray, n: int, k: int, units, graded: bool, rank_tol: float):
+    """(N_k, X) from N = N_{k-1}, with N_k = Phi X over orthonormal candidates Phi.
 
     The grade-k part of v in N_k lies in C^n (x) range(U), U an orthonormal
-    basis of the range of N's grade-(k-1) block, so N_k = Phi x over the
-    w = r + n q orthonormal candidates Phi = [N | I_n (x) U] with
-    (I - N N*) L_i* Phi x = 0, (I - N N*) R_i* Phi x = 0 and g* Phi x = 0 for
-    the unit-normalized degree-k generators g.  Each constraint block maps
-    the orthonormal candidates by a contraction and each generator row is a
-    unit vector, so the null space keeps the singular values above the
-    absolute cut rank_tol.
+    basis of the range of N's grade-(k-1) block.  So Phi is [N | I_n (x) U]
+    on P_k, w = r + n q columns; when graded, N is the grade-(k-1) block
+    itself, U = N and Phi = I_n (x) N on grade k, w = n r.  X spans the null
+    space of (I - N N*) L_i* Phi and (I - N N*) R_i* Phi (R_i* alone when
+    graded: L_i* maps I_n (x) N into range(N)), stacked with the degree-k
+    generator rows g* Phi (units, see _complement_recursion).  Each
+    constraint block maps the orthonormal candidates by a contraction and
+    each generator row is a unit vector, so the null space keeps the
+    singular values above the absolute cut rank_tol.
     """
-    n = spec.n
-    r, below, dim = N.shape[1], wi.grade_start(k), wi.grade_start(k + 1)
-    top = N[wi.grade_slice(k - 1)]
-    with _blas_threads(max(top.shape)):
-        u, s, _ = np.linalg.svd(top, full_matrices=False)
-    q = np.count_nonzero(s > rank_tol)
-    w = r + n * q
-    _require_candidates_fit(k, dim, w)
-    phi = np.zeros((dim, w), dtype=complex)
-    phi[:below, :r] = N
-    size = len(top)
-    for i in range(n):   # I_n (x) U
-        phi[below + i * size:below + (i + 1) * size, r + i * q:r + (i + 1) * q] = u[:, :q]
-    images = _adjoint_shifts(phi, n, k)
-    if below - r < r:
-        # I - N N* = C C* for an orthonormal basis C of the complement of N in
-        # P_{k-1}; when that is the smaller side, C* gives the same singular
-        # values in fewer rows
-        with _blas_threads(below):
-            C = np.linalg.qr(N, mode="complete")[0][:, r:]
-        images = C.conj().T @ images
+    r, below, size = N.shape[1], len(N), n ** (k - 1)
+    if graded:
+        U, kept = N, N[:0, :0]
     else:
-        images -= N @ (N.conj().T @ images)
-    rows = [images.reshape(-1, w)]
-    for g in spec.generators:
-        if g.degree == k:
-            scale = np.linalg.norm(list(g.terms.values()))
-            rows.append(sum(np.conj(c) / scale * phi[wi.index(word)]
-                            for word, c in g.terms.items())[None])
-    return phi @ _null_space(np.vstack(rows), rank_tol)
+        with _blas_threads(max(size, r)):
+            u, s, _ = np.linalg.svd(N[-size:], full_matrices=False)
+        U, kept = u[:, :np.count_nonzero(s > rank_tol)], N
+    (base, lower), q = kept.shape, U.shape[1]
+    w = lower + n * q
+    _require_candidates_fit(k, base + n * size, w)
+    phi = np.zeros((base + n * size, w), dtype=complex)
+    phi[:base, :lower] = kept
+    for i in range(n):   # I_n (x) U
+        phi[base + i * size:base + (i + 1) * size, lower + i * q:lower + (i + 1) * q] = U
+    rows = [coeffs @ phi[at] for at, coeffs in units]
+    # the shifted candidates, rows indexed like N's: (below, shifts, w); the
+    # graded ones are phi itself, which is not read after this
+    shifted = phi.reshape(size, n, w) if graded else _adjoint_shifts(phi, n, k)
+    images = shifted.reshape(below, -1)
+    if below - r < r and images.size > SMALL_STACK:
+        # I - N N* = C C* for an orthonormal basis C of the complement of N;
+        # when that is the smaller side, C* gives the same singular values
+        # in fewer rows (a small stack is cheaper as it is than a QR of N)
+        C = N[:, :0]
+        if r < below:
+            with _blas_threads(below):
+                C = np.linalg.qr(N, mode="complete")[0][:, r:]
+        with _tall_threads(images):
+            images = C.conj().T @ images
+    else:
+        with _tall_threads(images):
+            images -= N @ (N.conj().T @ images)
+    rows.append(images.reshape(len(images) * shifted.shape[1], w))
+    X = _null_space(np.vstack(rows), rank_tol)
+    top = (U @ X[lower:].reshape(n, q, X.shape[1])).reshape(n * size, X.shape[1])
+    return (top if graded else np.vstack([kept @ X[:lower], top])), X
 
 
 def _assemble(wi: WordIndex, blocks) -> np.ndarray:
@@ -302,21 +287,21 @@ def _assemble(wi: WordIndex, blocks) -> np.ndarray:
 def ideal_subspace(spec: IdealSpec, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the degree-m component of the padded ideal.
 
-    For homogeneous generators this is exact grade by grade; otherwise it is
-    the orthogonal complement of the quotient model's N in P_m.
+    It is the orthogonal complement of the quotient model's N in P_m, taken
+    grade by grade for homogeneous generators, where it is grade-exact.
     """
     wi = WordIndex(spec.n, spec.m)
     factored = spec.n ** spec.m if spec.homogeneous else wi.dim
     if factored > GRADE_COORD_CAP:
         raise ResourceCapError(
             f"coordinate space of size {factored} exceeds the cap {GRADE_COORD_CAP}")
+    model = build_quotient(spec, rank_tol)
     if spec.homogeneous:
-        model = build_quotient(spec, rank_tol)
         return _assemble(wi, [
-            _split_row_space(model.n_basis[wi.grade_slice(k), model.grade_positions(k)].T,
-                             rank_tol)[1]
+            _null_space(model.n_basis[wi.grade_slice(k), model.grade_positions(k)].conj().T,
+                        rank_tol)
             for k in range(spec.m + 1)])
-    return _split_row_space(build_quotient(spec, rank_tol).n_basis.T, rank_tol)[1]
+    return _null_space(model.n_basis.conj().T, rank_tol)
 
 
 @dataclass
@@ -356,50 +341,43 @@ class QuotientModel:
         return out
 
 
-def _require_compressions_fit(n: int, r: int) -> None:
-    if n * r * r > MAX_DENSE_ENTRIES:
-        raise ResourceCapError(
-            f"compressions of {n} x {r} x {r} entries exceed the cap {MAX_DENSE_ENTRIES}")
-
-
 def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel:
     """Quotient model on N = P_m minus the padded ideal, with B_i = P_N S_i|_N.
 
-    Homogeneous generators give grade-exact bases and block-bidiagonal
-    compressions; the top grade maps into truncated territory, so relation
-    checks only hold on grades up to reliable_degree.  Other generators give
-    the degree recursion's approximate model, with B_i = (L_i* N)* N.
+    One recursion over degrees builds N (_complement_recursion).
+    Homogeneous generators give grade-exact bases whose step coordinates
+    are the block-bidiagonal compressions; the top grade maps into
+    truncated territory, so relation checks only hold on grades up to
+    reliable_degree.  Other generators give an approximate model, with
+    B_i = (L_i* N)* N.
     """
-    wi = WordIndex(spec.n, spec.m)
     n, m = spec.n, spec.m
     reliable = m - spec.max_generator_degree
-    if spec.homogeneous:
-        blocks, coords = _grade_recursion(spec, rank_tol)
-        sizes = [b.shape[1] for b in blocks]
-        at = np.cumsum([0] + sizes)
-        r = int(at[-1])
-        B = np.zeros((n, r, r), dtype=complex)
-        for k, C in enumerate(coords):
-            if C is None:
-                for i in range(n):
-                    B[i, at[k + 1] + i * sizes[k]:at[k + 1] + (i + 1) * sizes[k],
-                      at[k]:at[k + 1]] = np.eye(sizes[k])
-            else:
-                B[:, at[k + 1]:at[k + 2], at[k]:at[k + 1]] = \
-                    C.reshape(n, sizes[k], sizes[k + 1]).conj().transpose(0, 2, 1)
-        return QuotientModel(spec, _assemble(wi, blocks), B, reliable,
-                             grades=np.repeat(np.arange(m + 1), sizes),
-                             trivial=(r == 0), approximate=False)
-    # dim N >= D minus the padded products: a model whose compressions cannot
-    # fit fails before the recursion starts
-    _require_compressions_fit(n, max(wi.dim - _padded_count(spec), 0))
-    n_basis = _degree_recursion(spec, rank_tol)
-    r = n_basis.shape[1]
-    _require_compressions_fit(n, r)
-    # B_i = N* L_i N = (L_i* N)* P_{m-1} N
-    B = _adjoint_shifts(n_basis, n, m)[:n].conj().transpose(0, 2, 1) @ n_basis[:wi.grade_start(m)]
-    return QuotientModel(spec, n_basis, B, reliable, grades=None,
-                         trivial=(r == 0), approximate=True)
+    blocks, coords = _complement_recursion(spec, rank_tol)
+    if not spec.homogeneous:
+        n_basis = blocks[0]
+        # B_i = N* L_i N = (L_i* N)* P_{m-1} N
+        r = n_basis.shape[1]
+        lowered = _adjoint_shifts(n_basis, n, m)[:, :n]   # L_i* N in P_{m-1}
+        B = (lowered.reshape(len(lowered), n * r).conj().T
+             @ n_basis[:len(lowered)]).reshape(n, r, r)
+        return QuotientModel(spec, n_basis, B, reliable, grades=None,
+                             trivial=(r == 0), approximate=True)
+    sizes = [b.shape[1] for b in blocks]
+    at = np.cumsum([0] + sizes)
+    r = int(at[-1])
+    B = np.zeros((n, r, r), dtype=complex)
+    for k in range(1, m + 1):
+        if coords[k] is None:   # a whole grade: L_i puts grade k-1 in its i-th part
+            for i in range(n):
+                B[i, at[k] + i * sizes[k - 1]:at[k] + (i + 1) * sizes[k - 1],
+                  at[k - 1]:at[k]] = np.eye(sizes[k - 1])
+        else:
+            B[:, at[k]:at[k + 1], at[k - 1]:at[k]] = \
+                coords[k].reshape(n, sizes[k - 1], sizes[k]).conj().transpose(0, 2, 1)
+    return QuotientModel(spec, _assemble(WordIndex(n, m), blocks), B, reliable,
+                         grades=np.repeat(np.arange(m + 1), sizes),
+                         trivial=(r == 0), approximate=False)
 
 
 def quotient_distance(f: NcPolynomial, spec: IdealSpec, *, model: QuotientModel = None,

@@ -99,6 +99,20 @@ def symmetrized_basis(n, lam, m):
     return np.column_stack(columns)
 
 
+def dense_complement(rows, rank_tol):
+    """Orthonormal columns of the complement of the row space of `rows`.
+
+    One full SVD of all the rows, with a rank cut relative to the largest
+    singular value: the dense oracle for the quotient builders' complement.
+    """
+    dim = rows.shape[1]
+    if rows.shape[0] == 0:
+        return np.eye(dim, dtype=complex)
+    _, s, vh = np.linalg.svd(rows, full_matrices=True)
+    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
+    return np.ascontiguousarray(vh[rank:].T)
+
+
 def padded_dense_rows(spec, wi):
     """Rows spanning the padded ideal inside all of P_m (any generators).
 

@@ -343,6 +343,17 @@ def test_ideal_compressions(tmp_path, capsys):
     assert payload["results"]["relation_residual"] < 1e-10
 
 
+def test_ideal_compressions_of_homogeneous_generators(tmp_path, capsys):
+    # the commutator given as generators has a graded model, as with lambda_q
+    doc = {"kind": "ideal", "n": 2, "degree": 5,
+           "generators": [[{"word": [1, 2], "coeff": [1.0, 0.0]},
+                           {"word": [2, 1], "coeff": [-1.0, 0.0]}]]}
+    path = _write(tmp_path, "p.json", doc)
+    assert cli.main(["ideal", "compressions", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["relation_residual"] < 1e-10
+
+
 def test_ideal_check(tmp_path, capsys, monkeypatch):
     from ncfock import poisson
     sequences = []

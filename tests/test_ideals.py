@@ -13,7 +13,7 @@ from ncfock import (BallPoint, DomainError, IdealSpec, NcPolynomial, ResourceCap
                     mult_matrix, q_commutation_spec, quotient_distance,
                     quotient_poisson_check, sup_norm_bounds, tensor_product,
                     truncated_mult_matrix)
-from helpers import padded_dense_rows, random_polynomial, symmetrized_basis
+from helpers import dense_complement, padded_dense_rows, random_polynomial, symmetrized_basis
 
 
 def _projector_distance(a, b):
@@ -156,19 +156,42 @@ def test_q_commutation_grades_are_symmetric_powers(n, lam):
         assert np.linalg.norm(model.evaluate_polynomial(g)[:, keep], 2) <= 1e-10
 
 
-def test_homogeneous_model_matches_dense_padded_complement():
-    # the grade recursion against the complement of all padded generator rows
+def _homogeneous_specs():
+    """Random degree-2 plus degree-3 pairs, a sparse monomial and a
+    constant beside a commutator."""
     rng = np.random.default_rng(23)
     for n, m in [(2, 6), (3, 4)]:
         for _ in range(3):
-            gens = (random_polynomial(rng, n, 2, terms=2, homogeneous=True),
-                    random_polynomial(rng, n, 3, terms=3, homogeneous=True))
-            spec = IdealSpec(n, gens, m)
-            model = build_quotient(spec)
-            rows = padded_dense_rows(spec, WordIndex(n, m))
-            _, dense = ideals._split_row_space(rows, ideals.RANK_TOL)
-            assert model.dim == dense.shape[1]
-            assert _projector_distance(model.n_basis, dense) < 1e-10
+            yield IdealSpec(n, (random_polynomial(rng, n, 2, terms=2, homogeneous=True),
+                                random_polynomial(rng, n, 3, terms=3, homogeneous=True)), m)
+    yield IdealSpec(3, (NcPolynomial(3, {(1, 2, 3): 1.0}),), 5)
+    yield IdealSpec(2, (NcPolynomial(2, {(): 0.5}), q_commutation_spec(2, 1.0, 2).generators[0]), 4)
+
+
+def test_homogeneous_model_matches_dense_padded_complement():
+    # the graded recursion against the complement of all padded generator rows
+    for spec in _homogeneous_specs():
+        n, m = spec.n, spec.m
+        model = build_quotient(spec)
+        rows = padded_dense_rows(spec, WordIndex(n, m))
+        dense = dense_complement(rows, ideals.RANK_TOL)
+        assert model.dim == dense.shape[1]
+        assert _projector_distance(model.n_basis, dense) < 1e-10
+
+
+@pytest.mark.parametrize("n, factor, m, counts", [
+    (3, (1, 2, 3), 6, [1, 3, 9, 26, 75, 216, 622]),     # a_k = 3 a_{k-1} - a_{k-3}
+    (2, (1, 1), 12, [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377])])   # Fibonacci
+def test_monomial_quotient_grades_count_the_words_avoiding_it(n, factor, m, counts):
+    # the quotient by a monomial is spanned by the words that avoid it as a factor
+    model = build_quotient(IdealSpec(n, (NcPolynomial(n, {factor: 1.0}),), m))
+    wi = WordIndex(n, m)
+    containing = [any(w[i:i + len(factor)] == factor for i in range(len(w)))
+                  for w in wi.words()]
+    assert model.grade_dimensions() == counts
+    assert model.dim == len(containing) - sum(containing)
+    # orthonormal columns, as many as the avoiding words, vanishing off them
+    assert np.abs(model.n_basis[containing]).max() < 1e-12
 
 
 def _random_complex(rng):
@@ -202,8 +225,7 @@ def test_non_homogeneous_model_matches_dense_padded_complement(spec):
     # rows and the compressions N* S N of the dense truncated shifts
     n, m = spec.n, spec.m
     model = build_quotient(spec)
-    _, dense = ideals._split_row_space(padded_dense_rows(spec, WordIndex(n, m)),
-                                       ideals.RANK_TOL)
+    dense = dense_complement(padded_dense_rows(spec, WordIndex(n, m)), ideals.RANK_TOL)
     assert not spec.homogeneous and model.approximate
     assert model.dim == dense.shape[1]
     assert _projector_distance(model.n_basis, dense) < 1e-10
