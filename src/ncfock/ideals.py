@@ -25,7 +25,6 @@ reliable_degree = m - max generator degree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,12 +32,12 @@ import numpy as np
 from .errors import DomainError, ResourceCapError
 from .freealg import (MAX_DENSE_ENTRIES, NcPolynomial, WordIndex, _mult_triplets,
                       basis_size, truncated_mult_matrix)
-from .numerics import _blas_threads, operator_norm
+from .numerics import _blas_threads, _blas_threads_for, operator_norm
 from .poisson import RowContraction, is_c0_certified, poisson_kernel
 
 GRADE_COORD_CAP = 4096       # largest single-grade coordinate space we factorize
 RANK_TOL = 1e-10
-SMALL_STACK = 1024           # null-space stacks up to this many entries skip the QR
+SMALL_STACK = 1024           # stacks up to this many entries skip the QR and the complement
 
 
 @dataclass
@@ -126,32 +125,22 @@ def _null_space(A: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal columns spanning {x : A x = 0}, singular values <= tol cut.
 
     A stack taller than its width w is first reduced to its w x w triangle
-    R, unless it has at most SMALL_STACK entries, where one SVD costs less
-    than the two calls.  The QR takes the thread scope of a square with as
-    many entries as the stack (_tall_threads), the SVD that of w.
+    R, unless it has at most SMALL_STACK entries.  On the tall stacks of the
+    quotient_ladder benchmark workload (2-vCPU host), one SVD took 14-74 us
+    from 5 x 4 to 64 x 12 (768 entries) against 34-98 us for the QR and the
+    SVD of R; from 128 x 14 (1,792 entries) on, the two calls were faster
+    (95 against 109 us).  755 of its 843 tall stacks have at most 1,024
+    entries.
     """
     w = A.shape[1]
     if not A.size:
         return np.eye(w, dtype=complex)
     if len(A) > w and A.size > SMALL_STACK:
-        with _tall_threads(A):
+        with _blas_threads_for(A):
             A = np.linalg.qr(A, mode="r")
     with _blas_threads(w):
         _, s, vh = np.linalg.svd(A, full_matrices=len(A) < w)
     return vh[np.count_nonzero(s > tol):].conj().T
-
-
-def _tall_threads(A: np.ndarray):
-    """The thread scope of a square with as many entries as the tall A.
-
-    Keyed on its larger side, a tall, narrow call ran on two threads, and
-    from 9,216 entries (512 x 18) to 45,056 those ran up to twice as long
-    as on one, or stalled for tens of milliseconds in some processes; from
-    81,920 entries on, two threads were faster (8188 x 33: 8-10 ms against
-    12-13 ms).  Up to SMALL_STACK entries the scope costs more than it
-    saves, so those keep the process's threads.
-    """
-    return _blas_threads(math.isqrt(A.size) if A.size > SMALL_STACK else 0)
 
 
 def _padded_count(spec: IdealSpec) -> int:
@@ -230,11 +219,12 @@ def _next_complement(N: np.ndarray, n: int, k: int, units, graded: bool, rank_to
     on P_k, w = r + n q columns; when graded, N is the grade-(k-1) block
     itself, U = N and Phi = I_n (x) N on grade k, w = n r.  X spans the null
     space of (I - N N*) L_i* Phi and (I - N N*) R_i* Phi (R_i* alone when
-    graded: L_i* maps I_n (x) N into range(N)), stacked with the degree-k
-    generator rows g* Phi (units, see _complement_recursion).  Each
-    constraint block maps the orthonormal candidates by a contraction and
-    each generator row is a unit vector, so the null space keeps the
-    singular values above the absolute cut rank_tol.
+    graded: L_i* maps I_n (x) N into range(N), so those rows vanish),
+    stacked with the degree-k generator rows g* Phi (units, see
+    _complement_recursion).  Each constraint block maps the orthonormal
+    candidates by a contraction and each generator row is a unit vector, so
+    the null space keeps the singular values above the absolute cut
+    rank_tol.
     """
     r, below, size = N.shape[1], len(N), n ** (k - 1)
     if graded:
@@ -258,19 +248,24 @@ def _next_complement(N: np.ndarray, n: int, k: int, units, graded: bool, rank_to
     if below - r < r and images.size > SMALL_STACK:
         # I - N N* = C C* for an orthonormal basis C of the complement of N;
         # when that is the smaller side, C* gives the same singular values
-        # in fewer rows (a small stack is cheaper as it is than a QR of N)
+        # in fewer rows (15 x 96 images: 140 against 223 us with the null
+        # space; 40 x 666: 1.4 against 4.4 ms).  Up to SMALL_STACK entries,
+        # where 456 of the 524 such steps of the quotient_ladder workload
+        # lie, the projection is cheaper: taking C there made q-commutation
+        # builds at n = 2, m = 4..6 8-12% slower
         C = N[:, :0]
         if r < below:
             with _blas_threads(below):
                 C = np.linalg.qr(N, mode="complete")[0][:, r:]
-        with _tall_threads(images):
+        with _blas_threads_for(images):
             images = C.conj().T @ images
     else:
-        with _tall_threads(images):
+        with _blas_threads_for(images):
             images -= N @ (N.conj().T @ images)
     rows.append(images.reshape(len(images) * shifted.shape[1], w))
     X = _null_space(np.vstack(rows), rank_tol)
     top = (U @ X[lower:].reshape(n, q, X.shape[1])).reshape(n * size, X.shape[1])
+    # graded, kept is empty: stacking it on top would only copy top
     return (top if graded else np.vstack([kept @ X[:lower], top])), X
 
 

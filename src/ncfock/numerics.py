@@ -5,8 +5,10 @@ default 1e-10 reflects that feasibility-boundary matrices are numerically
 singular by design.
 
 LAPACK calls on matrices whose larger side lies in SINGLE_THREAD_DIMS run
-on one BLAS thread (see _blas_threads): at those sizes handing work to a
-second OpenBLAS thread costs more than the arithmetic it saves.
+on one BLAS thread (see _blas_threads), and so do the calls on tall, narrow
+or wide operands whose entry count lies in SINGLE_THREAD_ENTRIES
+(_blas_threads_for): at those sizes handing work to a second OpenBLAS
+thread costs more than the arithmetic it saves.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ HERMITIAN_RTOL = 1e-12
 # win.  Up to 16, eigh and svd ran alike on one and two threads (no stalls in
 # 1,500 calls), so the scope, about 5 us a call, is skipped there.
 SINGLE_THREAD_DIMS = range(17, 257)
+# Entry counts of the tall, narrow or wide operands whose calls run on one
+# BLAS thread (_blas_threads_for): up to those of a 256 x 256 square.  At
+# 289-1,024 entries the scope cost 2-12 us against 10-16 us for the products
+# that form a null-space stack, so it is skipped there.
+SINGLE_THREAD_ENTRIES = range(1025, 257 * 257)
 
 # The OpenBLAS builds bundled in the numpy and scipy wheels: the package,
 # the library file next to it, and the suffix of its thread-count symbols.
@@ -116,6 +123,22 @@ def _blas_threads(dim: int):
     dim is in SINGLE_THREAD_DIMS, restoring every count on exit, also when a
     call raises; other sizes keep the process's thread counts."""
     return _BLAS_SCOPE if dim in SINGLE_THREAD_DIMS else _DEFAULT_THREADS
+
+
+def _blas_threads_for(a: np.ndarray):
+    """The thread scope of a call on the tall, narrow or wide a, keyed on its
+    number of entries (SINGLE_THREAD_ENTRIES).
+
+    Keyed on its larger side, a tall, narrow call ran on two threads.  On a
+    2-vCPU host a complex QR of 512 x 18 (9,216 entries) then took 0.25-0.35
+    ms against 0.12-0.19 ms on one, or stalled for tens of milliseconds in
+    some processes; at 508 x 72 (36,576) both took 2.0-2.2 ms; from 48,000
+    entries on (1500 x 32, 700 x 80, 3000 x 20) two threads were 5-20%
+    faster, so the cut-off at 66,049 entries keeps one thread on
+    48,000-66,048 entries where two would be faster; above it two won
+    (1020 x 94: 5.2-5.5 ms against 6.5-7.3 ms).
+    """
+    return _BLAS_SCOPE if a.size in SINGLE_THREAD_ENTRIES else _DEFAULT_THREADS
 
 
 def as_hermitian(a, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:

@@ -405,6 +405,21 @@ def test_ideal_non_homogeneous_candidate_cap_exit_code(tmp_path, capsys):
     assert "candidate space of size 8191" in capsys.readouterr().err
 
 
+def test_ideal_homogeneous_candidate_cap_exit_code(tmp_path, capsys):
+    # e1 and 3300 degree-2 monomials at n = 65: dim N is small enough for the
+    # compressions, but grade 2 has n * r_1 = 65 * 64 candidates, above
+    # GRADE_COORD_CAP
+    words = itertools.islice(itertools.product(range(2, 66), repeat=2), 3300)
+    doc = {"kind": "ideal", "n": 65, "degree": 2,
+           "generators": [[{"word": [1], "coeff": [1.0, 0.0]}]]
+           + [[{"word": list(word), "coeff": [1.0, 0.0]}] for word in words]}
+    path = _write(tmp_path, "p.json", doc)
+    start = time.perf_counter()
+    assert cli.main(["ideal", "compressions", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "degree-2 candidate space of size 4160" in capsys.readouterr().err
+
+
 def test_ideal_non_homogeneous_model_past_the_old_dense_cap(tmp_path, capsys):
     # D(2, 12) = 8191 is past the 4096 that the dense model allowed
     doc = {"kind": "ideal", "n": 2, "degree": 12,

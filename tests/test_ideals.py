@@ -290,10 +290,30 @@ def test_non_homogeneous_model_past_the_old_dense_cap():
 
 
 def test_homogeneous_grade_coordinate_cap_fails_fast():
-    # grade 2 has n * r_1 = 65 * 65 coordinates, above GRADE_COORD_CAP
+    # D(65, 3) minus the one padded product bounds dim N far above what the
+    # compressions may hold, so the spec is refused before any grade is built
     spec = IdealSpec(65, (NcPolynomial(65, {(1, 2, 3): 1.0}),), 3)
     start = time.perf_counter()
     with pytest.raises(ResourceCapError):
+        build_quotient(spec)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("generators, message", [
+    # e1 e1: the first candidates are all n^2 = 4225 words of grade 2
+    ([(1, 1)], "degree-2 candidate space of size 4225"),
+    # e1: grade 1 keeps r_1 = 64 letters, so grade 2 has n * r_1 = 4160
+    # candidates, refused in the step before it allocates them
+    ([(1,)], "degree-2 candidate space of size 4160"),
+], ids=["first-degree", "later-degree"])
+def test_homogeneous_candidate_cap_fails_fast(generators, message):
+    # 3300 degree-2 monomials at n = 65 leave dim N <= D(65, 2) - 3300, small
+    # enough for the compressions, so only the candidate cap refuses the spec
+    words = itertools.islice(itertools.product(range(2, 66), repeat=2), 3300)
+    spec = IdealSpec(65, tuple(NcPolynomial(65, {word: 1.0})
+                               for word in generators + list(words)), 2)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match=message):
         build_quotient(spec)
     assert time.perf_counter() - start < 1.0
 

@@ -9,7 +9,8 @@ import pytest
 import ncfock
 from ncfock import (DomainError, SingularGramError, as_hermitian, c0_sequence, hermitian_sqrt,
                     max_generalized_eigenvalue, operator_norm, psd_check)
-from ncfock.numerics import _BLAS_SCOPE, SINGLE_THREAD_DIMS, _blas_threads
+from ncfock.numerics import (_BLAS_SCOPE, SINGLE_THREAD_DIMS, SINGLE_THREAD_ENTRIES,
+                             _blas_threads, _blas_threads_for)
 from helpers import random_row_contraction, random_unitary
 
 
@@ -166,6 +167,20 @@ def test_small_calls_run_on_one_thread(two_blas_threads, dim):
 @pytest.mark.parametrize("dim", [SINGLE_THREAD_DIMS[0] - 1, SINGLE_THREAD_DIMS[-1] + 1])
 def test_tiny_and_large_calls_keep_the_process_threads(two_blas_threads, dim):
     with _blas_threads(dim):
+        assert _BLAS_SCOPE.counts() == two_blas_threads
+
+
+@pytest.mark.parametrize("rows", [SINGLE_THREAD_ENTRIES[0], SINGLE_THREAD_ENTRIES[-1]])
+def test_tall_calls_run_on_one_thread_by_their_entries(two_blas_threads, rows):
+    # a column of rows entries: keyed on its larger side it would keep two
+    with _blas_threads_for(np.empty((rows, 1))):
+        assert set(_BLAS_SCOPE.counts().values()) <= {1}
+    assert _BLAS_SCOPE.counts() == two_blas_threads
+
+
+@pytest.mark.parametrize("rows", [SINGLE_THREAD_ENTRIES[0] - 1, SINGLE_THREAD_ENTRIES[-1] + 1])
+def test_small_and_large_tall_calls_keep_the_process_threads(two_blas_threads, rows):
+    with _blas_threads_for(np.empty((rows, 1))):
         assert _BLAS_SCOPE.counts() == two_blas_threads
 
 
