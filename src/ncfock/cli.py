@@ -4,9 +4,10 @@ Problem files are strict JSON documents with a fixed vocabulary: kind, n,
 points, targets, polynomial, generators, lambda_q, degree, tol, kmax.
 Complex numbers are two-element arrays [re, im], points are arrays of
 complex, matrices are row-major nested arrays, and polynomials are arrays of
-{"word": [indices], "coeff": [re, im]} objects (matrix-valued entries add
-"block": [row, col]).  Unknown fields are rejected, and so are NaN, Infinity
-and integers too large for a double.
+{"word": [indices], "coeff": [re, im]} objects.  Unknown fields are rejected,
+and so are NaN, Infinity and integers too large for a double.  The "block":
+[row, col] term field appears only in the interpolant that `pick
+interpolant` writes, never in input.
 
 Exit codes: 0 computed, 1 computed with a property violation (for example an
 infeasible interpolation problem), 2 input error (schema, domain, singular
@@ -121,18 +122,15 @@ def _as_targets(value, path, n) -> list:
     return mats
 
 
-def _as_polynomial(value, path, n):
-    """Scalar NcPolynomial, or NcMatrixPolynomial when entries carry blocks."""
+def _as_polynomial(value, path, n) -> NcPolynomial:
     if not isinstance(value, list):
         raise SchemaError(path, "expected an array of term objects")
-    scalar_terms = {}
-    block_terms = {}
-    has_block = False
+    terms = {}
     for t, entry in enumerate(value):
         tpath = f"{path}[{t}]"
         if not isinstance(entry, dict):
             raise SchemaError(tpath, "expected a term object")
-        extra = set(entry) - {"word", "coeff", "block"}
+        extra = set(entry) - {"word", "coeff"}
         if extra:
             raise SchemaError(tpath, f"unexpected field '{sorted(extra)[0]}'")
         if "word" not in entry or "coeff" not in entry:
@@ -143,37 +141,14 @@ def _as_polynomial(value, path, n):
             raise SchemaError(f"{tpath}.word", f"expected generator indices in 1..{n}")
         word = tuple(word)
         coeff = _as_complex(entry["coeff"], f"{tpath}.coeff")
-        if "block" in entry:
-            has_block = True
-            block = entry["block"]
-            if not (isinstance(block, list) and len(block) == 2 and all(
-                    isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in block)):
-                raise SchemaError(f"{tpath}.block", "expected [row, col] nonnegative integers")
-            key = (block[0], block[1])
-            block_terms.setdefault(key, {})
-            block_terms[key][word] = block_terms[key].get(word, 0.0) + coeff
-        else:
-            scalar_terms[word] = scalar_terms.get(word, 0.0) + coeff
-    if has_block:
-        if scalar_terms:
-            raise SchemaError(path, "mixing block and scalar terms is not allowed")
-        size = 1 + max(max(r, c) for r, c in block_terms)
-        entries = [[NcPolynomial(n, block_terms.get((r, c), {})) for c in range(size)]
-                   for r in range(size)]
-        return NcMatrixPolynomial(n, entries)
-    return NcPolynomial(n, scalar_terms)
+        terms[word] = terms.get(word, 0.0) + coeff
+    return NcPolynomial(n, terms)
 
 
 def _as_generators(value, path, n) -> list:
     if not isinstance(value, list):
         raise SchemaError(path, "expected an array of polynomials")
-    gens = []
-    for j, g in enumerate(value):
-        g = _as_polynomial(g, f"{path}[{j}]", n)
-        if isinstance(g, NcMatrixPolynomial):
-            raise SchemaError(f"{path}[{j}]", "generators must be scalar polynomials")
-        gens.append(g)
-    return gens
+    return [_as_polynomial(g, f"{path}[{j}]", n) for j, g in enumerate(value)]
 
 
 def _as_lambda_q(value, path):
@@ -343,8 +318,6 @@ def _row_contraction(problem: ProblemFile) -> poisson.RowContraction:
 def _scalar_polynomial(problem: ProblemFile) -> NcPolynomial:
     if problem.polynomial is None:
         raise SchemaError("polynomial", "missing field")
-    if isinstance(problem.polynomial, NcMatrixPolynomial):
-        raise SchemaError("polynomial", "this command needs a scalar polynomial")
     return problem.polynomial
 
 
@@ -436,8 +409,10 @@ def _pick_interpolant(prob, problem, params, report):
     except SingularGramError as exc:
         min_norm = None
         report.warnings.append(f"min_norm not computed: {exc}")
-    residual = max(operator_norm(phi.evaluate(p) - w)
-                   for p, w in zip(prob.points, prob.targets))
+    # all k node values from one (n, k, 1, 1) stack of the points
+    nodes = np.array([p.coords for p in prob.points]).T[:, :, None, None]
+    residual = max(operator_norm(v - w)
+                   for v, w in zip(freealg.evaluate(phi, nodes), prob.targets))
     if residual > params["tol"]:
         report.warnings.append(
             f"interpolation residual {residual:.3e} exceeds tol: the monomial "
@@ -493,7 +468,7 @@ def _poisson_vonneumann(T, problem, params, report):
     p = _scalar_polynomial(problem)
     m = params["degree"]
     lower, upper = bounds = freealg.sup_norm_bounds(p, m)
-    lhs = operator_norm(T.evaluate_polynomial(p))
+    lhs = operator_norm(freealg.evaluate(p, T.matrices))
     violated = lhs > upper + 1e-12 * max(1.0, upper)
     report.results.update(lhs=float(lhs), lower=lower, upper=upper, gap=upper - lower,
                           lower_method=bounds.lower_method, upper_method=bounds.upper_method,
@@ -538,7 +513,8 @@ def _ideal_compressions(model, problem, params, report):
     if model.grades is not None:
         keep = np.flatnonzero(model.grades <= model.reliable_degree)
         report.results["relation_residual"] = max(
-            (operator_norm(model.evaluate_polynomial(g)[:, keep]) for g in model.spec.generators),
+            (operator_norm(freealg.evaluate(g, model.compressions)[:, keep])
+             for g in model.spec.generators),
             default=0.0)
     if model.dim <= 32:
         report.results["compressions"] = [model.compressions[i] for i in range(n)]

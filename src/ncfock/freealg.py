@@ -6,6 +6,8 @@ of length at most m.  Words are plain tuples of 1-based generator indices,
 lexicographically inside a grade with 1 < 2 < ... < n, so the coefficient
 array of any vector splits into contiguous grade blocks and the block of
 grade k sits at offset D(n, k-1) with D(n, m) = 1 + n + ... + n^m.
+Polynomials act on points and operator tuples through one functional
+calculus (``evaluate``), which forms each word product once per prefix.
 
 Multiplication matrices are always built into the full target grade
 m + deg(p); compressing back to P_m is an explicit, separate step
@@ -177,13 +179,6 @@ class BallPoint:
         """<self, other> = sum_t self_t * conj(other_t)."""
         return complex(np.vdot(other.coords, self.coords))
 
-    def word_product(self, word) -> complex:
-        """The ordered coordinate product lambda_alpha along the word."""
-        out = 1.0 + 0.0j
-        for letter in word:
-            out *= self.coords[letter - 1]
-        return complex(out)
-
 
 def _as_point(point) -> BallPoint:
     return point if isinstance(point, BallPoint) else BallPoint(point)
@@ -342,15 +337,6 @@ class NcMatrixPolynomial:
                     block[a, b] = coeff
         return [operator_norm(np.vstack(list(g.values()))) if g else 0.0 for g in grades]
 
-    def evaluate(self, point) -> np.ndarray:
-        point = _as_point(point)
-        rows, cols = self.shape
-        out = np.empty((rows, cols), dtype=complex)
-        for a in range(rows):
-            for b in range(cols):
-                out[a, b] = evaluate(self.entries[a][b], point)
-        return out
-
 
 def tensor_product(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     """Concatenation product: the gamma coefficient is sum over splittings
@@ -364,21 +350,62 @@ def tensor_product(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     return NcPolynomial(p.n, terms)
 
 
-def evaluate(p, point):
-    """Value sum_alpha coeff(alpha) * lambda_alpha at a scalar point of the ball.
+def _word_products(X: np.ndarray, words) -> np.ndarray:
+    """X_alpha = X_(alpha_1) ... X_(alpha_k) of each word, multiplied left to right.
 
-    Matrix-valued polynomials return the complex matrix of entrywise values.
-    Agrees with <p, z_vector(point, m)> whenever m >= deg p.
+    X stacks n operators of shape (..., d, d) (batch axes, then the matrix),
+    and the letters lie in 1..n.  Each distinct prefix is multiplied once;
+    the empty word gives the identity.  Returns shape (len(words), ..., d, d).
     """
-    if isinstance(p, NcMatrixPolynomial):
-        return p.evaluate(point)
-    point = _as_point(point)
-    if point.n != p.n:
-        raise ValueError(f"point dimension {point.n} does not match n = {p.n}")
-    total = 0.0 + 0.0j
-    for word, coeff in p.terms.items():
-        total += coeff * point.word_product(word)
-    return complex(total)
+    products = {(): np.eye(X.shape[-1]), **{(i + 1,): x for i, x in enumerate(X)}}
+    out = np.empty((len(words),) + X.shape[1:], dtype=complex)
+    for t, word in enumerate(words):
+        k = len(word)
+        while word[:k] not in products:
+            k -= 1
+        value = products[word[:k]]
+        for j in range(k, len(word)):
+            value = value @ X[word[j] - 1]
+            products[word[:j + 1]] = value
+        out[t] = value
+    return out
+
+
+def evaluate(p, X):
+    """The functional calculus p(X) = sum_alpha c_alpha X_alpha.
+
+    X is a point of the ball (a BallPoint or its coordinates), or a stack
+    of n operators of shape (n, ..., d, d): a row contraction's matrices, a
+    quotient model's compressions, or k points as an (n, k, 1, 1) stack.
+    A scalar polynomial gives a complex at a point and an array of shape
+    (..., d, d) on a stack.  A matrix-valued polynomial gives
+    sum_alpha C_alpha (x) X_alpha: its (rows, cols) matrix of values at a
+    point, an array of shape (..., rows d, cols d) on a stack.  At a point
+    the value agrees with <p, z_vector(point, m)> whenever m >= deg p.
+    """
+    point = isinstance(X, BallPoint) or np.ndim(X) <= 1
+    X = _as_point(X).coords[:, None, None] if point else np.asarray(X, dtype=complex)
+    if X.ndim < 3 or X.shape[-1] != X.shape[-2] or X.shape[0] != p.n:
+        raise ValueError(f"expected {p.n} coordinates or a stack of shape "
+                         f"({p.n}, ..., d, d), got shape {X.shape}")
+    scalar = not isinstance(p, NcMatrixPolynomial)
+    entries = [[p]] if scalar else p.entries
+    rows, cols = len(entries), len(entries[0])
+    coeffs = {}   # word -> its coefficient matrix C_alpha, shaped to broadcast
+    for a, row in enumerate(entries):
+        for b, q in enumerate(row):
+            for word, c in q.terms.items():
+                if word not in coeffs:
+                    coeffs[word] = np.zeros((rows, 1, cols, 1), dtype=complex)
+                coeffs[word][a, 0, b, 0] = c
+    batch, d = X.shape[1:-2], X.shape[-1]
+    # one word at a time, in term order, not one einsum (whose summation order
+    # and rounding differ): p(T) of a scalar p is the plain sum of its terms
+    out = np.zeros(batch + (rows, d, cols, d), dtype=complex)
+    for C, Xw in zip(coeffs.values(), _word_products(X, list(coeffs))[..., None, :, None, :]):
+        out += C * Xw
+    out = out.reshape(batch + (rows * d, cols * d))
+    return complex(out[0, 0]) if point and scalar else out
 
 
 def z_vector(point, m: int) -> FockVector:

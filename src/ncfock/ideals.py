@@ -30,14 +30,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .freealg import (MAX_DENSE_ENTRIES, NcPolynomial, WordIndex, _mult_triplets,
-                      basis_size, truncated_mult_matrix)
+from .freealg import (MAX_DENSE_ENTRIES, NcPolynomial, WordIndex, _capped_basis_size,
+                      _mult_triplets, _word_products, basis_size, evaluate,
+                      truncated_mult_matrix)
 from .numerics import _blas_threads, _blas_threads_for, operator_norm
 from .poisson import RowContraction, is_c0_certified, poisson_kernel
 
 GRADE_COORD_CAP = 4096       # largest single-grade coordinate space we factorize
 RANK_TOL = 1e-10
 SMALL_STACK = 1024           # stacks up to this many entries skip the QR and the complement
+# side of the dense compression whose SVD gives caratheodory_distance: on a
+# 2-vCPU host D = 1023 takes 0.4-0.7 s and D = 2047 3.1-3.3 s, about 8x per
+# doubling, so D = 4095 would take about 25 s
+CARATHEODORY_MAX_DIM = 2048
 
 
 @dataclass
@@ -323,18 +328,6 @@ class QuotientModel:
     def grade_positions(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.grades == k)
 
-    def evaluate_polynomial(self, f: NcPolynomial) -> np.ndarray:
-        """f(B) = sum_alpha coeff(alpha) B_alpha at the compressed shifts."""
-        if f.n != self.spec.n:
-            raise ValueError(f"polynomial over n = {f.n}, ideal over n = {self.spec.n}")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for word, coeff in f.terms.items():
-            term = coeff * np.eye(self.dim, dtype=complex)
-            for letter in word:
-                term = term @ self.compressions[letter - 1]
-            out += term
-        return out
-
 
 def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel:
     """Quotient model on N = P_m minus the padded ideal, with B_i = P_N S_i|_N.
@@ -396,7 +389,7 @@ def quotient_distance(f: NcPolynomial, spec: IdealSpec, *, model: QuotientModel 
     if model.trivial or f.is_zero:
         return 0.0
     if not model.approximate:
-        return operator_norm(model.evaluate_polynomial(f))
+        return operator_norm(evaluate(f, model.compressions))
     N = model.n_basis
     fN = np.zeros_like(N)   # L_f N compressed to P_m, as moves of word indices
     for rows, cols, c in _mult_triplets(f, spec.m, spec.m + 1):
@@ -409,12 +402,17 @@ def caratheodory_distance(p: NcPolynomial, m0: int) -> float:
 
     Here the complement is all of P_m0, so the value is the exact norm of
     the compression of multiplication by p to P_m0: the ideal is graded and
-    the complement finite dimensional, so no truncation error enters.
+    the complement finite dimensional, so no truncation error enters.  The
+    compression is D(n, m0) x D(n, m0) with D at most CARATHEODORY_MAX_DIM.
     """
     if p.is_zero:
         return 0.0
     if p.degree > m0:
         raise ValueError(f"deg p = {p.degree} exceeds m0 = {m0}")
+    dim = _capped_basis_size(p.n, m0)
+    if dim > CARATHEODORY_MAX_DIM:
+        raise ResourceCapError(
+            f"compression of side D({p.n},{m0}) = {dim} exceeds the cap {CARATHEODORY_MAX_DIM}")
     return operator_norm(truncated_mult_matrix(p, m0))
 
 
@@ -422,7 +420,7 @@ def _require_admissible(T: RowContraction, spec: IdealSpec, tol: float, kmax: in
     """Require a tuple that annihilates every generator and is certified pure."""
     offenders = []
     for idx, g in enumerate(spec.generators):
-        norm = operator_norm(T.evaluate_polynomial(g))
+        norm = operator_norm(evaluate(g, T.matrices))
         if norm > tol:
             offenders.append(f"generators[{idx}]: ||g(T)|| = {norm:.3e}")
     if offenders:
@@ -434,7 +432,7 @@ def _require_admissible(T: RowContraction, spec: IdealSpec, tol: float, kmax: in
 
 
 def _von_neumann_sides(T, f, spec, model):
-    lhs = operator_norm(T.evaluate_polynomial(f))
+    lhs = operator_norm(evaluate(f, T.matrices))
     rhs = quotient_distance(f, spec, model=model)
     return (float(lhs), float(rhs))
 
@@ -464,10 +462,10 @@ def _poisson_residuals(T, spec, m, model, word_degree):
 
     words = list(WordIndex(T.n, min(word_degree, m)).words())
     # K* (B_alpha B_beta* tensor I) K = Y_alpha* Y_beta with Y_w = (B_w* tensor I) K
-    flat = coords.reshape(model.dim, -1)
-    Y = np.array([(model.evaluate_polynomial(NcPolynomial.from_word(T.n, w)).conj().T
-                   @ flat).reshape(-1, T.d) for w in words])
-    Tw = np.array([T.word_product(w) for w in words])
+    Bw = _word_products(model.compressions, words)
+    Y = (Bw.conj().transpose(0, 2, 1) @ coords.reshape(model.dim, -1)).reshape(
+        len(words), model.dim * T.d, T.d)
+    Tw = _word_products(T.matrices, words)
     defects = (np.einsum("aki,bkj->abij", Y.conj(), Y)
                - np.einsum("aij,bkj->abik", Tw, Tw.conj()))
     worst = np.linalg.norm(defects.reshape(-1, T.d, T.d), 2, axis=(1, 2)).max()

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .freealg import (MAX_BASIS_SIZE, BallPoint, NcPolynomial, WordIndex,
-                      sup_norm_bounds, word_value)
+from .freealg import (MAX_BASIS_SIZE, MAX_DENSE_ENTRIES, BallPoint, NcPolynomial, WordIndex,
+                      _word_products, evaluate, sup_norm_bounds, word_value)
 from .numerics import DEFAULT_TOL, _blas_threads, hermitian_sqrt, operator_norm
 
 CONTRACTION_CLAMP = 1e-10
@@ -74,28 +74,10 @@ class RowContraction:
         coords = np.stack([p.coords for p in pts])  # (s, n)
         return cls([np.diag(coords[:, i]) for i in range(n)])
 
-    def word_product(self, word) -> np.ndarray:
-        """T_alpha, the ordered product of tuple entries along the word."""
-        out = np.eye(self.d, dtype=complex)
-        for letter in word:
-            if not 1 <= letter <= self.n:
-                raise ValueError(f"letter {letter} outside 1..{self.n}")
-            out = out @ self.matrices[letter - 1]
-        return out
-
     def cp_map(self, x: np.ndarray) -> np.ndarray:
         """The completely positive map Phi(X) = sum_i T_i X T_i*."""
         # two contractions of n d^3 each: one three-operand einsum would loop over n d^4
         return np.einsum("iac,idc->ad", self.matrices @ x, self.matrices.conj())
-
-    def evaluate_polynomial(self, p: NcPolynomial) -> np.ndarray:
-        """p(T), the target-algebra value sum_alpha coeff(alpha) T_alpha."""
-        if p.n != self.n:
-            raise ValueError(f"polynomial over n = {p.n}, tuple has n = {self.n}")
-        out = np.zeros((self.d, self.d), dtype=complex)
-        for word, coeff in p.terms.items():
-            out += coeff * self.word_product(word)
-        return out
 
 
 @dataclass(frozen=True)
@@ -120,13 +102,12 @@ class PoissonKernelMatrix:
         return self.matrix.reshape(-1, self.d, self.d)
 
 
-def c0_sequence(T: RowContraction, kmax: int) -> list:
-    """sigma_k = ||Phi^k(I)|| for k = 0..kmax, by iterating the CP map.
+def _sigmas(T: RowContraction, kmax: int, floor: float) -> list:
+    """sigma_0, sigma_1, ... up to sigma_kmax or the first one below floor.
 
-    The sequence is nonincreasing; vanishing in the limit is the pure decay
-    condition that makes kernel truncations certifiable.  Each step costs a
-    fixed C0_STEP_OVERHEAD plus (n + 1) d^3 (the map and the norm), no word
-    enumeration; kmax such steps are capped at C0_MAX_WORK.
+    Each step costs a fixed C0_STEP_OVERHEAD plus (n + 1) d^3 (the map and
+    the norm); kmax steps are capped at C0_MAX_WORK, even if the loop stops
+    early.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -140,18 +121,32 @@ def c0_sequence(T: RowContraction, kmax: int) -> list:
     with _blas_threads(T.d):
         out = [operator_norm(x)]
         for _ in range(kmax):
+            if out[-1] < floor:
+                break
             x = T.cp_map(x)
             out.append(operator_norm(x))
     return out
+
+
+def c0_sequence(T: RowContraction, kmax: int) -> list:
+    """sigma_k = ||Phi^k(I)|| for k = 0..kmax, by iterating the CP map.
+
+    The sequence is nonincreasing; vanishing in the limit is the pure decay
+    condition that makes kernel truncations certifiable.
+    """
+    return _sigmas(T, kmax, 0.0)
 
 
 def is_c0_certified(T: RowContraction, kmax: int = 30, margin: float = 1e-9) -> bool:
     """True when sigma_kmax < 1 - margin.
 
     Submultiplicativity (sigma_(a+b) <= sigma_a sigma_b) then forces
-    sigma_k -> 0, so this is a genuine certificate, not a heuristic.
+    sigma_k -> 0, so this is a genuine certificate, not a heuristic.  Since
+    sigma_k never increases, the loop stops at the first sigma_k below
+    1 - margin (k = 1 for a strict row contraction), under the same work cap
+    as c0_sequence.
     """
-    return c0_sequence(T, kmax)[-1] < 1.0 - margin
+    return _sigmas(T, kmax, 1.0 - margin)[-1] < 1.0 - margin
 
 
 def suggest_truncation_degree(T: RowContraction, target: float, kmax: int = 60) -> int:
@@ -174,9 +169,11 @@ def poisson_kernel(T: RowContraction, m: int, tol: float = DEFAULT_TOL) -> Poiss
     exactly sigma_(m+1).
     """
     wi = WordIndex(T.n, m)
-    if wi.dim * T.d > MAX_BASIS_SIZE:
+    # the blocks, and their product with Delta, each hold D d^2 entries
+    if wi.dim * T.d > MAX_BASIS_SIZE or wi.dim * T.d ** 2 > MAX_DENSE_ENTRIES:
         raise ResourceCapError(
-            f"kernel of size {wi.dim} * {T.d} rows exceeds the cap {MAX_BASIS_SIZE}")
+            f"kernel of {wi.dim} * {T.d} rows and {wi.dim} * {T.d}^2 entries exceeds the "
+            f"caps {MAX_BASIS_SIZE} rows and {MAX_DENSE_ENTRIES} entries")
     tstar = T.matrices.conj().transpose(0, 2, 1)
     blocks = np.empty((wi.dim, T.d, T.d), dtype=complex)
     grade = np.eye(T.d, dtype=complex)[None]
@@ -226,8 +223,9 @@ def poisson_covariance_residuals(T: RowContraction, pairs, m: int) -> list:
     pairs (alpha, beta), all from one kernel of degree m."""
     pairs = _word_pairs(pairs, m)
     blocks, wi = poisson_kernel(T, m).blocks, WordIndex(T.n, m)
-    return [operator_norm(_compression(blocks, wi, alpha, beta)
-                          - T.word_product(alpha) @ T.word_product(beta).conj().T)
+    words = list(dict.fromkeys(w for pair in pairs for w in pair))
+    Tw = dict(zip(words, _word_products(T.matrices, words)))
+    return [operator_norm(_compression(blocks, wi, alpha, beta) - Tw[alpha] @ Tw[beta].conj().T)
             for alpha, beta in pairs]
 
 
@@ -248,7 +246,7 @@ def von_neumann_margin(T: RowContraction, p: NcPolynomial, m: int):
     noncommutative von Neumann inequality), with no tolerance excuses; lhs
     exceeds lower by at most the bracket width upper - lower.
     """
-    lhs = operator_norm(T.evaluate_polynomial(p))
+    lhs = operator_norm(evaluate(p, T.matrices))
     lower, upper = sup_norm_bounds(p, m)
     return (float(lhs), lower, upper)
 

@@ -32,6 +32,26 @@ def random_polynomial(rng, n, degree, terms=5, scale=1.0, homogeneous=False,
     return p
 
 
+def naive_word_product(X, word):
+    """X_alpha for a stack X of shape (n, ..., d, d): the identity times each
+    letter's operator in turn, nothing shared between words."""
+    X = np.asarray(X, dtype=complex)
+    out = np.broadcast_to(np.eye(X.shape[-1], dtype=complex), X.shape[1:])
+    for letter in word:
+        out = out @ X[letter - 1]
+    return out
+
+
+def naive_evaluate(p, X):
+    """sum_alpha c_alpha X_alpha term by term: the oracle for freealg.evaluate
+    on scalar polynomials and stacks of shape (n, ..., d, d)."""
+    X = np.asarray(X, dtype=complex)
+    out = np.zeros(X.shape[1:], dtype=complex)
+    for word, coeff in p.terms.items():
+        out = out + coeff * naive_word_product(X, word)
+    return out
+
+
 def random_point(rng, n, radius=0.6):
     v = rng.uniform(-1.0, 1.0, size=(n, 2))
     coords = (v[:, 0] + 1j * v[:, 1]) * (radius / np.sqrt(2 * n))

@@ -122,7 +122,7 @@ def test_criterion_4_lagrange_exactness():
         problem = PickProblem(points, targets)
         phi = lagrange_interpolant(problem)
         for p, w in zip(problem.points, problem.targets):
-            worst = max(worst, operator_norm(phi.evaluate(p) - w))
+            worst = max(worst, operator_norm(evaluate(phi, p) - w))
     assert worst <= 1e-12
     _report(4, f"cardinal interpolant exact on 50 random problems "
                f"(worst residual {worst:.2e})")
@@ -150,7 +150,7 @@ def test_criterion_6_hard_von_neumann():
         t = random_row_contraction(rng, n, d, rho=float(rng.uniform(0.4, 1.0)))
         deg = int(rng.integers(1, 4))
         p = random_polynomial(rng, n, deg, terms=5, homogeneous=True)
-        lhs = operator_norm(t.evaluate_polynomial(p))
+        lhs = operator_norm(evaluate(p, t.matrices))
         l2 = float(np.sqrt(sum(abs(c) ** 2 for c in p.terms.values())))
         assert lhs <= l2 + 1e-12 * max(1.0, l2)
     stabilized_count = 0
@@ -161,7 +161,7 @@ def test_criterion_6_hard_von_neumann():
         p = random_polynomial(rng, n, 3, terms=5)
         if p.is_homogeneous:
             p = p + NcPolynomial.unit(n, 0.5)
-        lhs = operator_norm(t.evaluate_polynomial(p))
+        lhs = operator_norm(evaluate(p, t.matrices))
         lower, upper = sup_norm_bounds(p, 8)
         stabilized = upper - lower <= 1e-6 * max(1.0, upper)
         assert lhs <= upper + 1e-12 * max(1.0, upper)

@@ -357,8 +357,8 @@ def test_ideal_compressions_of_homogeneous_generators(tmp_path, capsys):
 def test_ideal_check(tmp_path, capsys, monkeypatch):
     from ncfock import poisson
     sequences = []
-    c0_sequence = poisson.c0_sequence
-    monkeypatch.setattr(poisson, "c0_sequence", lambda *a: sequences.append(a) or c0_sequence(*a))
+    sigmas = poisson._sigmas
+    monkeypatch.setattr(poisson, "_sigmas", lambda *a: sequences.append(a) or sigmas(*a))
     doc = {"kind": "ideal", "n": 2, "lambda_q": 1.0, "degree": 6,
            "points": [[[0.3, 0.0], [0.1, 0.0]], [[-0.2, 0.0], [0.3, 0.0]]],
            "polynomial": [{"word": [], "coeff": [0.5, 0.0]},
@@ -379,6 +379,42 @@ def test_resource_cap_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "p.json", doc)
     assert cli.main(["caratheodory", path]) == 3
     assert "resource cap" in capsys.readouterr().err
+
+
+def test_caratheodory_side_cap_exit_code(tmp_path, capsys):
+    doc = {"kind": "caratheodory", "n": 2, "degree": 11,
+           "polynomial": [{"word": [1], "coeff": [1.0, 0.0]}]}
+    path = _write(tmp_path, "p.json", doc)
+    start = time.perf_counter()
+    assert cli.main(["caratheodory", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "compression of side" in capsys.readouterr().err
+
+
+def test_poisson_kernel_entry_cap_exit_code(tmp_path, capsys):
+    # 3333 * 300 rows fit the row cap; 3333 * 300^2 entries do not
+    doc = {"kind": "poisson", "n": 1, "degree": 3332,
+           "targets": [[[[0.0, 0.0]] * 300] * 300]}
+    path = _write(tmp_path, "p.json", doc)
+    start = time.perf_counter()
+    assert cli.main(["poisson", "kernel", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["polynomial", "generators"])
+def test_block_terms_are_not_input(tmp_path, capsys, field):
+    # "block" appears only in the interpolant that pick interpolant writes
+    term = {"word": [1], "coeff": [1.0, 0.0], "block": [0, 0]}
+    doc = {"kind": "ideal", "n": 2, "degree": 3,
+           field: [[term]] if field == "generators" else [term]}
+    if field == "polynomial":
+        doc["lambda_q"] = 1.0
+    path = _write(tmp_path, "p.json", doc)
+    assert cli.main(["ideal", "distance", path]) == 2
+    prefix = f"{field}[0][0]" if field == "generators" else f"{field}[0]"
+    assert capsys.readouterr().err.startswith(
+        f"input error: {prefix}: unexpected field 'block'")
 
 
 def test_ideal_grade_cap_exit_code(tmp_path, capsys):

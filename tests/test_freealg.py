@@ -4,8 +4,10 @@ import pytest
 from ncfock import (BallPoint, DomainError, FockVector, NcMatrixPolynomial, NcPolynomial,
                     ResourceCapError, WordIndex, basis_size, evaluate, flip,
                     mult_matrix, operator_norm, sup_norm_bounds, tensor_product, z_vector)
-from ncfock import freealg
-from helpers import random_polynomial, random_row_contraction
+from ncfock import (IdealSpec, RowContraction, build_quotient, freealg,
+                    q_commutation_spec)
+from helpers import (naive_evaluate, random_point, random_polynomial,
+                     random_row_contraction)
 
 
 def test_basis_size():
@@ -104,6 +106,110 @@ def test_evaluate_examples():
 def test_evaluate_tolerates_sphere_points():
     p = NcPolynomial(2, {(1,): 1.0})
     assert evaluate(p, BallPoint([0.6, 0.8])) == pytest.approx(0.6)
+
+
+CALCULUS_SHAPES = ["point", "points", "tuple", "compressions"]
+CALCULUS_SPECS = [q_commutation_spec(2, 1.0, 4), q_commutation_spec(2, -1.0, 5),
+                  q_commutation_spec(3, 0.5j, 3),
+                  IdealSpec(3, (NcPolynomial(3, {(1, 2, 3): 1.0}),), 4),
+                  IdealSpec(2, (NcPolynomial(2, {(1, 2): 1.0, (2, 1): -1.0, (1,): 0.3}),), 5)]
+
+
+def _calculus_cases(shape, seed, count=50):
+    """count (p, q, X, stack) cases of one shape: X as evaluate takes it, and
+    stack the same operators as an (n, ..., d, d) array for the oracle."""
+    rng = np.random.default_rng(seed)
+    models = [build_quotient(spec) for spec in CALCULUS_SPECS] if shape == "compressions" else []
+    for t in range(count):
+        if shape == "compressions":
+            model = models[t % len(models)]
+            n, X = model.spec.n, model.compressions
+            stack = X
+        else:
+            n = int(rng.integers(1, 4))
+            if shape == "point":
+                X = random_point(rng, n, radius=0.9)
+                stack = X.coords[:, None, None]
+            elif shape == "points":
+                pts = [random_point(rng, n, radius=0.9) for _ in range(int(rng.integers(1, 8)))]
+                X = stack = np.array([p.coords for p in pts]).T[:, :, None, None]
+            else:
+                X = random_row_contraction(rng, n, int(rng.integers(1, 5))).matrices
+                stack = X
+        p, q = (random_polynomial(rng, n, int(rng.integers(0, 4)), terms=int(rng.integers(1, 7)))
+                for _ in range(2))
+        yield p, q, X, stack
+
+
+def _l1(p):
+    return sum(abs(c) for c in p.terms.values())
+
+
+@pytest.mark.parametrize("shape", CALCULUS_SHAPES)
+def test_functional_calculus_matches_the_term_by_term_oracle(shape):
+    for p, q, X, stack in _calculus_cases(shape, seed=11):
+        value = np.asarray(evaluate(p, X))
+        expected = naive_evaluate(p, stack)
+        if shape == "point":
+            assert isinstance(evaluate(p, X), complex)
+            expected = expected[0, 0]
+        assert value.shape == expected.shape
+        assert np.abs(value - expected).max() <= 1e-13 * max(1.0, _l1(p))
+
+
+@pytest.mark.parametrize("shape", CALCULUS_SHAPES)
+def test_functional_calculus_is_linear_and_multiplicative(shape):
+    rng = np.random.default_rng(12)
+    for p, q, X, stack in _calculus_cases(shape, seed=13):
+        a, b = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
+        fp, fq = np.asarray(evaluate(p, X)), np.asarray(evaluate(q, X))
+        scale = max(1.0, _l1(p)) * max(1.0, _l1(q)) * (1 + abs(a) + abs(b))
+        combined = evaluate(p.scale(a) + q.scale(b), X)
+        assert np.abs(combined - (a * fp + b * fq)).max() <= 1e-13 * scale
+        product = evaluate(tensor_product(p, q), X)
+        assert np.abs(product - (fp * fq if shape == "point" else fp @ fq)).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("shape", ["point", "points"])
+def test_functional_calculus_at_a_diagonal_tuple_is_diagonal(shape):
+    # the diagonal tuple of k points has the k point values on its diagonal
+    for p, q, X, stack in _calculus_cases(shape, seed=14):
+        points = [BallPoint(c) for c in stack.reshape(len(stack), -1).T]
+        value = evaluate(p, RowContraction.diagonal(points).matrices)
+        expected = np.diag([evaluate(p, pt) for pt in points])
+        assert np.abs(value - expected).max() <= 1e-13 * max(1.0, _l1(p))
+
+
+def test_matrix_polynomial_value_is_the_kronecker_sum():
+    # sum_alpha C_alpha (x) X_alpha: block (a, b) is the value of entry p_ab,
+    # at a point, at batched points and on a tuple of matrices
+    rng = np.random.default_rng(15)
+    for shape in ("point", "points", "tuple"):
+        for p, q, X, stack in _calculus_cases(shape, seed=16, count=10):
+            n = p.n
+            entries = [[random_polynomial(rng, n, 2, terms=3) for _ in range(3)]
+                       for _ in range(2)]
+            value = evaluate(NcMatrixPolynomial(n, entries), X)
+            d = stack.shape[-1]
+            assert value.shape == stack.shape[1:-2] + (2 * d, 3 * d)
+            for a in range(2):
+                for b in range(3):
+                    block = value[..., a * d:(a + 1) * d, b * d:(b + 1) * d]
+                    assert np.abs(block - naive_evaluate(entries[a][b], stack)).max() <= 1e-12
+
+
+def test_evaluate_checks_the_operator_count_and_shape():
+    p = NcPolynomial(2, {(1,): 1.0})
+    with pytest.raises(ValueError):
+        evaluate(p, [0.5])
+    with pytest.raises(ValueError):
+        evaluate(p, np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError):
+        evaluate(p, np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        evaluate(p, np.zeros((2, 2, 3)))
+    with pytest.raises(DomainError):
+        evaluate(p, [0.9, 0.9])
 
 
 def test_z_vector_vacuum():
@@ -337,7 +443,7 @@ def test_norm_bracket_orders_and_bounds_the_von_neumann_side():
         for _ in range(3):
             t = random_row_contraction(rng, n, int(rng.integers(1, 5)),
                                        rho=float(rng.uniform(0.5, 1.0)))
-            assert operator_norm(t.evaluate_polynomial(p)) <= upper + 1e-12 * max(1.0, upper)
+            assert operator_norm(evaluate(p, t.matrices)) <= upper + 1e-12 * max(1.0, upper)
 
 
 def test_line_bracket_contains_the_circle_sup_and_is_tight():

@@ -153,7 +153,7 @@ def test_q_commutation_grades_are_symmetric_powers(n, lam):
     assert model.grade_dimensions() == [math.comb(k + n - 1, n - 1) for k in range(m + 1)]
     keep = np.flatnonzero(model.grades <= model.reliable_degree)
     for g in model.spec.generators:
-        assert np.linalg.norm(model.evaluate_polynomial(g)[:, keep], 2) <= 1e-10
+        assert np.linalg.norm(evaluate(g, model.compressions)[:, keep], 2) <= 1e-10
 
 
 def _homogeneous_specs():
@@ -457,6 +457,16 @@ def test_caratheodory_examples():
     assert caratheodory_distance(NcPolynomial.unit(3), 2) == pytest.approx(1.0, abs=1e-13)
     p = NcPolynomial(2, {(1, 2): 2.0, (2, 1): 1.0, (1, 1): -2.0})
     assert caratheodory_distance(p, 2) == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, m0", [(2, 11), (1, 2048), (3, 7)])
+def test_caratheodory_side_cap_fails_fast(n, m0):
+    # D = 4095, 2049 and 3280 exceed CARATHEODORY_MAX_DIM: one dense SVD of
+    # that side would take 10-25 s
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="compression of side"):
+        caratheodory_distance(NcPolynomial.generator(n, 1), m0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_caratheodory_monotone_in_degree():

@@ -1,14 +1,17 @@
+import time
+
 import numpy as np
 import pytest
 
-from ncfock import (BallPoint, DomainError, NcPolynomial, RowContraction,
+from ncfock import poisson
+from ncfock import (BallPoint, DomainError, NcPolynomial, ResourceCapError, RowContraction,
                     c0_sequence, evaluate, is_c0_certified, minimal_subspace,
                     operator_norm, poisson_compression, poisson_covariance_check,
                     poisson_covariance_residuals, poisson_kernel, radial_scale,
                     suggest_truncation_degree, truncated_mult_matrix,
                     von_neumann_margin, z_vector)
-from helpers import (random_polynomial, random_row_contraction, random_unitary,
-                     symmetrized_basis)
+from helpers import (naive_word_product, random_polynomial, random_row_contraction,
+                     random_unitary, symmetrized_basis)
 
 
 def test_row_contraction_rejects_expansive_tuples():
@@ -41,6 +44,54 @@ def test_c0_sequence_unitary_scalar():
     t = RowContraction([np.array([[1.0]])])
     assert c0_sequence(t, 5) == [1.0] * 6
     assert not is_c0_certified(t, kmax=10)
+
+
+def _tuples_strict_boundary_non_pure(rng, count):
+    """(kind, tuple): strict (sum T_i T_i* < I), boundary (that sum has norm
+    exactly 1, yet the tuple is pure) and non-pure (a unitary block)."""
+    for t in range(count):
+        n, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        kind = ("strict", "boundary", "non-pure")[t % 3]
+        if kind == "strict":
+            yield kind, random_row_contraction(rng, n, d, rho=float(rng.uniform(0.1, 0.99)))
+        elif kind == "boundary":
+            d += 1   # at d = 1 the normalized tuple is a point of the sphere, not pure
+            g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+            s = np.linalg.norm(np.einsum("iab,icb->ac", g, g.conj()), 2)
+            yield kind, RowContraction(g / np.sqrt(s))
+        else:
+            inner = random_row_contraction(rng, n, d, rho=0.5).matrices
+            mats = np.zeros((n, d + 1, d + 1), dtype=complex)
+            mats[:, 1:, 1:] = inner
+            mats[0, 0, 0] = np.exp(1j * rng.uniform(0, 2 * np.pi))
+            yield kind, RowContraction(mats)
+
+
+@pytest.mark.filterwarnings("ignore:clamped")
+def test_is_c0_certified_matches_the_last_sigma():
+    # the verdict stops at the first sigma_k below 1 - margin; it must be the
+    # verdict on sigma_kmax, and a strict tuple stops at k = 1
+    rng = np.random.default_rng(23)
+    kinds = set()
+    for kind, t in _tuples_strict_boundary_non_pure(rng, 90):
+        kmax = int(rng.integers(0, 31))
+        for margin in (1e-9, 1e-3, 0.2):
+            expected = c0_sequence(t, kmax)[-1] < 1.0 - margin
+            assert is_c0_certified(t, kmax, margin) == expected
+        if kind == "strict" and kmax >= 1:
+            assert len(poisson._sigmas(t, kmax, 1.0 - 1e-9)) == 2
+        kinds.add((kind, is_c0_certified(t, 30)))
+    assert kinds == {("strict", True), ("boundary", True), ("non-pure", False)}
+
+
+def test_kernel_entry_cap_fails_fast():
+    # D d = 3333 * 300 rows fit the row cap, but each of the two block arrays
+    # would hold D d^2 = 3.0e8 complex entries (4.8 GB)
+    t = RowContraction([np.zeros((300, 300))])
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="entries"):
+        poisson_kernel(t, 3332)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_c0_sequence_nonincreasing_for_any_contraction():
@@ -136,7 +187,8 @@ def test_covariance_residuals_match_the_moved_word_operator():
             la = truncated_mult_matrix(NcPolynomial.from_word(n, alpha), m)
             lb = truncated_mult_matrix(NcPolynomial.from_word(n, beta), m)
             moved = K.conj().T @ np.kron(la @ lb.conj().T, np.eye(d)) @ K
-            exact = t.word_product(alpha) @ t.word_product(beta).conj().T
+            exact = (naive_word_product(t.matrices, alpha)
+                     @ naive_word_product(t.matrices, beta).conj().T)
             assert abs(residual - operator_norm(moved - exact)) <= 1e-13
             assert residual == poisson_covariance_check(t, alpha, beta, m)
     with pytest.raises(ValueError):
@@ -187,7 +239,8 @@ def test_radial_compression_recovers_word_moments():
     # dividing the factor out and letting r -> 1 recovers the word moment
     t = RowContraction([np.array([[0.4]]), np.array([[0.3]])])
     alpha, beta = (1,), (2,)
-    exact = (t.word_product(alpha) @ t.word_product(beta).conj().T)[0, 0]
+    exact = (naive_word_product(t.matrices, alpha)
+             @ naive_word_product(t.matrices, beta).conj().T)[0, 0]
     m = 12
     recovered = []
     for r in (0.9, 0.99):
