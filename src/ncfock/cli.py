@@ -7,7 +7,8 @@ complex, matrices are row-major nested arrays, and polynomials are arrays of
 {"word": [indices], "coeff": [re, im]} objects.  Unknown fields are rejected,
 and so are NaN, Infinity and integers too large for a double.  The "block":
 [row, col] term field appears only in the interpolant that `pick
-interpolant` writes, never in input.
+interpolant` writes, never in input.  A --json report is exactly
+json.dumps(report, indent=2) plus a newline, written by `_json_text`.
 
 Exit codes: 0 computed, 1 computed with a property violation (for example an
 infeasible interpolation problem), 2 input error (schema, domain, singular
@@ -19,10 +20,13 @@ RuntimeError, such as ARPACK non-convergence).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -603,6 +607,7 @@ def dispatch(command, problem: ProblemFile, flags) -> Report:
     return report
 
 
+@functools.cache   # built on the first main call, then reused: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncfock",
@@ -620,9 +625,99 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_scalar(value):
+    """The JSON text of a string, number, bool or None as json.dumps writes it; else None."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _join_numbers(items, nl):
+    """The items of a list of finite floats, or of [re, im] pairs of them, in
+    one join, each starting a line nl; None for any other list."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        text = ("," + nl).join(map(float.__repr__, items))
+    elif kinds == {list} and set(map(len, items)) == {2}:
+        flat = list(itertools.chain.from_iterable(items))
+        if set(map(type, flat)) != {float}:
+            return None
+        inner = nl + "  "
+        reprs = map(float.__repr__, flat)
+        pairs = map(("," + inner).join, zip(reprs, reprs))
+        text = "[" + inner + (nl + "]," + nl + "[" + inner).join(pairs) + nl + "]"
+    else:
+        return None
+    return None if "n" in text else text   # nan and inf: the stdlib writes NaN, Infinity
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2), byte for byte, from one walk of value."""
+    out = []
+    _json_chunks(value, out, "\n")
+    return "".join(out)
+
+
+def _json_chunks(value, out, nl):
+    """Append the chunks of value's JSON text to out; nl is the line break
+    and indent of the value's own level."""
+    text = _json_scalar(value)
+    if text is not None:
+        out.append(text)
+        return
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        text = _join_numbers(value, inner)
+        if text is not None:
+            out.append("[" + inner + text + nl + "]")
+            return
+        out.append("[")
+        sep = inner
+        for item in value:
+            out.append(sep)
+            _json_chunks(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        out.append("{")
+        sep = inner
+        for key, item in value.items():
+            name = key if isinstance(key, str) else _json_scalar(key)
+            if name is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(name) + ": ")
+            _json_chunks(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: Report, flags):
-    text = (json.dumps(report.to_json_dict(), indent=2)
-            if flags.json else report.to_text())
+    text = _json_text(report.to_json_dict()) if flags.json else report.to_text()
     if flags.out:
         with open(flags.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")

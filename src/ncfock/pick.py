@@ -22,6 +22,7 @@ from .numerics import (DEFAULT_TOL, PsdVerdict, _blas_threads, as_hermitian,
                        max_generalized_eigenvalue, operator_norm, psd_check)
 
 POINT_SEPARATION = 1e-14
+SEPARATION_BLOCK_ENTRIES = 2 ** 20   # cap on the pairwise gap array of one block of nodes
 
 
 class PickProblem:
@@ -52,11 +53,16 @@ class PickProblem:
         for j, w in enumerate(mats):
             if w.shape[0] != dim:
                 raise ValueError(f"targets[{j}] has size {w.shape[0]}, expected {dim}")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                gap = np.abs(pts[i].coords - pts[j].coords).max()
-                if gap <= POINT_SEPARATION:
-                    raise DomainError(f"points {i} and {j} coincide (gap {gap:.3e})")
+        coords = np.stack([p.coords for p in pts])
+        rows = max(1, SEPARATION_BLOCK_ENTRIES // coords.size)
+        for start in range(0, len(pts), rows):
+            # gaps[i, j]: largest coordinate gap of points start + i and j
+            gaps = np.abs(coords[start:start + rows, None] - coords).max(axis=2)
+            close = np.argwhere(np.triu(gaps <= POINT_SEPARATION, start + 1))
+            if close.size:
+                i, j = close[0]
+                raise DomainError(
+                    f"points {start + i} and {j} coincide (gap {gaps[i, j]:.3e})")
         self.points = pts
         self.targets = np.stack(mats)
         self.n = n

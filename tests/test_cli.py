@@ -1,6 +1,11 @@
 import itertools
 import json
+import math
+import os
 import pathlib
+import subprocess
+import sys
+import tempfile
 import time
 
 import numpy as np
@@ -665,3 +670,114 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys, argv, text, field
     path.write_text(text)
     assert cli.main(argv + [str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"input error: {field}: ")
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    seen = []
+    dispatch = cli.dispatch
+    monkeypatch.setattr(cli, "dispatch",
+                        lambda command, problem, flags: seen.append(flags) or dispatch(
+                            command, problem, flags))
+    path = str(PROBLEMS / "ideal_commuting.json")
+    assert cli.main(["ideal", "basis", path, "--degree", "3", "--tol", "1e-8",
+                     "--kmax", "5", "--json"]) == 0
+    assert cli.main(["ideal", "basis", path]) == 0
+    assert (seen[0].degree, seen[0].tol, seen[0].kmax, seen[0].json) == (3, 1e-8, 5, True)
+    assert (seen[1].degree, seen[1].tol, seen[1].kmax, seen[1].json) == (None, None, None,
+                                                                        False)
+    capsys.readouterr()
+    for argv in (["ideal", "bogus", path], ["ideal", "basis"],
+                 ["ideal", "basis", path, "--degree", "three"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert "usage: ncfock" in capsys.readouterr().err
+    assert cli.main(["ideal", "basis", path]) == 0
+    assert len(seen) == 3 and seen[2].degree is None
+
+
+def test_parser_is_built_once_per_process_and_not_at_import():
+    code = ("import ncfock, ncfock.cli as cli, sys\n"
+            "built = cli._build_parser.cache_info().currsize\n"
+            "for _ in range(3):\n"
+            "    cli.main(['pick', 'norm', sys.argv[1], '--json', '--out', sys.argv[2]])\n"
+            "print(built, cli._build_parser.cache_info().misses)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = subprocess.run([sys.executable, "-c", code, str(PROBLEMS / "pick_schwarz.json"),
+                              os.path.join(tmp, "report.json")],
+                             env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["0", "1"]
+
+
+def _random_json_value(rng, depth=0):
+    kind = int(rng.integers(0, 12 if depth < 4 else 7))
+    if kind == 0:
+        return float(rng.choice([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-07,
+                                 0.1, 1.0, -2.5e300]))
+    if kind == 1:
+        return float(rng.normal() * 10.0 ** rng.integers(-20, 20))
+    if kind == 2:
+        return int(rng.choice([0, -1, 7, 2 ** 63, -(10 ** 40)]))
+    if kind == 3:
+        return bool(rng.integers(0, 2))
+    if kind == 4:
+        return None
+    if kind == 5:
+        return str(rng.choice(["", "plain", "é ü ∑ 日本", 'quote " back \\ slash',
+                               "tab\t new\n line \x00 \x1f  ", "\U0001f600"]))
+    if kind == 6:
+        return np.float64(rng.normal())
+    size = int(rng.integers(0, 5))
+    if kind == 7:
+        return [float(x) for x in rng.normal(size=size)] + (
+            [math.nan] if rng.random() < 0.3 else [])
+    if kind == 8:
+        pairs = [[float(x), float(y)] for x, y in rng.normal(size=(size, 2))]
+        if pairs and rng.random() < 0.5:   # a NaN, a ragged pair or an int leaves the fast path
+            odd = [[math.nan, 1.0], [1.0], [1.0, 2.0, 3.0], [1, 2.0], [np.float64(1.0), 2.0],
+                   [True, 1.0], (1.0, 2.0)]
+            pairs[-1] = odd[int(rng.integers(0, len(odd)))]
+        return pairs
+    if kind == 9:
+        return tuple(_random_json_value(rng, depth + 1) for _ in range(size))
+    if kind == 10:
+        return [_random_json_value(rng, depth + 1) for _ in range(size)]
+    keys = ["a", "é", "", "x\ny", 3, 2.5, True, None]
+    return {keys[int(rng.integers(0, len(keys)))]: _random_json_value(rng, depth + 1)
+            for _ in range(size)}
+
+
+def test_json_writer_matches_the_stdlib_indent_2_text():
+    rng = np.random.default_rng(12)
+    fixed = [math.nan, [math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-07],
+             [[1.0, 2.0], [math.nan, 3.0]], [[1.0, 2.0], [3.0]], [], {}, [[]], [{}], None,
+             [True, 1, False, 0, 2 ** 70], [np.float64(0.1), np.float64(1e16)],
+             {"a": [[0.5, -0.5]], 1: {}, "b": "∑\"\\"}, "é\n"]
+    for value in fixed + [_random_json_value(rng) for _ in range(400)]:
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 0}, [np.int64(3)], [1j], {"a": np.bool_(True)}])
+def test_json_writer_rejects_what_the_stdlib_rejects(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as info:
+        cli._json_text(value)
+    assert str(info.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("name, command", list(_contract_cases()))
+def test_json_reports_are_the_stdlib_indent_2_text(name, command, tmp_path, monkeypatch):
+    reports = []
+    dispatch = cli.dispatch
+    monkeypatch.setattr(cli, "dispatch",
+                        lambda *args: reports.append(dispatch(*args)) or reports[-1])
+    out = tmp_path / "report.json"
+    code = cli.main(command.split() + [str(PROBLEMS / name), "--json", "--out", str(out)])
+    if code == 2:   # an input error writes no report
+        assert not reports and not out.exists()
+        return
+    assert out.read_text() == json.dumps(reports[0].to_json_dict(), indent=2) + "\n"

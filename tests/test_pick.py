@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ncfock import pick
 from ncfock import (BallPoint, DomainError, NcPolynomial, PickProblem, ResourceCapError,
                     SingularGramError, certify, classical_ball_matrix, evaluate,
                     gram, lagrange_interpolant, min_interpolation_norm, operator_norm,
@@ -26,6 +27,42 @@ def test_problem_rejects_boundary_points():
 def test_problem_rejects_coincident_points():
     with pytest.raises(DomainError):
         PickProblem([[0.3, 0.1], [0.3, 0.1 + 1e-15]], [0.1, 0.2])
+
+
+def _first_coincident_pair(points):
+    # the pair loop the node check replaces, kept as its reference
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            gap = np.abs(points[i].coords - points[j].coords).max()
+            if gap <= pick.POINT_SEPARATION:
+                return f"points {i} and {j} coincide (gap {gap:.3e})"
+    return None
+
+
+@pytest.mark.parametrize("block_entries", [pick.SEPARATION_BLOCK_ENTRIES, 1, 7])
+def test_problem_names_the_first_coincident_pair(monkeypatch, block_entries):
+    # small blocks split the k x k gap array into row blocks of 1 to 7 nodes
+    monkeypatch.setattr(pick, "SEPARATION_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(41)
+    rejected = 0
+    for _ in range(150):
+        k, n = int(rng.integers(2, 33)), int(rng.integers(1, 4))
+        coords = 0.5 / math.sqrt(n) * (rng.uniform(-1, 1, size=(k, n))
+                                       + 1j * rng.uniform(-1, 1, size=(k, n)))
+        for _ in range(int(rng.integers(0, 4))):
+            i, j = rng.choice(k, size=2, replace=False)
+            shift = rng.choice([0.0, 3e-15, 1e-14, 2e-14, 1e-13])
+            coords[j] = coords[i] + shift * rng.choice([1, -1, 1j, -1j])
+        points = [BallPoint(c) for c in coords]
+        expected = _first_coincident_pair(points)
+        if expected is None:
+            assert PickProblem(points, [0.1] * k).k == k
+            continue
+        with pytest.raises(DomainError) as info:
+            PickProblem(points, [0.1] * k)
+        assert str(info.value) == expected
+        rejected += 1
+    assert rejected >= 50
 
 
 def test_problem_rejects_mismatched_targets():
