@@ -7,8 +7,10 @@ complex, matrices are row-major nested arrays, and polynomials are arrays of
 {"word": [indices], "coeff": [re, im]} objects.  Unknown fields are rejected,
 and so are NaN, Infinity and integers too large for a double.  The "block":
 [row, col] term field appears only in the interpolant that `pick
-interpolant` writes, never in input.  A --json report is exactly
-json.dumps(report, indent=2) plus a newline, written by `_json_text`.
+interpolant` writes, never in input.  `_json_text` writes a --json report as
+json.dumps(., indent=2) lays it out, and a text report's containers on one
+line, in one walk of the report's own values: complex as [re, im], arrays as
+lists, numpy scalars as Python numbers, keys and other objects through str.
 
 Exit codes: 0 computed, 1 computed with a property violation (for example an
 infeasible interpolation problem), 2 input error (schema, domain, singular
@@ -164,9 +166,11 @@ def _as_lambda_q(value, path):
         table = {}
         for t, row in enumerate(value):
             if not (isinstance(row, list) and len(row) == 4
-                    and isinstance(row[0], int) and isinstance(row[1], int)
+                    and all(isinstance(i, int) and not isinstance(i, bool) for i in row[:2])
                     and _is_number(row[2]) and _is_number(row[3])):
-                raise SchemaError(f"{path}[{t}]", "expected [j, i, re, im]")
+                raise SchemaError(f"{path}[{t}]", "expected [j, i, re, im] with integers j, i")
+            if (row[0], row[1]) in table:
+                raise SchemaError(f"{path}[{t}]", f"repeats the pair ({row[0]}, {row[1]})")
             table[(row[0], row[1])] = complex(row[2], row[3])
         return table
     raise SchemaError(path, "expected a number, [re, im], or an array of [j, i, re, im]")
@@ -207,9 +211,6 @@ class ProblemFile:
     tol: float = None
     kmax: int = None
 
-    def to_json_dict(self) -> dict:
-        return self.document
-
 
 def parse_document(doc: dict) -> ProblemFile:
     if not isinstance(doc, dict):
@@ -243,22 +244,6 @@ def parse_problem(path: str) -> ProblemFile:
     return parse_document(doc)
 
 
-def _jsonify(value):
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, np.generic):
-        return _jsonify(value.item())
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    return str(value)
-
-
 def _format_value(value) -> str:
     if value is None:
         return "null"
@@ -269,7 +254,7 @@ def _format_value(value) -> str:
     if isinstance(value, complex):
         return f"[{value.real!r}, {value.imag!r}]"
     if isinstance(value, (list, tuple, dict, np.ndarray)):
-        return json.dumps(_jsonify(value))
+        return _json_text(value, None)
     return str(value)
 
 
@@ -287,10 +272,10 @@ class Report:
         return {
             "command": self.command,
             "kind": self.kind,
-            "parameters": _jsonify(self.parameters),
-            "results": _jsonify(self.results),
-            "warnings": list(self.warnings),
-            "notes": list(self.notes),
+            "parameters": self.parameters,
+            "results": self.results,
+            "warnings": self.warnings,
+            "notes": self.notes,
             "violation": self.violation,
         }
 
@@ -421,7 +406,8 @@ def _pick_interpolant(prob, problem, params, report):
         report.warnings.append(
             f"interpolation residual {residual:.3e} exceeds tol: the monomial "
             f"coefficients of clustered nodes lose digits in double precision")
-    report.results.update(degree=int(phi.degree), max_interpolation_residual=float(residual),
+    # all-zero targets give the zero interpolant, of degree -inf: reported as 0
+    report.results.update(degree=max(phi.degree, 0), max_interpolation_residual=float(residual),
                           norm_upper=float(sum(phi.grade_norms())), min_norm=min_norm,
                           interpolant=_serialize_matrix_polynomial(phi))
     report.notes.append(
@@ -626,7 +612,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _json_scalar(value):
-    """The JSON text of a string, number, bool or None as json.dumps writes it; else None."""
+    """The JSON text of a string, number, bool or None as json.dumps writes
+    it; of any other object, the JSON string of its str."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -645,75 +632,79 @@ def _json_scalar(value):
         if value == -math.inf:
             return "-Infinity"
         return float.__repr__(value)
-    return None
+    return encode_basestring_ascii(str(value))
+
+
+def _layout(nl):
+    """(after the opening bracket, between items, before the closing bracket,
+    the items' nl) of a container whose own level is nl."""
+    if nl is None:
+        return "", ", ", "", None
+    inner = nl + "  "
+    return inner, "," + inner, nl, inner
 
 
 def _join_numbers(items, nl):
-    """The items of a list of finite floats, or of [re, im] pairs of them, in
-    one join, each starting a line nl; None for any other list."""
+    """The JSON text of a list of ints, of finite floats, or of complex
+    numbers as [re, im] pairs, in one join; None for any other list."""
+    head, sep, tail, inner = _layout(nl)
     kinds = set(map(type, items))
-    if kinds == {float}:
-        text = ("," + nl).join(map(float.__repr__, items))
-    elif kinds == {list} and set(map(len, items)) == {2}:
-        flat = list(itertools.chain.from_iterable(items))
-        if set(map(type, flat)) != {float}:
-            return None
-        inner = nl + "  "
-        reprs = map(float.__repr__, flat)
-        pairs = map(("," + inner).join, zip(reprs, reprs))
-        text = "[" + inner + (nl + "]," + nl + "[" + inner).join(pairs) + nl + "]"
+    if kinds == {float} or kinds == {int}:
+        texts = map(repr, items)
+    elif kinds == {complex}:
+        pair_head, pair_sep, pair_tail, _ = _layout(inner)
+        texts = [f"[{pair_head}{z.real!r}{pair_sep}{z.imag!r}{pair_tail}]" for z in items]
     else:
         return None
+    text = "[" + head + sep.join(texts) + tail + "]"
     return None if "n" in text else text   # nan and inf: the stdlib writes NaN, Infinity
 
 
-def _json_text(value) -> str:
-    """json.dumps(value, indent=2), byte for byte, from one walk of value."""
+def _json_text(value, nl="\n") -> str:
+    """The JSON text of value, from one walk: the layout of
+    json.dumps(., indent=2) at nl "\n", of json.dumps(.) at nl None."""
     out = []
-    _json_chunks(value, out, "\n")
+    _json_chunks(value, out, nl)
     return "".join(out)
 
 
 def _json_chunks(value, out, nl):
     """Append the chunks of value's JSON text to out; nl is the line break
-    and indent of the value's own level."""
-    text = _json_scalar(value)
-    if text is not None:
-        out.append(text)
-        return
-    inner = nl + "  "
+    and indent of the value's own level, None on one line."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()   # nested lists of Python scalars
+    if isinstance(value, complex):
+        value = [value.real, value.imag]
     if isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
-        text = _join_numbers(value, inner)
+        text = _join_numbers(value, nl)
         if text is not None:
-            out.append("[" + inner + text + nl + "]")
+            out.append(text)
             return
-        out.append("[")
-        sep = inner
+        head, sep, tail, inner = _layout(nl)
+        lead = "[" + head
         for item in value:
-            out.append(sep)
+            out.append(lead)
             _json_chunks(item, out, inner)
-            sep = "," + inner
-        out.append(nl + "]")
+            lead = sep
+        out.append(tail + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
-        out.append("{")
-        sep = inner
+        if set(map(type, value)) != {str}:
+            value = {str(key): item for key, item in value.items()}
+        head, sep, tail, inner = _layout(nl)
+        lead = "{" + head
         for key, item in value.items():
-            name = key if isinstance(key, str) else _json_scalar(key)
-            if name is None:
-                raise TypeError(f"keys must be str, int, float, bool or None, "
-                                f"not {type(key).__name__}")
-            out.append(sep + encode_basestring_ascii(name) + ": ")
+            out.append(lead + encode_basestring_ascii(key) + ": ")
             _json_chunks(item, out, inner)
-            sep = "," + inner
-        out.append(nl + "}")
+            lead = sep
+        out.append(tail + "}")
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        out.append(_json_scalar(value))
 
 
 def _emit(report: Report, flags):

@@ -101,9 +101,6 @@ class WordIndex:
     def grade_slice(self, k: int) -> slice:
         return slice(self._start[k], self._start[k + 1])
 
-    def grade_dim(self, k: int) -> int:
-        return self.n ** k
-
     def index(self, word) -> int:
         word = _as_word(word)
         if len(word) > self.m:

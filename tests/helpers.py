@@ -7,6 +7,7 @@ contractivity bound so hard inequalities carry no rounding excuses.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -157,3 +158,38 @@ def padded_dense_rows(spec, wi):
     if not blocks:
         return np.zeros((0, wi.dim), dtype=complex)
     return np.vstack(blocks)
+
+
+def jsonify(value):
+    """A copy of value in JSON types: complex as [re, im], arrays as nested
+    lists, numpy scalars as Python ones, keys through str, other objects as
+    their str.  With json.dumps, the oracle for cli's report writer."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.generic):
+        return jsonify(value.item())
+    if isinstance(value, np.ndarray):
+        return [jsonify(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [jsonify(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonify(v) for k, v in value.items()}
+    return str(value)
+
+
+def format_value(value) -> str:
+    """One value of a text report, as cli wrote it with json.dumps: the
+    oracle for Report.to_text."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, complex):
+        return f"[{value.real!r}, {value.imag!r}]"
+    if isinstance(value, (list, tuple, dict, np.ndarray)):
+        return json.dumps(jsonify(value))
+    return str(value)

@@ -1,3 +1,4 @@
+import fractions
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import format_value, jsonify
 from ncfock import cli, pick
 
 
@@ -35,8 +37,7 @@ SCHWARZ = _pick_doc([[0j], [0.4 + 0j]], [np.array([[0j]]), np.array([[0.3 + 0j]]
 def test_parse_round_trip(tmp_path):
     path = _write(tmp_path, "p.json", SCHWARZ)
     problem = cli.parse_problem(path)
-    assert json.loads(json.dumps(problem.to_json_dict())) == json.loads(
-        (tmp_path / "p.json").read_text())
+    assert problem.document == json.loads((tmp_path / "p.json").read_text())
     assert problem.kind == "pick" and problem.n == 1
 
 
@@ -44,7 +45,7 @@ def test_parse_minimal_single_node(tmp_path):
     doc = _pick_doc([[0.2 + 0.1j]], [np.array([[0.5 + 0j]])])
     problem = cli.parse_problem(_write(tmp_path, "one.json", doc))
     assert len(problem.points) == 1
-    assert json.loads(json.dumps(problem.to_json_dict())) == doc
+    assert problem.document == doc
 
 
 def test_parse_rejects_boundary_point(tmp_path):
@@ -111,6 +112,19 @@ def test_pick_interpolant_residual(tmp_path, capsys):
     by_word = {tuple(t["word"]): complex(*t["coeff"]) for t in terms}
     assert by_word[()] == pytest.approx(1.0)
     assert by_word[(1,)] == pytest.approx(-2.0)
+
+
+def test_pick_interpolant_of_zero_targets_is_the_zero_polynomial(tmp_path, capsys):
+    # the zero interpolant has degree -inf, which is reported as 0
+    doc = _pick_doc([[0j, 0j], [0.3 + 0j, 0.1 + 0j]], [np.array([[0j]])] * 2)
+    path = _write(tmp_path, "p.json", doc)
+    assert cli.main(["pick", "interpolant", path, "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["degree"], results["interpolant"]) == (0, [])
+    assert results["max_interpolation_residual"] == results["norm_upper"] == 0.0
+    assert cli.main(["pick", "interpolant", path]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert "  degree = 0" in text and "  interpolant = []" in text
 
 
 def test_pick_interpolant_brackets_its_norm(tmp_path, capsys):
@@ -338,6 +352,18 @@ def test_ideal_basis_and_distance(tmp_path, capsys):
     assert cli.main(["ideal", "distance", path, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["results"]["distance"] < 1e-12
+
+
+@pytest.mark.parametrize("rows, bad", [
+    ([[2, True, 0.5, 0.0]], 0), ([[2, 1, 0.5, 0.0], [False, 1, 1.0, 0.0]], 1),
+    ([[2, 1, 0.5, 0.0], [2, 1, -1.0, 0.0]], 1), ([[2, 1.0, 0.5, 0.0]], 0),
+], ids=["bool-index", "bool-first-index", "repeated-pair", "float-index"])
+def test_lambda_q_rows_are_checked(tmp_path, capsys, rows, bad):
+    path = _write(tmp_path, "p.json", {"kind": "ideal", "n": 2, "lambda_q": rows, "degree": 3})
+    assert cli.main(["ideal", "basis", path]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: lambda_q[{bad}]: ")
+    assert cli.main(["ideal", "basis", _write(tmp_path, "ok.json", {
+        "kind": "ideal", "n": 2, "lambda_q": [[2, 1, 0.5, 0.0]], "degree": 3})]) == 0
 
 
 def test_ideal_compressions(tmp_path, capsys):
@@ -712,8 +738,28 @@ def test_parser_is_built_once_per_process_and_not_at_import():
     assert out.stdout.split() == ["0", "1"]
 
 
+class _Named:
+    """An object the report writer writes as its str."""
+
+    def __str__(self):
+        return 'named "object"'
+
+
+def _random_complex(rng):
+    special = [math.nan, math.inf, -math.inf, -0.0]
+    z = complex(rng.normal(), rng.normal())
+    if rng.random() < 0.2:   # NaN or an infinity inside a complex number
+        return complex(special[int(rng.integers(0, 4))], z.imag)
+    if rng.random() < 0.2:
+        return complex(z.real, special[int(rng.integers(0, 4))])
+    return z
+
+
 def _random_json_value(rng, depth=0):
-    kind = int(rng.integers(0, 12 if depth < 4 else 7))
+    """A random report value: JSON data plus what the writer converts, namely
+    complex numbers, arrays, numpy scalars, tuples, non-string keys and other
+    objects."""
+    kind = int(rng.integers(0, 16 if depth < 4 else 11))
     if kind == 0:
         return float(rng.choice([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-07,
                                  0.1, 1.0, -2.5e300]))
@@ -729,23 +775,40 @@ def _random_json_value(rng, depth=0):
         return str(rng.choice(["", "plain", "é ü ∑ 日本", 'quote " back \\ slash',
                                "tab\t new\n line \x00 \x1f  ", "\U0001f600"]))
     if kind == 6:
-        return np.float64(rng.normal())
-    size = int(rng.integers(0, 5))
+        return [np.float64(rng.normal()), np.float64(math.nan), np.int64(rng.integers(-9, 9)),
+                np.bool_(rng.integers(0, 2)),
+                np.complex128(_random_complex(rng))][int(rng.integers(0, 5))]
     if kind == 7:
+        return _random_complex(rng)
+    if kind == 8:
+        return [_Named(), fractions.Fraction(1, 3), {1, 2}][int(rng.integers(0, 3))]
+    size = int(rng.integers(0, 5))
+    if kind == 9:
         return [float(x) for x in rng.normal(size=size)] + (
             [math.nan] if rng.random() < 0.3 else [])
-    if kind == 8:
+    if kind == 10:
+        values = [_random_complex(rng) for _ in range(size)]
+        if values and rng.random() < 0.3:   # a real or a numpy scalar leaves the fast path
+            values[-1] = [1.0, np.complex128(1j), 2][int(rng.integers(0, 3))]
+        return values
+    if kind == 11:
+        shape = tuple(int(k) for k in rng.integers(0, 4, size=int(rng.integers(1, 4))))
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if z.size and rng.random() < 0.3:
+            z.flat[int(rng.integers(0, z.size))] = complex(math.nan, math.inf)
+        return z if rng.random() < 0.7 else z.real
+    if kind == 12:
         pairs = [[float(x), float(y)] for x, y in rng.normal(size=(size, 2))]
         if pairs and rng.random() < 0.5:   # a NaN, a ragged pair or an int leaves the fast path
             odd = [[math.nan, 1.0], [1.0], [1.0, 2.0, 3.0], [1, 2.0], [np.float64(1.0), 2.0],
                    [True, 1.0], (1.0, 2.0)]
             pairs[-1] = odd[int(rng.integers(0, len(odd)))]
         return pairs
-    if kind == 9:
+    if kind == 13:
         return tuple(_random_json_value(rng, depth + 1) for _ in range(size))
-    if kind == 10:
+    if kind == 14:
         return [_random_json_value(rng, depth + 1) for _ in range(size)]
-    keys = ["a", "é", "", "x\ny", 3, 2.5, True, None]
+    keys = ["a", "é", "", "x\ny", 3, 2.5, True, None, (1, 2), np.int64(4)]
     return {keys[int(rng.integers(0, len(keys)))]: _random_json_value(rng, depth + 1)
             for _ in range(size)}
 
@@ -755,29 +818,52 @@ def test_json_writer_matches_the_stdlib_indent_2_text():
     fixed = [math.nan, [math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-07],
              [[1.0, 2.0], [math.nan, 3.0]], [[1.0, 2.0], [3.0]], [], {}, [[]], [{}], None,
              [True, 1, False, 0, 2 ** 70], [np.float64(0.1), np.float64(1e16)],
-             {"a": [[0.5, -0.5]], 1: {}, "b": "∑\"\\"}, "é\n"]
-    for value in fixed + [_random_json_value(rng) for _ in range(400)]:
-        assert cli._json_text(value) == json.dumps(value, indent=2)
+             {"a": [[0.5, -0.5]], 1: {}, "b": "∑\"\\"}, "é\n", 1j, [1j, -0.0 - 2.5j],
+             [complex(math.nan, 1.0)], np.zeros((2, 0, 3), complex),
+             np.eye(2, dtype=complex), {1: "int", "1": "str"}, _Named()]
+    for value in fixed + [_random_json_value(rng) for _ in range(600)]:
+        assert cli._json_text(value) == json.dumps(jsonify(value), indent=2)
+        assert cli._json_text(value, None) == json.dumps(jsonify(value))
 
 
-@pytest.mark.parametrize("value", [{(1, 2): 0}, [np.int64(3)], [1j], {"a": np.bool_(True)}])
-def test_json_writer_rejects_what_the_stdlib_rejects(value):
-    with pytest.raises(TypeError) as expected:
-        json.dumps(value, indent=2)
-    with pytest.raises(TypeError) as info:
-        cli._json_text(value)
-    assert str(info.value) == str(expected.value)
+@pytest.mark.parametrize("value, text", [
+    ({(1, 2): 0}, '{"(1, 2)": 0}'), ([np.int64(3)], "[3]"), ([1j], "[[0.0, 1.0]]"),
+    ({"a": np.bool_(True)}, '{"a": true}'), (np.array([[1 - 1j]]), "[[[1.0, -1.0]]]"),
+    ({"a": _Named()}, '{"a": "named \\"object\\""}'), (np.array(1.5 + 2j), "[1.5, 2.0]"),
+], ids=["tuple-key", "int64", "complex", "bool_", "array", "object", "0-d-array"])
+def test_json_writer_converts_what_the_stdlib_rejects(value, text):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    assert cli._json_text(value, None) == text
+    assert json.loads(cli._json_text(value)) == json.loads(text)
 
 
-@pytest.mark.parametrize("name, command", list(_contract_cases()))
-def test_json_reports_are_the_stdlib_indent_2_text(name, command, tmp_path, monkeypatch):
+def _main_and_report(monkeypatch, argv):
+    """The exit code of cli.main(argv) and the report it dispatched, if any."""
     reports = []
     dispatch = cli.dispatch
     monkeypatch.setattr(cli, "dispatch",
                         lambda *args: reports.append(dispatch(*args)) or reports[-1])
+    return cli.main(argv), (reports or [None])[0]
+
+
+@pytest.mark.parametrize("name, command", list(_contract_cases()))
+def test_json_reports_are_the_stdlib_indent_2_text(name, command, tmp_path, monkeypatch):
     out = tmp_path / "report.json"
-    code = cli.main(command.split() + [str(PROBLEMS / name), "--json", "--out", str(out)])
+    code, report = _main_and_report(
+        monkeypatch, command.split() + [str(PROBLEMS / name), "--json", "--out", str(out)])
     if code == 2:   # an input error writes no report
-        assert not reports and not out.exists()
+        assert report is None and not out.exists()
         return
-    assert out.read_text() == json.dumps(reports[0].to_json_dict(), indent=2) + "\n"
+    assert out.read_text() == json.dumps(jsonify(report.to_json_dict()), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name, command", list(_contract_cases()))
+def test_text_reports_keep_the_json_dumps_formatting(name, command, tmp_path, monkeypatch):
+    code, report = _main_and_report(
+        monkeypatch, command.split() + [str(PROBLEMS / name), "--out", str(tmp_path / "r")])
+    if code == 2:
+        return
+    text = report.to_text()
+    monkeypatch.setattr(cli, "_format_value", format_value)
+    assert text == report.to_text()
