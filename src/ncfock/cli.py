@@ -15,8 +15,8 @@ lists, numpy scalars as Python numbers, keys and other objects through str.
 Exit codes: 0 computed, 1 computed with a property violation (for example an
 infeasible interpolation problem), 2 input error (schema, domain, singular
 Gram matrix, other ValueError), 3 resource cap (ResourceCapError or
-MemoryError), 4 internal numerical failure (numpy LinAlgError or another
-RuntimeError, such as ARPACK non-convergence).
+MemoryError), 4 internal failure (numpy LinAlgError, a RuntimeError such as
+ARPACK non-convergence, or any other exception).
 """
 
 from __future__ import annotations
@@ -347,7 +347,12 @@ def _ideal_subject(problem, params, report) -> ideals.QuotientModel:
     if problem.lambda_q is not None and problem.generators is not None:
         raise SchemaError("lambda_q", "give either 'generators' or 'lambda_q', not both")
     if problem.lambda_q is not None:
-        spec = ideals.q_commutation_spec(problem.n, problem.lambda_q, params["degree"])
+        try:
+            spec = ideals.q_commutation_spec(problem.n, problem.lambda_q, params["degree"])
+        except ideals.FactorTableError as exc:
+            # the table's keys are the rows' pairs, in row order
+            row = "" if exc.pair is None else f"[{list(problem.lambda_q).index(exc.pair)}]"
+            raise SchemaError(f"lambda_q{row}", str(exc)) from exc
     elif problem.generators is not None:
         spec = ideals.IdealSpec(problem.n, tuple(problem.generators), params["degree"])
     else:
@@ -399,7 +404,7 @@ def _pick_interpolant(prob, problem, params, report):
         min_norm = None
         report.warnings.append(f"min_norm not computed: {exc}")
     # all k node values from one (n, k, 1, 1) stack of the points
-    nodes = np.array([p.coords for p in prob.points]).T[:, :, None, None]
+    nodes = prob.coords.T[:, :, None, None]
     residual = max(operator_norm(v - w)
                    for v, w in zip(freealg.evaluate(phi, nodes), prob.targets))
     if residual > params["tol"]:
@@ -732,12 +737,15 @@ def main(argv=None) -> int:
     except (SchemaError, DomainError, SingularGramError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
+    except np.linalg.LinAlgError as exc:   # a ValueError subclass, so caught first
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
     _emit(report, args)
     return EXIT_VIOLATION if report.violation else EXIT_OK
 

@@ -80,6 +80,15 @@ class IdealSpec:
         return self if m == self.m else IdealSpec(self.n, self.generators, m)
 
 
+class FactorTableError(ValueError):
+    """A table of commutation factors that _lambda_table rejects: `pair` is
+    the key at fault, or None when pairs are missing."""
+
+    def __init__(self, message: str, pair=None):
+        super().__init__(message)
+        self.pair = pair
+
+
 def _lambda_table(n: int, lam) -> np.ndarray:
     """Dense (n+1) x (n+1) table of commutation factors, indexed by letters j > i."""
     table = np.ones((n + 1, n + 1), dtype=complex)
@@ -87,12 +96,13 @@ def _lambda_table(n: int, lam) -> np.ndarray:
         seen = set()
         for (j, i), value in lam.items():
             if not (1 <= i < j <= n):
-                raise ValueError(f"factor index ({j}, {i}) is not a pair 1 <= i < j <= n")
+                raise FactorTableError(
+                    f"factor index ({j}, {i}) is not a pair 1 <= i < j <= n", (j, i))
             table[j, i] = complex(value)
             seen.add((j, i))
         missing = {(j, i) for j in range(2, n + 1) for i in range(1, j)} - seen
         if missing:
-            raise ValueError(f"missing commutation factors for pairs {sorted(missing)}")
+            raise FactorTableError(f"missing commutation factors for pairs {sorted(missing)}")
     else:
         table[:, :] = complex(lam)
     return table

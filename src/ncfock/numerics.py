@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SingularGramError
+from .errors import DomainError
 
 DEFAULT_TOL = 1e-10
 HERMITIAN_RTOL = 1e-12
@@ -189,30 +189,6 @@ def operator_norm(a) -> float:
         return float(np.linalg.norm(a))
     with _blas_threads(max(a.shape)):
         return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-def max_generalized_eigenvalue(b, a, *, pd_tol: float = 1e-12) -> float:
-    """max over x != 0 of <Bx, x> / <Ax, x> for Hermitian B and PD A.
-
-    Computed by Cholesky whitening: the top eigenvalue of L^-1 B L^-*, where
-    A = L L*.
-    """
-    A = as_hermitian(a)
-    B = as_hermitian(b)
-    if A.shape != B.shape:
-        raise ValueError("shape mismatch between the two forms")
-    with _blas_threads(A.shape[0]):
-        vals = np.linalg.eigvalsh(A)
-        scale = max(1.0, float(np.abs(vals).max()))
-        if vals[0] <= pd_tol * scale:
-            raise SingularGramError(
-                f"matrix is not positive definite within tolerance "
-                f"(min eigenvalue {vals[0]:.3e}; points too close or |lambda| -> 1)")
-        L = np.linalg.cholesky(A)
-        X = np.linalg.solve(L, B)
-        W = np.linalg.solve(L, X.conj().T).conj().T
-        vals = np.linalg.eigvalsh((W + W.conj().T) / 2.0)
-    return float(vals[-1])
 
 
 def hermitian_sqrt(a, *, tol: float = 1e-12) -> np.ndarray:

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, ResourceCapError, SingularGramError
 from .freealg import (MAX_BASIS_SIZE, MAX_DENSE_ENTRIES, BallPoint, NcMatrixPolynomial,
                       NcPolynomial)
-from .numerics import (DEFAULT_TOL, PsdVerdict, _blas_threads, as_hermitian,
-                       max_generalized_eigenvalue, operator_norm, psd_check)
+from .numerics import (DEFAULT_TOL, PsdVerdict, _blas_threads, as_hermitian, operator_norm,
+                       psd_check)
 
 POINT_SEPARATION = 1e-14
+GRAM_PD_TOL = 1e-12                  # least eigenvalue of G, relative to max(1, ||G||), for c*
 SEPARATION_BLOCK_ENTRIES = 2 ** 20   # cap on the pairwise gap array of one block of nodes
 
 
@@ -29,6 +30,7 @@ class PickProblem:
     """k distinct nodes in the open unit ball with N x N matrix targets.
 
     Scalar targets may be passed as plain numbers; they become 1 x 1 blocks.
+    `coords` stacks the nodes' coordinates as a k x n array.
     """
 
     def __init__(self, points, targets):
@@ -64,6 +66,7 @@ class PickProblem:
                 raise DomainError(
                     f"points {start + i} and {j} coincide (gap {gaps[i, j]:.3e})")
         self.points = pts
+        self.coords = coords
         self.targets = np.stack(mats)
         self.n = n
 
@@ -86,30 +89,15 @@ class PickCertificate:
     tol: float
 
 
-def _coords(problem: PickProblem) -> np.ndarray:
-    return np.stack([p.coords for p in problem.points])
-
-
 def gram(problem: PickProblem) -> np.ndarray:
     """Kernel Gram matrix G[i][j] = 1 / (1 - sum_t lambda_it conj(lambda_jt)).
 
     This is the m -> infinity limit of the truncated kernel-vector Gram
     matrices; it is Hermitian positive definite for distinct nodes.
     """
-    lam = _coords(problem)
+    lam = problem.coords
     ip = lam @ lam.conj().T
     return as_hermitian(1.0 / (1.0 - ip))
-
-
-def _target_products(problem: PickProblem) -> np.ndarray:
-    # out[i, j] = W_i W_j*
-    W = problem.targets
-    return np.einsum("iab,jcb->ijac", W, W.conj())
-
-
-def _assemble_blocks(blocks: np.ndarray) -> np.ndarray:
-    k, _, N, _ = blocks.shape
-    return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3).reshape(k * N, k * N))
 
 
 def _dense_cap(problem: PickProblem) -> None:
@@ -119,17 +107,28 @@ def _dense_cap(problem: PickProblem) -> None:
             f"{size} x {size} block Pick matrix exceeds the cap {MAX_DENSE_ENTRIES}")
 
 
-def _pick_blocks(G: np.ndarray, products: np.ndarray, c: float) -> np.ndarray:
-    N = products.shape[2]
+def _pick_blocks(G: np.ndarray, W: np.ndarray, c: float) -> np.ndarray:
+    """The k N x k N Pick matrix at level c, as computed: not yet symmetrized."""
+    k, N, _ = W.shape
+    products = np.einsum("iab,jcb->ijac", W, W.conj())   # [i, j] = W_i W_j*
     blocks = G[:, :, None, None] * (c ** 2 * np.eye(N)[None, None] - products)
-    return as_hermitian(_assemble_blocks(blocks))
+    return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3).reshape(k * N, k * N))
 
 
-def _min_norm(G: np.ndarray, products: np.ndarray) -> float:
-    A = np.kron(G, np.eye(products.shape[2]))
-    B = _assemble_blocks(G[:, :, None, None] * products)
-    top = max_generalized_eigenvalue(B, A)
-    return float(np.sqrt(max(top, 0.0)))
+def _min_norm(G: np.ndarray, W: np.ndarray) -> float:
+    """c* = ||(L^-1 (x) I) diag(W_1, ..., W_k) (L (x) I)||_2 for G = L L*."""
+    k, N, _ = W.shape
+    with _blas_threads(k * N):
+        vals = np.linalg.eigvalsh(G)
+        scale = max(1.0, float(np.abs(vals).max()))
+        if vals[0] <= GRAM_PD_TOL * scale:
+            raise SingularGramError(
+                f"matrix is not positive definite within tolerance "
+                f"(min eigenvalue {vals[0]:.3e}; points too close or |lambda| -> 1)")
+        L = np.linalg.cholesky(G)
+        # block (l, j) of diag(W) (L (x) I) is W_l L[l, j]; L^-1 acts on the block rows
+        blocks = W[:, :, None, :] * L[:, None, :, None]
+        return operator_norm(np.linalg.solve(L, blocks.reshape(k, -1)).reshape(k * N, k * N))
 
 
 def pick_matrix(problem: PickProblem, c: float) -> np.ndarray:
@@ -141,27 +140,32 @@ def pick_matrix(problem: PickProblem, c: float) -> np.ndarray:
     if c < 0:
         raise ValueError("the norm level c must be nonnegative")
     _dense_cap(problem)
-    return _pick_blocks(gram(problem), _target_products(problem), c)
+    return as_hermitian(_pick_blocks(gram(problem), problem.targets, c))
 
 
 def min_interpolation_norm(problem: PickProblem) -> float:
     """The least multiplier norm c* among all interpolants of the problem.
 
-    Computed as the norm of the model operator on the span of the kernel
-    vectors: c*^2 is the top generalized eigenvalue of the pair
-    (G[i][j] W_i W_j*, G[i][j] I).  pick_matrix(problem, c) is PSD exactly
-    for c >= c*.
+    pick_matrix(problem, c) is PSD exactly for c >= c*, so c*^2 is the top
+    generalized eigenvalue of the pair (B, G (x) I) with block (i, j) of B
+    equal to G[i][j] W_i W_j*.  That form factors as B = W (G (x) I) W* with
+    W = diag(W_1, ..., W_k), so with G = L L* whitening by L (x) I turns the
+    pair into M M* for M = (L^-1 (x) I) W (L (x) I): c* = ||M||_2, the norm
+    of the model operator on the span of the kernel vectors.  It takes the
+    k x k Cholesky factor of G and one solve with L on k block rows.
+    Raises SingularGramError when the least eigenvalue of G, which is that
+    of G (x) I, is at most 1e-12 relative to max(1, ||G||).
     """
     _dense_cap(problem)
-    return _min_norm(gram(problem), _target_products(problem))
+    return _min_norm(gram(problem), problem.targets)
 
 
 def certify(problem: PickProblem, tol: float = DEFAULT_TOL) -> PickCertificate:
     """Feasibility certificate at norm level 1, cross-checked against c*."""
     _dense_cap(problem)
-    G, products = gram(problem), _target_products(problem)
-    verdict = psd_check(_pick_blocks(G, products, 1.0), tol)
-    cstar = _min_norm(G, products)
+    G = gram(problem)
+    verdict = psd_check(_pick_blocks(G, problem.targets, 1.0), tol)
+    cstar = _min_norm(G, problem.targets)
     consistent = verdict.is_psd == (cstar <= 1.0 + tol)
     return PickCertificate(
         feasible=verdict.is_psd,
@@ -183,7 +187,7 @@ def lagrange_interpolant(problem: PickProblem) -> NcMatrixPolynomial:
     products of linear factors prove full row rank.  At most N^2 C(d+n, n) terms.
     """
     n, k, N = problem.n, problem.k, problem.target_dim
-    lam, W = _coords(problem), problem.targets.reshape(k, N * N)
+    lam, W = problem.coords, problem.targets.reshape(k, N * N)
     words, columns, d = [], [], -1
     while True:
         d += 1
@@ -213,7 +217,7 @@ def classical_ball_matrix(problem: PickProblem) -> np.ndarray:
     if problem.target_dim != 1:
         raise ValueError("the classical comparison needs scalar targets")
     w = problem.targets[:, 0, 0]
-    lam = _coords(problem)
+    lam = problem.coords
     ip = lam @ lam.conj().T
     return as_hermitian((1.0 - np.outer(w, w.conj())) / (1.0 - ip) ** problem.n)
 

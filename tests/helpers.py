@@ -11,9 +11,11 @@ import json
 
 import numpy as np
 
-from ncfock import BallPoint, NcPolynomial, ResourceCapError, RowContraction, WordIndex
+from ncfock import (BallPoint, NcPolynomial, ResourceCapError, RowContraction,
+                    SingularGramError, WordIndex, as_hermitian, gram)
 from ncfock.freealg import word_value
 from ncfock.ideals import _lambda_table
+from ncfock.numerics import _blas_threads
 
 
 def random_polynomial(rng, n, degree, terms=5, scale=1.0, homogeneous=False,
@@ -71,6 +73,40 @@ def separated_points(rng, n, k, radius=0.6, min_gap=0.2, attempts=2000):
         if ok:
             return pts
     raise RuntimeError("could not sample separated points")
+
+
+def max_generalized_eigenvalue(b, a):
+    """max over x != 0 of <Bx, x> / <Ax, x> for Hermitian B and PD A.
+
+    Computed by Cholesky whitening: the top eigenvalue of L^-1 B L^-*, where
+    A = L L*.  Raises SingularGramError when the least eigenvalue of A is at
+    most 1e-12 relative to max(1, ||A||).
+    """
+    A = as_hermitian(a)
+    B = as_hermitian(b)
+    if A.shape != B.shape:
+        raise ValueError("shape mismatch between the two forms")
+    with _blas_threads(A.shape[0]):
+        vals = np.linalg.eigvalsh(A)
+        scale = max(1.0, float(np.abs(vals).max()))
+        if vals[0] <= 1e-12 * scale:
+            raise SingularGramError(f"matrix is not positive definite within tolerance "
+                                    f"(min eigenvalue {vals[0]:.3e})")
+        L = np.linalg.cholesky(A)
+        X = np.linalg.solve(L, B)
+        W = np.linalg.solve(L, X.conj().T).conj().T
+        return float(np.linalg.eigvalsh((W + W.conj().T) / 2.0)[-1])
+
+
+def kron_min_norm(problem):
+    """c* as the square root of the top generalized eigenvalue of the kN x kN
+    pair (B, G (x) I), block (i, j) of B being G[i][j] W_i W_j*: the oracle
+    for min_interpolation_norm."""
+    G, W = gram(problem), problem.targets
+    size = W.shape[0] * W.shape[1]
+    B = np.einsum("ij,iab,jcb->iajc", G, W, W.conj()).reshape(size, size)
+    top = max_generalized_eigenvalue(B, np.kron(G, np.eye(W.shape[1])))
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def random_row_contraction(rng, n, d, rho=0.9):

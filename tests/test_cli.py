@@ -200,14 +200,19 @@ def test_pick_dense_cap_exit_code(tmp_path, capsys, monkeypatch, action):
     (np.linalg.LinAlgError("SVD did not converge"), 4, "internal error"),
     (RuntimeError("ARPACK did not converge"), 4, "internal error"),
     (MemoryError(), 3, "resource cap"),
+    (TypeError("unsupported operand"), 4, "internal error"),
+    (OverflowError("cannot convert float infinity to integer"), 4, "internal error"),
+    (ZeroDivisionError("division by zero"), 4, "internal error"),
 ])
 def test_fault_exit_codes(tmp_path, capsys, monkeypatch, fault, code, label):
+    # any exception leaves main as an exit code and one line on stderr
     def broken(problem):
         raise fault
     monkeypatch.setattr(pick, "min_interpolation_norm", broken)
     path = _write(tmp_path, "p.json", SCHWARZ)
     assert cli.main(["pick", "norm", path]) == code
-    assert capsys.readouterr().err.startswith(label)
+    err = capsys.readouterr().err
+    assert err.startswith(label) and err.count("\n") == 1
 
 
 def test_pick_classical(tmp_path, capsys):
@@ -364,6 +369,19 @@ def test_lambda_q_rows_are_checked(tmp_path, capsys, rows, bad):
     assert capsys.readouterr().err.startswith(f"input error: lambda_q[{bad}]: ")
     assert cli.main(["ideal", "basis", _write(tmp_path, "ok.json", {
         "kind": "ideal", "n": 2, "lambda_q": [[2, 1, 0.5, 0.0]], "degree": 3})]) == 0
+
+
+@pytest.mark.parametrize("n, rows, message", [
+    (2, [[1, 2, 0.5, 0.0]], "lambda_q[0]: factor index (1, 2) is not a pair 1 <= i < j <= n"),
+    (3, [[2, 1, 0.5, 0.0], [3, 1, 1.0, 0.0], [4, 3, 1.0, 0.0]],
+     "lambda_q[2]: factor index (4, 3) is not a pair 1 <= i < j <= n"),
+    (3, [[2, 1, 0.5, 0.0]], "lambda_q: missing commutation factors for pairs [(3, 1), (3, 2)]"),
+], ids=["reversed-pair", "letter-past-n", "missing-pairs"])
+def test_lambda_q_factor_table_errors_name_the_field(tmp_path, capsys, n, rows, message):
+    # the rule is ideals._lambda_table's; the CLI adds the field and the row
+    path = _write(tmp_path, "p.json", {"kind": "ideal", "n": n, "lambda_q": rows, "degree": 3})
+    assert cli.main(["ideal", "basis", path]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_ideal_compressions(tmp_path, capsys):

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import ncfock
-from ncfock import (DomainError, SingularGramError, as_hermitian, c0_sequence, hermitian_sqrt,
-                    max_generalized_eigenvalue, operator_norm, psd_check)
+from ncfock import (DomainError, PickProblem, SingularGramError, as_hermitian, c0_sequence,
+                    hermitian_sqrt, min_interpolation_norm, operator_norm, psd_check)
 from ncfock.numerics import (_BLAS_SCOPE, SINGLE_THREAD_DIMS, SINGLE_THREAD_ENTRIES,
                              _blas_threads, _blas_threads_for)
-from helpers import random_row_contraction, random_unitary
+from helpers import max_generalized_eigenvalue, random_row_contraction, random_unitary
 
 
 @pytest.fixture
@@ -79,6 +79,8 @@ def test_operator_norm_matches_spectral_norm():
         a = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
         assert operator_norm(a) == np.linalg.norm(a, 2)
 
+
+# The generalized eigenvalue is the c* oracle of the Pick tests (helpers).
 
 def test_generalized_eigenvalue_trivial():
     a = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -185,9 +187,12 @@ def test_small_and_large_tall_calls_keep_the_process_threads(two_blas_threads, r
 
 
 def test_thread_count_is_restored_when_the_call_raises(two_blas_threads):
+    # k = 17 nodes, two of them 2e-13 apart: c* raises inside its one-thread scope
     size = SINGLE_THREAD_DIMS[0]
+    nodes = np.linspace(-0.8, 0.8, size)
+    nodes[1] = nodes[0] + 2e-13
     with pytest.raises(SingularGramError):
-        max_generalized_eigenvalue(np.eye(size), np.ones((size, size)))
+        min_interpolation_norm(PickProblem(nodes[:, None], [0.5] * size))
     with pytest.raises(DomainError):
         hermitian_sqrt(np.diag(np.linspace(-0.5, 1.0, size)))
     assert _BLAS_SCOPE.counts() == two_blas_threads
@@ -228,18 +233,27 @@ def test_scopes_from_many_python_threads_restore_the_count(two_blas_threads):
     assert _BLAS_SCOPE.counts() == two_blas_threads
 
 
-def test_pick_certification_does_not_import_scipy():
-    # 20 nodes, so that the Pick matrix takes the one-thread scope
-    code = ("import sys, numpy, ncfock\n"
+def test_pick_certification_does_not_import_scipy(tmp_path):
+    # 20 nodes, so that the Pick matrix and c* take the one-thread scope; then
+    # the same nodes through `pick interpolant`, which also computes c*
+    code = ("import sys, numpy, ncfock, ncfock.cli\n"
             "nodes = 0.3 * numpy.random.default_rng(1).normal(size=(20, 3))\n"
-            "ncfock.certify(ncfock.PickProblem(nodes, [0.0] * 20))\n"
-            "print('scipy' in sys.modules, ncfock.numerics._BLAS_SCOPE.status)")
+            "targets = numpy.linspace(-0.5, 0.5, 20)\n"
+            "ncfock.certify(ncfock.PickProblem(nodes, targets))\n"
+            "ncfock.min_interpolation_norm(ncfock.PickProblem(nodes, targets))\n"
+            "doc = {'kind': 'pick', 'n': 3, 'points': [[[x, 0.0] for x in p] for p in nodes.tolist()],\n"
+            "       'targets': [[[[w, 0.0]]] for w in targets.tolist()]}\n"
+            "open(sys.argv[1], 'w').write(__import__('json').dumps(doc))\n"
+            "code = ncfock.cli.main(['pick', 'interpolant', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print('scipy' in sys.modules, code, ncfock.numerics._BLAS_SCOPE.status)")
     src = os.path.dirname(os.path.dirname(ncfock.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "p.json"),
+                          str(tmp_path / "report.txt")], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.startswith("False")
+    assert out.stdout.startswith("False 0 ")
+    assert (tmp_path / "report.txt").read_text().startswith("ncfock pick interpolant")
 
 
 def test_c0_sequence_holds_one_scope_around_its_loop(two_blas_threads, monkeypatch):

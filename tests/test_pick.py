@@ -8,7 +8,7 @@ from ncfock import (BallPoint, DomainError, NcPolynomial, PickProblem, ResourceC
                     SingularGramError, certify, classical_ball_matrix, evaluate,
                     gram, lagrange_interpolant, min_interpolation_norm, operator_norm,
                     pick_matrix, psd_check, sample_membership_check, z_vector)
-from helpers import random_point, random_unitary, separated_points
+from helpers import kron_min_norm, random_point, random_unitary, separated_points
 
 
 def _random_problem(rng, n, k, target_dim, radius=0.6, target_scale=1.0):
@@ -213,6 +213,72 @@ def test_min_norm_agrees_with_psd_bisection():
                 lo = mid
         # the verdict tolerance shifts the flip by O(tol * scale / slope)
         assert hi == pytest.approx(cstar, rel=1e-5)
+
+
+def _oracle_agreement(problem) -> tuple:
+    """(relative gap between c* and the kron oracle, its bound): 1e-12, or
+    1e-16 cond(G) where G is worse conditioned, since both routes lose about
+    cond(G) eps to rounding (compared with a 40-digit reference, each was off
+    by 1e-17 to 1e-16 cond(G) on ill-conditioned nodes)."""
+    cstar, oracle = min_interpolation_norm(problem), kron_min_norm(problem)
+    return abs(cstar - oracle) / oracle, max(1e-12, 1e-16 * np.linalg.cond(gram(problem)))
+
+
+def test_min_norm_matches_the_kron_oracle():
+    # 240 problems like the benchmark's Pick stream: nodes in the 0.9 ball,
+    # n = 1..3, k up to 10 at n = 1 and up to 32 above, N = 1..3
+    rng = np.random.default_rng(2024)
+    conds = []
+    for t in range(240):
+        n, N = 1 + t % 3, 1 + t // 3 % 3
+        k = int(rng.integers(1, 11 if n == 1 else 33))
+        points = separated_points(rng, n, k, radius=0.9, min_gap=0.1 if n == 1 else 0.05)
+        targets = rng.normal(size=(k, N, N)) + 1j * rng.normal(size=(k, N, N))
+        problem = PickProblem(points, list(targets))
+        gap, bound = _oracle_agreement(problem)
+        assert gap <= bound, (n, k, N)
+        conds.append(np.linalg.cond(gram(problem)))
+    assert min(conds) < 10 and max(conds) > 1e6
+
+
+def test_min_norm_matches_the_kron_oracle_on_ill_conditioned_disc_nodes():
+    # 10 nodes in the 0.9 disc: cond(G) above 1e4 on every problem, past 1e8 on some
+    rng = np.random.default_rng(71)
+    conds = []
+    for _ in range(30):
+        points = separated_points(rng, 1, 10, radius=0.9, min_gap=0.1)
+        problem = PickProblem(points, list(0.8 * rng.uniform(-1, 1, 10)))
+        gap, bound = _oracle_agreement(problem)
+        assert gap <= bound
+        conds.append(np.linalg.cond(gram(problem)))
+    assert min(conds) > 1e4 and max(conds) > 1e8
+
+
+def test_min_norm_is_singular_exactly_where_the_oracle_is():
+    # one node pair pulled together (gaps 1e-3 to 1e-9), or up to 30 nodes in
+    # the 0.9 disc: the 1e-12 rule on G's spectrum against that of G (x) I
+    rng = np.random.default_rng(19)
+    outcomes = set()
+    for t in range(120):
+        n, N = 1 + t % 2, 1 + t // 4 % 2
+        if t % 4 < 2:
+            points = [random_point(rng, n, 0.6) for _ in range(5)]
+            points.append(points[0].coords + 10.0 ** -rng.uniform(3, 9))
+        else:
+            points = separated_points(rng, 1, int(rng.integers(10, 31)), radius=0.9,
+                                      min_gap=0.05)
+        k = len(points)
+        problem = PickProblem(points, list(rng.normal(size=(k, N, N))))
+        raised = []
+        for route in (min_interpolation_norm, kron_min_norm):
+            try:
+                route(problem)
+                raised.append(False)
+            except SingularGramError:
+                raised.append(True)
+        assert raised[0] == raised[1], (t, k)
+        outcomes.add(raised[0])
+    assert outcomes == {True, False}
 
 
 def test_certificate_cross_check():
