@@ -17,7 +17,8 @@ from .ideals import (IdealSpec, QuotientModel, build_quotient, caratheodory_dist
                      quotient_checks, quotient_distance, quotient_poisson_check)
 from .numerics import PsdVerdict, as_hermitian, hermitian_sqrt, operator_norm, psd_check
 from .pick import (PickCertificate, PickProblem, certify, classical_ball_matrix,
-                   gram, lagrange_interpolant, min_interpolation_norm, pick_matrix,
+                   gram, lagrange_interpolant, min_interpolation_norm,
+                   min_norm_and_condition, pick_matrix,
                    sample_membership_check)
 from .poisson import (PoissonKernelMatrix, RowContraction, c0_sequence,
                       is_c0_certified, minimal_subspace, poisson_compression,
@@ -33,7 +34,7 @@ __all__ = [
     "build_quotient", "c0_sequence", "caratheodory_distance", "certify",
     "classical_ball_matrix", "constrained_von_neumann_check", "evaluate", "flip",
     "gram", "hermitian_sqrt", "ideal_subspace", "is_c0_certified",
-    "lagrange_interpolant", "min_interpolation_norm",
+    "lagrange_interpolant", "min_interpolation_norm", "min_norm_and_condition",
     "minimal_subspace", "mult_matrix", "operator_norm", "pick_matrix",
     "poisson_compression", "poisson_covariance_check",
     "poisson_covariance_residuals", "poisson_kernel",

@@ -377,7 +377,8 @@ def _caratheodory_degree(problem) -> int:
 def _pick_check(prob, problem, params, report):
     cert = pick.certify(prob, params["tol"])
     report.results.update(feasible=cert.feasible, min_eigenvalue=cert.min_eigenvalue,
-                          min_norm=cert.min_norm, marginal=cert.marginal)
+                          min_norm=cert.min_norm, gram_condition=cert.gram_condition,
+                          marginal=cert.marginal)
     report.violation = not cert.feasible
     report.notes.append(
         "feasibility certifies an interpolant of norm <= 1 in the weakly closed "
@@ -392,16 +393,17 @@ def _pick_check(prob, problem, params, report):
 
 
 def _pick_norm(prob, problem, params, report):
-    cstar = pick.min_interpolation_norm(prob)
-    report.results.update(min_norm=cstar, feasible_at_one=bool(cstar <= 1.0 + params["tol"]))
+    cstar, condition = pick.min_norm_and_condition(prob)
+    report.results.update(min_norm=cstar, gram_condition=condition,
+                          feasible_at_one=bool(cstar <= 1.0 + params["tol"]))
 
 
 def _pick_interpolant(prob, problem, params, report):
     phi = pick.lagrange_interpolant(prob)  # its caps come before the k N x k N c* solve
     try:
-        min_norm = pick.min_interpolation_norm(prob)
+        min_norm, condition = pick.min_norm_and_condition(prob)
     except SingularGramError as exc:
-        min_norm = None
+        min_norm = condition = None
         report.warnings.append(f"min_norm not computed: {exc}")
     # all k node values from one (n, k, 1, 1) stack of the points
     nodes = prob.coords.T[:, :, None, None]
@@ -414,6 +416,7 @@ def _pick_interpolant(prob, problem, params, report):
     # all-zero targets give the zero interpolant, of degree -inf: reported as 0
     report.results.update(degree=max(phi.degree, 0), max_interpolation_residual=float(residual),
                           norm_upper=float(sum(phi.grade_norms())), min_norm=min_norm,
+                          gram_condition=condition,
                           interpolant=_serialize_matrix_polynomial(phi))
     report.notes.append(
         "min_norm <= ||interpolant|| <= norm_upper: c* is the least norm of any "

@@ -18,6 +18,12 @@ entries; the basis (D rows) and the n compressions of the model are checked
 against MAX_DENSE_ENTRIES before the recursion, from dim N >= D minus the
 number of padded products, and again after each degree.
 
+The recursion does not depend on m, so each ideal's runs once per process:
+a few recent states are kept (_Recursion, bounded in count and bytes), and
+a later build at the same or a lower degree takes their prefix, a higher
+one resumes them.  Caps are checked for the requested m as in a fresh
+build, and results are bit-identical to one.
+
 Compressions at the top grade land in truncated territory, so relation and
 semi-invariance statements are only certified on grades up to
 reliable_degree = m - max generator degree.
@@ -25,7 +31,9 @@ reliable_degree = m - max generator degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -180,50 +188,143 @@ def _require_model_fits(dim: int, n: int, r: int) -> None:
             f"entries exceed the cap {MAX_DENSE_ENTRIES}")
 
 
-def _complement_recursion(spec: IdealSpec, rank_tol: float):
-    """(blocks, coords): the complement N of the padded ideal V_m in P_m.
+def _memo_key(spec: IdealSpec, rank_tol: float) -> tuple:
+    """(n, the generators' words in order, their coefficients' bytes,
+    rank_tol): specs with equal keys run bit-identical recursions, and the
+    bytes keep apart coefficients that differ only in a signed zero."""
+    gens = spec.generators
+    coeffs = np.array([c for g in gens for c in g.terms.values()], dtype=complex)
+    return (spec.n, tuple(tuple(g.terms) for g in gens), coeffs.tobytes(), rank_tol)
+
+
+class _Recursion:
+    """One ideal's degree recursion, run up to degree len(blocks) - 1.
+
+    Nothing in it depends on the working degree: N_k comes from N_{k-1} and
+    the degree-k generators alone, so the model at degree m is built from
+    the prefix up to m.  units holds the generator rows by degree (see
+    _complement_recursion) and k0 the lowest generator degree (None without
+    generators).  blocks[k] is the grade-k block of N when graded, else N_k
+    (None below k0 - 1); coords[k] the step coordinates of a graded degree
+    (None for whole grades); widths[k] the candidates of step k (None where
+    no step ran).  These three are tuples: an extended recursion is a new
+    object.  models holds the QuotientModels assembled so far, by degree,
+    and changes only under _memo_lock.
+    """
+
+    __slots__ = ("graded", "units", "k0", "blocks", "coords", "widths", "models")
+
+    def __init__(self, graded, units, k0, blocks=(), coords=(), widths=()):
+        self.graded, self.units, self.k0 = graded, units, k0
+        self.blocks, self.coords, self.widths = tuple(blocks), tuple(coords), tuple(widths)
+        self.models = {}
+
+    def nbytes(self) -> int:
+        """Bytes of the distinct arrays it holds."""
+        arrays = [a for a in self.blocks + self.coords if a is not None]
+        for model in self.models.values():
+            arrays += [model.n_basis, model.compressions, model.grades]
+        return sum({id(a): a.nbytes for a in arrays if a is not None}.values())
+
+
+# Recursion states by _memo_key, least recently used first: at most
+# MEMO_SPECS of them holding at most MEMO_BYTES of arrays together, so a
+# large build is not kept once it has returned.
+MEMO_SPECS = 2
+MEMO_BYTES = 2 ** 24
+_memo = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _memo_get(key):
+    with _memo_lock:
+        run = _memo.get(key)
+        if run is not None:
+            _memo.move_to_end(key)
+        return run
+
+
+def _memo_put(key, run: _Recursion, m: int, model: "QuotientModel") -> None:
+    """Keep model at degree m and the longer of run and the held recursion,
+    unless that alone holds more than MEMO_BYTES."""
+    with _memo_lock:
+        held = _memo.pop(key, None)
+        if held is None or len(held.blocks) < len(run.blocks):
+            if held is not None:   # run extends held, whose models it shares
+                run.models = {**held.models, **run.models}
+            held = run
+        held.models.setdefault(m, model)
+        if held.nbytes() > MEMO_BYTES:
+            return
+        _memo[key] = held
+        while len(_memo) > MEMO_SPECS or sum(r.nbytes() for r in _memo.values()) > MEMO_BYTES:
+            _memo.popitem(last=False)
+
+
+def _complement_recursion(spec: IdealSpec, rank_tol: float, key) -> _Recursion:
+    """The recursion for the complement N of the padded ideal V_m in P_m,
+    resumed from the memo's state of spec's ideal and run up to degree m.
 
     V_k = V_{k-1} + sum_i (L_i V_{k-1} + R_i V_{k-1}) + the degree-k
     generators, so N_k holds the v in P_k with P_{k-1} v, L_i* v and R_i* v
     in N_{k-1} and v orthogonal to those generators.  Below the lowest
     generator degree k0 nothing is cut and N_{k0-1} is all of P_{k0-1};
     each later degree is one _next_complement step.  For a homogeneous spec
-    every grade is cut on its own, so blocks[k] is the grade-k block of N
-    and coords[k] its coordinates over the step's candidates, None for the
-    whole grades below k0; otherwise blocks is [N_m].  Caps: a lower bound
-    of dim N (D minus the padded products) before anything is allocated,
-    the first step's candidates before N_{k0-1} is, the candidates of each
-    step before it allocates (_next_complement), and the model so far after
-    each step.
+    every grade is cut on its own (see _Recursion).  Caps, in this order
+    whether or not a degree was run before: a lower bound of dim N (D minus
+    the padded products) before anything is allocated, the first step's
+    candidates before N_{k0-1} is, the candidates of each step before it
+    allocates (_next_complement; replayed from the stored widths), and the
+    model so far after each step, all against D = D(n, m).  The result may
+    run past m; a step that fails a cap stores nothing.
     """
     n, m, graded = spec.n, spec.m, spec.homogeneous
     wi = WordIndex(n, m)
     _require_model_fits(wi.dim, n, max(wi.dim - _padded_count(spec), 0))
-    # unit-normalized generator rows by degree: the rows of their words,
-    # counted from the end of P_k, where grade k closes every step's rows
-    units = {}
-    for g in spec.generators:
-        k, coeffs = int(g.degree), np.array(list(g.terms.values()))
-        units.setdefault(k, []).append(
-            ([wi.index(word) - wi.grade_start(k + 1) for word in g.terms],
-             coeffs.conj() / np.linalg.norm(coeffs)))
-    k0 = min(units, default=m + 1)
-    if k0 == 0:   # a nonzero constant generates all of P_m
-        k0, blocks = 1, [np.zeros((1, 0), dtype=complex)]
-    else:
-        _require_model_fits(wi.dim, n, wi.grade_start(k0))
+    run = _memo_get(key)
+    if run is None:
+        # unit-normalized generator rows by degree: the rows of their words,
+        # counted from the end of P_k, where grade k closes every step's rows
+        units = {}
+        for g in spec.generators:
+            k, coeffs = int(g.degree), np.array(list(g.terms.values()))
+            units.setdefault(k, []).append(
+                ([wi.index(word) - wi.grade_start(k + 1) for word in g.terms],
+                 coeffs.conj() / np.linalg.norm(coeffs)))
+        run = _Recursion(graded, units, min(units, default=None))
+    k0 = m + 1 if run.k0 is None else run.k0
+    if k0 > 0:
+        _require_model_fits(wi.dim, n, wi.grade_start(min(k0, m + 1)))
         if k0 <= m:   # the first candidates are all of grade k0, or of P_k0
             first = n ** k0 if graded else wi.grade_start(k0 + 1)
             _require_candidates_fit(k0, first, first)
-        blocks = ([np.eye(n ** k, dtype=complex) for k in range(k0)] if graded
-                  else [np.eye(wi.grade_start(k0), dtype=complex)])
-    coords = [None] * k0
-    for k in range(k0, m + 1):
-        N, X = _next_complement(blocks[-1], n, k, units.get(k, ()), graded, rank_tol)
-        blocks = blocks + [N] if graded else [N]
-        coords.append(X)
-        _require_model_fits(wi.dim, n, sum(b.shape[1] for b in blocks))
-    return blocks, coords
+    blocks, coords, widths = list(run.blocks), list(run.coords), list(run.widths)
+    total = 0
+    for k in range(m + 1):
+        if k < len(blocks):
+            if widths[k] is not None:
+                _require_candidates_fit(k, len(blocks[k]), widths[k])
+        elif k < k0:   # whole grades, or all of P_{k0-1}
+            size = n ** k if graded else wi.grade_start(k0) if k == k0 - 1 else None
+            blocks.append(None if size is None else np.eye(size, dtype=complex))
+            coords.append(None)
+            widths.append(None)
+        elif k == 0:   # a nonzero constant generates all of P_m
+            blocks.append(np.zeros((1, 0), dtype=complex))
+            coords.append(None)
+            widths.append(None)
+        else:
+            N, X = _next_complement(blocks[-1], n, k, run.units.get(k, ()), graded, rank_tol)
+            blocks.append(N)
+            coords.append(X if graded else None)
+            widths.append(len(X))
+        if blocks[k] is not None:
+            total = total + blocks[k].shape[1] if graded else blocks[k].shape[1]
+        if widths[k] is not None:
+            _require_model_fits(wi.dim, n, total)
+    if len(blocks) == len(run.blocks):
+        return run
+    return _Recursion(graded, run.units, run.k0, blocks, coords, widths)
 
 
 def _next_complement(N: np.ndarray, n: int, k: int, units, graded: bool, rank_tol: float):
@@ -316,7 +417,11 @@ def ideal_subspace(spec: IdealSpec, rank_tol: float = RANK_TOL) -> np.ndarray:
 
 @dataclass
 class QuotientModel:
-    """Orthonormal basis of the co-invariant complement plus compressed shifts."""
+    """Orthonormal basis of the co-invariant complement plus compressed shifts.
+
+    n_basis, compressions and grades are read-only: build_quotient hands the
+    same arrays to every caller of one ideal at one degree.
+    """
 
     spec: IdealSpec
     n_basis: np.ndarray = field(repr=False)
@@ -325,6 +430,11 @@ class QuotientModel:
     grades: np.ndarray = None
     trivial: bool = False
     approximate: bool = False
+
+    def __post_init__(self):
+        for array in (self.n_basis, self.compressions, self.grades):
+            if array is not None:
+                array.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -342,18 +452,30 @@ class QuotientModel:
 def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel:
     """Quotient model on N = P_m minus the padded ideal, with B_i = P_N S_i|_N.
 
-    One recursion over degrees builds N (_complement_recursion).
+    One recursion over degrees builds N (_complement_recursion), run once
+    per process for each ideal: a later call at the same or a lower degree
+    takes its prefix, a higher one resumes it, with every cap checked as in
+    a fresh build and results bit-identical to one.
     Homogeneous generators give grade-exact bases whose step coordinates
     are the block-bidiagonal compressions; the top grade maps into
     truncated territory, so relation checks only hold on grades up to
     reliable_degree.  Other generators give an approximate model, with
-    B_i = (L_i* N)* N.
+    B_i = (L_i* N)* N.  The model's .spec is the caller's spec.
     """
+    key = _memo_key(spec, rank_tol)
+    run = _complement_recursion(spec, rank_tol, key)
+    model = run.models.get(spec.m)
+    if model is None:
+        model = _quotient_model(spec, run)
+        _memo_put(key, run, spec.m, model)
+    return replace(model, spec=spec)
+
+
+def _quotient_model(spec: IdealSpec, run: _Recursion) -> QuotientModel:
     n, m = spec.n, spec.m
     reliable = m - spec.max_generator_degree
-    blocks, coords = _complement_recursion(spec, rank_tol)
-    if not spec.homogeneous:
-        n_basis = blocks[0]
+    if not run.graded:
+        n_basis = run.blocks[m]
         # B_i = N* L_i N = (L_i* N)* P_{m-1} N
         r = n_basis.shape[1]
         lowered = _adjoint_shifts(n_basis, n, m)[:, :n]   # L_i* N in P_{m-1}
@@ -361,6 +483,7 @@ def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel
              @ n_basis[:len(lowered)]).reshape(n, r, r)
         return QuotientModel(spec, n_basis, B, reliable, grades=None,
                              trivial=(r == 0), approximate=True)
+    blocks, coords = run.blocks[:m + 1], run.coords
     sizes = [b.shape[1] for b in blocks]
     at = np.cumsum([0] + sizes)
     r = int(at[-1])

@@ -145,7 +145,7 @@ def test_pick_interpolant_cap_exit_code(tmp_path, capsys, monkeypatch):
     # the cap must stop the run before the c* solve
     def no_cstar(problem):
         raise AssertionError("c* computed past the interpolant cap")
-    monkeypatch.setattr(pick, "min_interpolation_norm", no_cstar)
+    monkeypatch.setattr(pick, "min_norm_and_condition", no_cstar)
     points = [[t * 0.5, t * 0.5j, t * 0.5] for t in np.linspace(-1.0, 1.0, 20)]
     path = _write(tmp_path, "p.json", _pick_doc(points, [np.eye(30)] * 20))
     start = time.perf_counter()
@@ -164,7 +164,7 @@ def test_pick_interpolant_keeps_result_when_gram_is_singular(tmp_path, capsys):
     assert cli.main(["pick", "interpolant", path, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     results = report["results"]
-    assert results["min_norm"] is None
+    assert results["min_norm"] is None and results["gram_condition"] is None
     assert any(w.startswith("min_norm not computed") for w in report["warnings"])
     # coefficients near 1e6 carry the rounding of the residual
     assert results["max_interpolation_residual"] <= 1e-12 * results["norm_upper"]
@@ -208,7 +208,7 @@ def test_fault_exit_codes(tmp_path, capsys, monkeypatch, fault, code, label):
     # any exception leaves main as an exit code and one line on stderr
     def broken(problem):
         raise fault
-    monkeypatch.setattr(pick, "min_interpolation_norm", broken)
+    monkeypatch.setattr(pick, "min_norm_and_condition", broken)
     path = _write(tmp_path, "p.json", SCHWARZ)
     assert cli.main(["pick", "norm", path]) == code
     err = capsys.readouterr().err
@@ -616,19 +616,22 @@ REPORT_CONTRACT = {
         0, ["quotient_dim", "reliable_degree", "lhs", "rhs", "range_residual",
             "covariance_residual", "convergence_slack"]),
     ("pick_matrix_targets.json", "pick check"): (
-        0, ["k", "target_dim", "feasible", "min_eigenvalue", "min_norm", "marginal"]),
+        0, ["k", "target_dim", "feasible", "min_eigenvalue", "min_norm", "gram_condition",
+            "marginal"]),
     ("pick_matrix_targets.json", "pick norm"): (
-        0, ["k", "target_dim", "min_norm", "feasible_at_one"]),
+        0, ["k", "target_dim", "min_norm", "gram_condition", "feasible_at_one"]),
     ("pick_matrix_targets.json", "pick interpolant"): (
         0, ["k", "target_dim", "degree", "max_interpolation_residual", "norm_upper",
-            "min_norm", "interpolant"]),
+            "min_norm", "gram_condition", "interpolant"]),
     ("pick_matrix_targets.json", "pick classical"): (2, None),
     ("pick_schwarz.json", "pick check"): (
-        0, ["k", "target_dim", "feasible", "min_eigenvalue", "min_norm", "marginal"]),
-    ("pick_schwarz.json", "pick norm"): (0, ["k", "target_dim", "min_norm", "feasible_at_one"]),
+        0, ["k", "target_dim", "feasible", "min_eigenvalue", "min_norm", "gram_condition",
+            "marginal"]),
+    ("pick_schwarz.json", "pick norm"): (
+        0, ["k", "target_dim", "min_norm", "gram_condition", "feasible_at_one"]),
     ("pick_schwarz.json", "pick interpolant"): (
         0, ["k", "target_dim", "degree", "max_interpolation_residual", "norm_upper",
-            "min_norm", "interpolant"]),
+            "min_norm", "gram_condition", "interpolant"]),
     ("pick_schwarz.json", "pick classical"): (
         0, ["k", "target_dim", "is_psd", "min_eigenvalue", "marginal"]),
     ("poisson_contraction.json", "poisson kernel"): (

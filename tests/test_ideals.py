@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -14,6 +16,15 @@ from ncfock import (BallPoint, DomainError, IdealSpec, NcPolynomial, ResourceCap
                     quotient_poisson_check, sup_norm_bounds, tensor_product,
                     truncated_mult_matrix)
 from helpers import dense_complement, padded_dense_rows, random_polynomial, symmetrized_basis
+
+
+@pytest.fixture(autouse=True)
+def _empty_memo():
+    # every test starts from an empty recursion memo, so cap and timing
+    # tests measure fresh builds, not states an earlier test left behind
+    ideals._memo.clear()
+    yield
+    ideals._memo.clear()
 
 
 def _projector_distance(a, b):
@@ -560,3 +571,185 @@ def test_quotient_distance_degree_guard():
     spec = q_commutation_spec(2, 1.0, 3)
     with pytest.raises(ValueError):
         quotient_distance(NcPolynomial(2, {(1, 1, 1, 1): 1.0}), spec)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _count_steps(monkeypatch) -> list:
+    steps = []
+    step = ideals._next_complement
+    monkeypatch.setattr(ideals, "_next_complement", lambda *a: steps.append(a[2]) or step(*a))
+    return steps
+
+
+def _ladder_specs():
+    """(name, spec of degree m, degrees): every shape of recursion state."""
+    commutator = q_commutation_spec(2, 1.0, 2).generators[0]
+    rng = np.random.default_rng(43)
+    c2, c3 = 0.2 + 0.3 * rng.uniform(size=2)
+    return [
+        ("q-n2", lambda m: q_commutation_spec(2, np.exp(0.6j), m), range(2, 10)),
+        ("q-n3", lambda m: q_commutation_spec(3, -1.0, m), range(2, 6)),
+        ("mixed-table", lambda m: q_commutation_spec(3, MIXED_TABLE, m), range(2, 6)),
+        # at m = 6 its compressions alone (3 x 952 x 952) pass MEMO_BYTES
+        ("e1e2e3", lambda m: IdealSpec(3, (NcPolynomial(3, {(1, 2, 3): 1.0}),), m),
+         range(3, 6)),
+        ("constant", lambda m: IdealSpec(2, (NcPolynomial(2, {(): 0.5}), commutator), m),
+         range(2, 6)),
+        ("no-generators", lambda m: IdealSpec(2, (), m), range(0, 7)),
+        ("non-homogeneous-n2", lambda m: IdealSpec(
+            2, (NcPolynomial(2, {(1, 2): 1.0, (2, 1): -1.0, (1,): c2}),), m), range(2, 9)),
+        ("non-homogeneous-n3", lambda m: IdealSpec(
+            3, (NcPolynomial(3, {(1, 2): 1.0, (2, 1): -1.0, (1,): c3}),), m), range(2, 5)),
+        ("constant-non-homogeneous", lambda m: IdealSpec(
+            2, (NcPolynomial(2, {(): 0.5, (1,): 1.0}),), m), range(1, 5)),
+    ]
+
+
+@pytest.mark.parametrize("name, make, degrees", _ladder_specs(),
+                         ids=[case[0] for case in _ladder_specs()])
+def test_memo_models_equal_fresh_builds_bit_for_bit(monkeypatch, name, make, degrees):
+    # each degree's recursion step runs once per memo state, whatever the
+    # order of the requests, and every model equals a fresh build bit for bit
+    fresh = {}
+    for m in degrees:
+        ideals._memo.clear()
+        fresh[m] = build_quotient(make(m))
+    steps = _count_steps(monkeypatch)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(3):
+        ideals._memo.clear()
+        steps.clear()
+        for m in rng.permutation(list(degrees) * 2):
+            spec = make(int(m))
+            model = build_quotient(spec)
+            expected = fresh[int(m)]
+            assert model.spec is spec
+            assert _same_bits(model.n_basis, expected.n_basis)
+            assert _same_bits(model.compressions, expected.compressions)
+            assert (model.grades is None) == (expected.grades is None)
+            assert model.grades is None or _same_bits(model.grades, expected.grades)
+        assert sorted(steps) == sorted(set(steps))
+
+
+@pytest.mark.parametrize("cap, value, fits, message", [
+    # q-commutation at n = 2 keeps r_k = k + 1 per grade: degree 7 (D = 255)
+    # holds 255 x 21 entries after degree 5, degree 6 (D = 127) at most 127 x 28
+    ("MAX_DENSE_ENTRIES", 5000, 6, "quotient basis of 255 x 21 entries"),
+    # step k has w = 2 r_{k-1} = 2k candidates
+    ("GRADE_COORD_CAP", 11, 5, "degree-6 candidate space of size 12 exceeds the cap 11"),
+], ids=["model-cap", "candidate-cap"])
+def test_memo_replays_every_cap(monkeypatch, cap, value, fits, message):
+    # a spec that fits at degree `fits` and not one higher fails with the same
+    # message from an empty memo, from a state run up to `fits` and from one
+    # run past the failing degree; a failed step stores nothing, and a later
+    # lower-degree call still takes the stored state
+    make = lambda m: q_commutation_spec(2, 1j, m)
+    expected = build_quotient(make(fits))
+    steps = _count_steps(monkeypatch)
+    messages = []
+    for warm in (None, fits, fits + 3):
+        ideals._memo.clear()
+        if warm is not None:
+            build_quotient(make(warm))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ideals, cap, value)
+            with pytest.raises(ResourceCapError, match=message) as err:
+                build_quotient(make(fits + 1))
+            messages.append(str(err.value))
+            steps.clear()
+            model = build_quotient(make(fits))
+        assert bool(steps) == (warm is None)
+        assert _same_bits(model.n_basis, expected.n_basis)
+        assert _same_bits(model.compressions, expected.compressions)
+    assert messages == messages[:1] * 3
+
+
+def test_models_are_read_only_and_carry_the_callers_spec():
+    # a memo hit hands the same arrays to both callers, so none is writeable
+    for make in (lambda: q_commutation_spec(2, 1.0, 5),
+                 lambda: IdealSpec(2, (NcPolynomial(2, {(1, 2): 1.0, (1,): 0.3}),), 4)):
+        first_spec, second_spec = make(), make()
+        first, second = build_quotient(first_spec), build_quotient(second_spec)
+        assert first.spec is first_spec and second.spec is second_spec
+        assert second.n_basis is first.n_basis
+        for array in (first.n_basis, first.compressions, first.grades):
+            if array is not None:
+                with pytest.raises(ValueError):
+                    array[0] = 0
+                with pytest.raises(ValueError):
+                    array += 1
+
+
+def test_memo_keeps_few_small_states(monkeypatch):
+    # at most MEMO_SPECS states, the least recently used dropped first; a
+    # state past MEMO_BYTES (the free n = 2, m = 9 model: 3 x 1023^2 basis
+    # and compression entries, 50 MB) is not kept once it has returned and
+    # drops no other
+    specs = [q_commutation_spec(2, lam, 5) for lam in (1.0, -1.0, 1j)]
+    for spec in specs:
+        build_quotient(spec)
+    assert len(ideals._memo) == ideals.MEMO_SPECS
+    big = build_quotient(IdealSpec(2, (), 9))
+    assert big.dim == 1023
+    assert len(ideals._memo) == ideals.MEMO_SPECS
+    assert sum(run.nbytes() for run in ideals._memo.values()) <= ideals.MEMO_BYTES
+    steps = _count_steps(monkeypatch)
+    for spec in specs[::-1]:
+        build_quotient(spec)
+    assert steps == [2, 3, 4, 5]   # only the first spec was dropped
+
+
+def test_memo_signed_zeros_count_apart():
+    # coefficients equal as numbers but not bit for bit key different states
+    plus = NcPolynomial(2, {(2, 1): 1.0, (1, 2): complex(-1.0, 0.0)})
+    minus = NcPolynomial(2, {(2, 1): 1.0, (1, 2): complex(-1.0, -0.0)})
+    assert plus.terms == minus.terms
+    build_quotient(IdealSpec(2, (plus,), 4))
+    build_quotient(IdealSpec(2, (minus,), 4))
+    assert len(ideals._memo) == 2
+
+
+def test_concurrent_builds_match_fresh_ones():
+    # six threads on a short switch interval build two ideals at random
+    # degrees through one memo: a half-extended state would show as a model
+    # that differs from a fresh build
+    makers = [lambda m: q_commutation_spec(2, 1j, m),
+              lambda m: IdealSpec(2, (NcPolynomial(2, {(1, 2): 1.0, (2, 1): -1.0, (1,): 0.3}),),
+                                  m)]
+    degrees = range(2, 9)
+    fresh = {}
+    for i, make in enumerate(makers):
+        for m in degrees:
+            ideals._memo.clear()
+            fresh[i, m] = build_quotient(make(m))
+    ideals._memo.clear()
+    results, errors = [], []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(25):
+                i, m = int(rng.integers(2)), int(rng.choice(degrees))
+                results.append(((i, m), build_quotient(makers[i](m))))
+        except Exception as exc:  # reported below, with the thread's seed
+            errors.append((seed, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(results) == 150
+    for key, model in results:
+        assert _same_bits(model.n_basis, fresh[key].n_basis)
+        assert _same_bits(model.compressions, fresh[key].compressions)

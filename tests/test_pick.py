@@ -6,8 +6,9 @@ import pytest
 from ncfock import pick
 from ncfock import (BallPoint, DomainError, NcPolynomial, PickProblem, ResourceCapError,
                     SingularGramError, certify, classical_ball_matrix, evaluate,
-                    gram, lagrange_interpolant, min_interpolation_norm, operator_norm,
-                    pick_matrix, psd_check, sample_membership_check, z_vector)
+                    gram, lagrange_interpolant, min_interpolation_norm,
+                    min_norm_and_condition, operator_norm, pick_matrix, psd_check,
+                    sample_membership_check, z_vector)
 from helpers import kron_min_norm, random_point, random_unitary, separated_points
 
 
@@ -252,6 +253,29 @@ def test_min_norm_matches_the_kron_oracle_on_ill_conditioned_disc_nodes():
         assert gap <= bound
         conds.append(np.linalg.cond(gram(problem)))
     assert min(conds) > 1e4 and max(conds) > 1e8
+
+
+def test_gram_condition_states_the_slack_of_cstar():
+    # cond(G) comes with c* from one eigvalsh of G: it is G's 2-norm
+    # condition number, and c* agrees with the kron oracle within
+    # 1e-16 cond(G) relative (1e-12 at least) from well to ill conditioned G
+    rng = np.random.default_rng(97)
+    conds = []
+    for t in range(90):
+        n, N = 1 + t % 3, 1 + t // 3 % 2
+        k = int(rng.integers(2, 11 if n == 1 else 25))
+        points = separated_points(rng, n, k, radius=0.9, min_gap=0.1 if n == 1 else 0.05)
+        problem = PickProblem(points, list(rng.normal(size=(k, N, N))
+                                           + 1j * rng.normal(size=(k, N, N))))
+        cstar, cond = min_norm_and_condition(problem)
+        cert = certify(problem)
+        assert (cert.min_norm, cert.gram_condition) == (cstar, cond)
+        assert min_interpolation_norm(problem) == cstar
+        assert cond == pytest.approx(np.linalg.cond(gram(problem)), rel=1e-8 + 1e-15 * cond)
+        oracle = kron_min_norm(problem)
+        assert abs(cstar - oracle) / oracle <= max(1e-12, 1e-16 * cond)
+        conds.append(cond)
+    assert min(conds) < 10 and max(conds) > 1e7
 
 
 def test_min_norm_is_singular_exactly_where_the_oracle_is():
