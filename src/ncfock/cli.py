@@ -501,7 +501,9 @@ def _ideal_basis(model, problem, params, report):
 def _ideal_distance(model, problem, params, report):
     f = _scalar_polynomial(problem)
     report.results["distance"] = ideals.quotient_distance(f, model.spec, model=model)
-    report.notes.append("finite-degree lower bound, nondecreasing in the working degree")
+    status = ("finite-degree approximation, neither a bound nor monotone" if model.approximate
+              else "finite-degree lower bound, nondecreasing")
+    report.notes.append(f"{status} in the working degree")
 
 
 def _ideal_compressions(model, problem, params, report):
@@ -516,9 +518,9 @@ def _ideal_compressions(model, problem, params, report):
             default=0.0)
     if model.dim <= 32:
         report.results["compressions"] = [model.compressions[i] for i in range(n)]
-    report.notes.append(
-        "relation and semi-invariance statements certified on grades <= "
-        f"{model.reliable_degree} only")
+    status = "approximate" if model.approximate else "certified"
+    report.notes.append(f"relation and semi-invariance statements {status} on grades <= "
+                        f"{model.reliable_degree} only")
 
 
 def _ideal_check(model, problem, params, report):
@@ -534,7 +536,8 @@ def _ideal_check(model, problem, params, report):
     if violated:
         report.warnings.append(
             "||f(T)|| exceeds the quotient distance beyond the convergence slack")
-    report.notes.append("rhs is a finite-degree lower bound of the quotient distance")
+    rhs_is = "approximation" if model.approximate else "lower bound"
+    report.notes.append(f"rhs is a finite-degree {rhs_is} of the quotient distance")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ number of padded products, and again after each degree.
 The recursion does not depend on m, so each ideal's runs once per process:
 a few recent states are kept (_Recursion, bounded in count and bytes), and
 a later build at the same or a lower degree takes their prefix, a higher
-one resumes them.  Caps are checked for the requested m as in a fresh
+one resumes them.  Only the recursion is kept: each build assembles its
+model from the state.  Caps are checked for the requested m as in a fresh
 build, and results are bit-identical to one.
 
 Compressions at the top grade land in truncated territory, so relation and
@@ -31,9 +32,10 @@ reliable_degree = m - max generator degree.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -205,26 +207,24 @@ class _Recursion:
     the prefix up to m.  units holds the generator rows by degree (see
     _complement_recursion) and k0 the lowest generator degree (None without
     generators).  blocks[k] is the grade-k block of N when graded, else N_k
-    (None below k0 - 1); coords[k] the step coordinates of a graded degree
-    (None for whole grades); widths[k] the candidates of step k (None where
-    no step ran).  These three are tuples: an extended recursion is a new
-    object.  models holds the QuotientModels assembled so far, by degree,
-    and changes only under _memo_lock.
+    (None below k0 - 1); coords[k] the (n, r_k, r_{k-1}) block of the
+    compressions from grade k - 1 to grade k of a graded degree, the step
+    coordinates X as X.reshape(n, r_{k-1}, r_k) conjugate-transposed (None
+    for whole grades); widths[k] the candidates of step k (None where no
+    step ran).  These three are tuples and it holds nothing else: an
+    extended recursion is a new object, and models are assembled from it
+    per call (_quotient_model).
     """
 
-    __slots__ = ("graded", "units", "k0", "blocks", "coords", "widths", "models")
+    __slots__ = ("graded", "units", "k0", "blocks", "coords", "widths")
 
     def __init__(self, graded, units, k0, blocks=(), coords=(), widths=()):
         self.graded, self.units, self.k0 = graded, units, k0
         self.blocks, self.coords, self.widths = tuple(blocks), tuple(coords), tuple(widths)
-        self.models = {}
 
     def nbytes(self) -> int:
-        """Bytes of the distinct arrays it holds."""
-        arrays = [a for a in self.blocks + self.coords if a is not None]
-        for model in self.models.values():
-            arrays += [model.n_basis, model.compressions, model.grades]
-        return sum({id(a): a.nbytes for a in arrays if a is not None}.values())
+        """Bytes of the arrays it holds."""
+        return sum(a.nbytes for a in self.blocks + self.coords if a is not None)
 
 
 # Recursion states by _memo_key, least recently used first: at most
@@ -244,16 +244,13 @@ def _memo_get(key):
         return run
 
 
-def _memo_put(key, run: _Recursion, m: int, model: "QuotientModel") -> None:
-    """Keep model at degree m and the longer of run and the held recursion,
-    unless that alone holds more than MEMO_BYTES."""
+def _memo_put(key, run: _Recursion) -> None:
+    """Keep the longer of run and the held recursion, unless that alone
+    holds more than MEMO_BYTES."""
     with _memo_lock:
         held = _memo.pop(key, None)
         if held is None or len(held.blocks) < len(run.blocks):
-            if held is not None:   # run extends held, whose models it shares
-                run.models = {**held.models, **run.models}
             held = run
-        held.models.setdefault(m, model)
         if held.nbytes() > MEMO_BYTES:
             return
         _memo[key] = held
@@ -316,7 +313,8 @@ def _complement_recursion(spec: IdealSpec, rank_tol: float, key) -> _Recursion:
         else:
             N, X = _next_complement(blocks[-1], n, k, run.units.get(k, ()), graded, rank_tol)
             blocks.append(N)
-            coords.append(X if graded else None)
+            coords.append(X.reshape(n, len(X) // n, X.shape[1]).conj().transpose(0, 2, 1)
+                          if graded else None)
             widths.append(len(X))
         if blocks[k] is not None:
             total = total + blocks[k].shape[1] if graded else blocks[k].shape[1]
@@ -419,8 +417,9 @@ def ideal_subspace(spec: IdealSpec, rank_tol: float = RANK_TOL) -> np.ndarray:
 class QuotientModel:
     """Orthonormal basis of the co-invariant complement plus compressed shifts.
 
-    n_basis, compressions and grades are read-only: build_quotient hands the
-    same arrays to every caller of one ideal at one degree.
+    n_basis, compressions and grades are read-only.  build_quotient
+    assembles them per call, except n_basis for non-homogeneous generators:
+    that is the memo's own N_m, handed to every caller at degree m.
     """
 
     spec: IdealSpec
@@ -453,9 +452,9 @@ def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel
     """Quotient model on N = P_m minus the padded ideal, with B_i = P_N S_i|_N.
 
     One recursion over degrees builds N (_complement_recursion), run once
-    per process for each ideal: a later call at the same or a lower degree
-    takes its prefix, a higher one resumes it, with every cap checked as in
-    a fresh build and results bit-identical to one.
+    per process for each ideal (see the module docstring); the model is
+    assembled from its prefix up to m on every call, bit-identical to a
+    fresh build.
     Homogeneous generators give grade-exact bases whose step coordinates
     are the block-bidiagonal compressions; the top grade maps into
     truncated territory, so relation checks only hold on grades up to
@@ -464,11 +463,8 @@ def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel
     """
     key = _memo_key(spec, rank_tol)
     run = _complement_recursion(spec, rank_tol, key)
-    model = run.models.get(spec.m)
-    if model is None:
-        model = _quotient_model(spec, run)
-        _memo_put(key, run, spec.m, model)
-    return replace(model, spec=spec)
+    _memo_put(key, run)
+    return _quotient_model(spec, run)
 
 
 def _quotient_model(spec: IdealSpec, run: _Recursion) -> QuotientModel:
@@ -485,8 +481,8 @@ def _quotient_model(spec: IdealSpec, run: _Recursion) -> QuotientModel:
                              trivial=(r == 0), approximate=True)
     blocks, coords = run.blocks[:m + 1], run.coords
     sizes = [b.shape[1] for b in blocks]
-    at = np.cumsum([0] + sizes)
-    r = int(at[-1])
+    at = list(itertools.accumulate(sizes, initial=0))
+    r = at[-1]
     B = np.zeros((n, r, r), dtype=complex)
     for k in range(1, m + 1):
         if coords[k] is None:   # a whole grade: L_i puts grade k-1 in its i-th part
@@ -494,8 +490,7 @@ def _quotient_model(spec: IdealSpec, run: _Recursion) -> QuotientModel:
                 B[i, at[k] + i * sizes[k - 1]:at[k] + (i + 1) * sizes[k - 1],
                   at[k - 1]:at[k]] = np.eye(sizes[k - 1])
         else:
-            B[:, at[k]:at[k + 1], at[k - 1]:at[k]] = \
-                coords[k].reshape(n, sizes[k - 1], sizes[k]).conj().transpose(0, 2, 1)
+            B[:, at[k]:at[k + 1], at[k - 1]:at[k]] = coords[k]
     return QuotientModel(spec, _assemble(WordIndex(n, m), blocks), B, reliable,
                          grades=np.repeat(np.arange(m + 1), sizes),
                          trivial=(r == 0), approximate=False)
@@ -575,10 +570,11 @@ def constrained_von_neumann_check(T: RowContraction, f: NcPolynomial, spec: Idea
                                   c0_kmax: int = 30):
     """(lhs, rhs) with lhs = ||f(T)|| and rhs the quotient compression norm.
 
-    Requires a certified pure tuple annihilating every generator.  rhs is a
-    finite-degree lower bound of the true quotient distance, so the
-    inequality lhs <= rhs is asserted by callers only once rhs has
-    stabilized, and with an explicit convergence slack.
+    Requires a certified pure tuple annihilating every generator.  For
+    homogeneous generators rhs is a finite-degree lower bound of the true
+    quotient distance, so callers assert lhs <= rhs only once rhs has
+    stabilized, with an explicit convergence slack; otherwise
+    (model.approximate) it is neither a bound nor monotone in the degree.
     """
     _require_admissible(T, spec, gen_tol, c0_kmax)
     return _von_neumann_sides(T, f, spec, model)

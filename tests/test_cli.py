@@ -422,6 +422,36 @@ def test_ideal_check(tmp_path, capsys, monkeypatch):
     assert res["range_residual"] < 1e-10
 
 
+def test_ideal_notes_call_approximate_values_approximations(tmp_path, capsys):
+    # [e1, e2] + 0.3 e1 has an approximate model: the distance of
+    # 0.5 + e1 - 0.7 e2e2 falls from m = 5 to m = 6, so its notes name no
+    # bound and no certificate; the graded model's notes keep their wording
+    doc = json.loads((PROBLEMS / "ideal_dense.json").read_text())
+    doc["polynomial"] = json.loads((PROBLEMS / "ideal_commuting.json").read_text())["polynomial"]
+    path = _write(tmp_path, "p.json", doc)
+    distances = []
+    for degree in ("5", "6"):
+        assert cli.main(["ideal", "distance", path, "--degree", degree, "--json"]) == 0
+        distances.append(json.loads(capsys.readouterr().out)["results"]["distance"])
+    assert distances[1] < distances[0] - 1e-5
+    notes = {}
+    for name, file in (("dense", path), ("commuting", str(PROBLEMS / "ideal_commuting.json"))):
+        for action in ("distance", "compressions", "check"):
+            assert cli.main(["ideal", action, file, "--json"]) == 0
+            notes[name, action] = json.loads(capsys.readouterr().out)["notes"]
+    assert notes == {
+        ("dense", "distance"): [
+            "finite-degree approximation, neither a bound nor monotone in the working degree"],
+        ("dense", "compressions"): [
+            "relation and semi-invariance statements approximate on grades <= 3 only"],
+        ("dense", "check"): ["rhs is a finite-degree approximation of the quotient distance"],
+        ("commuting", "distance"): [
+            "finite-degree lower bound, nondecreasing in the working degree"],
+        ("commuting", "compressions"): [
+            "relation and semi-invariance statements certified on grades <= 4 only"],
+        ("commuting", "check"): ["rhs is a finite-degree lower bound of the quotient distance"]}
+
+
 def test_resource_cap_exit_code(tmp_path, capsys):
     doc = {"kind": "caratheodory", "n": 9, "degree": 8,
            "polynomial": [{"word": [1], "coeff": [1.0, 0.0]}]}
@@ -605,6 +635,14 @@ PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 # (exit code, None) where the command is an input error on that file
 REPORT_CONTRACT = {
     ("caratheodory_shift.json", "caratheodory"): (0, ["degree", "distance"]),
+    ("ideal_dense.json", "ideal basis"): (
+        0, ["quotient_dim", "reliable_degree", "space_dim", "ideal_dim", "grade_dimensions"]),
+    ("ideal_dense.json", "ideal distance"): (0, ["quotient_dim", "reliable_degree", "distance"]),
+    ("ideal_dense.json", "ideal compressions"): (
+        0, ["quotient_dim", "reliable_degree", "compression_norms", "compressions"]),
+    ("ideal_dense.json", "ideal check"): (
+        0, ["quotient_dim", "reliable_degree", "lhs", "rhs", "range_residual",
+            "covariance_residual", "convergence_slack"]),
     ("ideal_commuting.json", "ideal basis"): (
         0, ["quotient_dim", "reliable_degree", "space_dim", "ideal_dim", "grade_dimensions"]),
     ("ideal_commuting.json", "ideal distance"): (

@@ -593,9 +593,10 @@ def _ladder_specs():
         ("q-n2", lambda m: q_commutation_spec(2, np.exp(0.6j), m), range(2, 10)),
         ("q-n3", lambda m: q_commutation_spec(3, -1.0, m), range(2, 6)),
         ("mixed-table", lambda m: q_commutation_spec(3, MIXED_TABLE, m), range(2, 6)),
-        # at m = 6 its compressions alone (3 x 952 x 952) pass MEMO_BYTES
+        # at m = 6 its compressions (3 x 952 x 952, 43 MB) pass MEMO_BYTES,
+        # but its state (14.8 MiB) is kept
         ("e1e2e3", lambda m: IdealSpec(3, (NcPolynomial(3, {(1, 2, 3): 1.0}),), m),
-         range(3, 6)),
+         range(3, 7)),
         ("constant", lambda m: IdealSpec(2, (NcPolynomial(2, {(): 0.5}), commutator), m),
          range(2, 6)),
         ("no-generators", lambda m: IdealSpec(2, (), m), range(0, 7)),
@@ -668,13 +669,16 @@ def test_memo_replays_every_cap(monkeypatch, cap, value, fits, message):
 
 
 def test_models_are_read_only_and_carry_the_callers_spec():
-    # a memo hit hands the same arrays to both callers, so none is writeable
+    # a non-homogeneous model's n_basis is the memo's own N_m, handed to
+    # every caller at degree m; the other arrays are assembled per call, and
+    # none is writeable
     for make in (lambda: q_commutation_spec(2, 1.0, 5),
                  lambda: IdealSpec(2, (NcPolynomial(2, {(1, 2): 1.0, (1,): 0.3}),), 4)):
         first_spec, second_spec = make(), make()
         first, second = build_quotient(first_spec), build_quotient(second_spec)
         assert first.spec is first_spec and second.spec is second_spec
-        assert second.n_basis is first.n_basis
+        assert (second.n_basis is first.n_basis) == first.approximate
+        assert second.compressions is not first.compressions
         for array in (first.n_basis, first.compressions, first.grades):
             if array is not None:
                 with pytest.raises(ValueError):
@@ -685,15 +689,15 @@ def test_models_are_read_only_and_carry_the_callers_spec():
 
 def test_memo_keeps_few_small_states(monkeypatch):
     # at most MEMO_SPECS states, the least recently used dropped first; a
-    # state past MEMO_BYTES (the free n = 2, m = 9 model: 3 x 1023^2 basis
-    # and compression entries, 50 MB) is not kept once it has returned and
-    # drops no other
+    # state past MEMO_BYTES (the free n = 4, m = 5 one: its whole grades
+    # hold (16^6 - 1) / 15 identity entries, 17.1 MiB) is not kept once it
+    # has returned and drops no other
     specs = [q_commutation_spec(2, lam, 5) for lam in (1.0, -1.0, 1j)]
     for spec in specs:
         build_quotient(spec)
     assert len(ideals._memo) == ideals.MEMO_SPECS
-    big = build_quotient(IdealSpec(2, (), 9))
-    assert big.dim == 1023
+    big = build_quotient(IdealSpec(4, (), 5))
+    assert big.dim == 1365
     assert len(ideals._memo) == ideals.MEMO_SPECS
     assert sum(run.nbytes() for run in ideals._memo.values()) <= ideals.MEMO_BYTES
     steps = _count_steps(monkeypatch)
