@@ -453,8 +453,7 @@ def _poisson_kernel(T, problem, params, report):
     x = np.eye(T.d, dtype=complex)
     for _ in range(m + 1):
         x = T.cp_map(x)
-    identity_residual = operator_norm(
-        np.eye(T.d) - kernel.matrix.conj().T @ kernel.matrix - x)
+    identity_residual = operator_norm(kernel.defect - x)
     report.results.update(rows=int(kernel.matrix.shape[0]), cols=int(kernel.matrix.shape[1]),
                           tail=kernel.tail, certified=kernel.certified,
                           identity_residual=float(identity_residual))

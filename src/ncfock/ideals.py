@@ -43,7 +43,7 @@ from .errors import DomainError, ResourceCapError
 from .freealg import (MAX_DENSE_ENTRIES, NcPolynomial, WordIndex, _capped_basis_size,
                       _mult_triplets, _word_products, basis_size, evaluate,
                       truncated_mult_matrix)
-from .numerics import _blas_threads, _blas_threads_for, operator_norm
+from .numerics import _BLAS_SCOPE, _blas_threads, _blas_threads_for, operator_norm
 from .poisson import RowContraction, is_c0_certified, poisson_kernel
 
 GRADE_COORD_CAP = 4096       # largest single-grade coordinate space we factorize
@@ -130,18 +130,21 @@ def q_commutation_spec(n: int, lam, m: int) -> IdealSpec:
     return IdealSpec(n, tuple(gens), m)
 
 
-def _adjoint_shifts(X: np.ndarray, n: int, m: int) -> np.ndarray:
-    """[L_1* X, ..., L_n* X, R_1* X, ..., R_n* X] for columns X in P_m, of shape
-    (D(n, m-1), 2n, w): L_i and R_i put the letter i in front of a word and
-    at its end, so their adjoints move grade-(k+1) rows to grade k."""
+def _left_adjoint_shifts(X: np.ndarray, n: int, m: int) -> np.ndarray:
+    """[L_1* X, ..., L_n* X] for columns X in P_m, of shape (D(n, m-1), n, w):
+    L_i puts the letter i in front of a word, so L_i* moves the grade-(k+1)
+    rows of the words starting with i to grade k.
+
+    R_i*, which drops the last letter, is a view: the word beta i sits at
+    row n j + i, j the row of beta, so R_i* X = X[1:].reshape(-1, n, w)[:, i - 1].
+    """
     w = X.shape[1]
-    out = np.empty((basis_size(n, m - 1), 2 * n, w), dtype=complex)
+    out = np.empty((basis_size(n, m - 1), n, w), dtype=complex)
     at = 0
     for k in range(m):
         size = n ** k
         block = X[1 + n * at:1 + n * (at + size)]
-        out[at:at + size, :n] = block.reshape(n, size, w).transpose(1, 0, 2)
-        out[at:at + size, n:] = block.reshape(size, n, w)
+        out[at:at + size] = block.reshape(n, size, w).transpose(1, 0, 2)
         at += size
     return out
 
@@ -356,8 +359,13 @@ def _next_complement(N: np.ndarray, n: int, k: int, units, graded: bool, rank_to
         phi[base + i * size:base + (i + 1) * size, lower + i * q:lower + (i + 1) * q] = U
     rows = [coeffs @ phi[at] for at, coeffs in units]
     # the shifted candidates, rows indexed like N's: (below, shifts, w); the
-    # graded ones are phi itself, which is not read after this
-    shifted = phi.reshape(size, n, w) if graded else _adjoint_shifts(phi, n, k)
+    # graded ones are phi itself, which is not read after this; the others
+    # are [L_1* phi, ..., L_n* phi, R_1* phi, ..., R_n* phi]
+    if graded:
+        shifted = phi.reshape(size, n, w)
+    else:
+        shifted = np.concatenate(
+            [_left_adjoint_shifts(phi, n, k), phi[1:].reshape(below, n, w)], axis=1)
     images = shifted.reshape(below, -1)
     if below - r < r and images.size > SMALL_STACK:
         # I - N N* = C C* for an orthonormal basis C of the complement of N;
@@ -474,7 +482,7 @@ def _quotient_model(spec: IdealSpec, run: _Recursion) -> QuotientModel:
         n_basis = run.blocks[m]
         # B_i = N* L_i N = (L_i* N)* P_{m-1} N
         r = n_basis.shape[1]
-        lowered = _adjoint_shifts(n_basis, n, m)[:, :n]   # L_i* N in P_{m-1}
+        lowered = _left_adjoint_shifts(n_basis, n, m)   # L_i* N in P_{m-1}
         B = (lowered.reshape(len(lowered), n * r).conj().T
              @ n_basis[:len(lowered)]).reshape(n, r, r)
         return QuotientModel(spec, n_basis, B, reliable, grades=None,
@@ -583,11 +591,12 @@ def constrained_von_neumann_check(T: RowContraction, f: NcPolynomial, spec: Idea
 def _poisson_residuals(T, spec, m, model, word_degree):
     if model is None:
         model = build_quotient(spec.at_degree(m))
-    kb = poisson_kernel(T, m).blocks
     basis = model.n_basis
-    coords = np.einsum("Dr,Dij->rij", basis.conj(), kb)
-    projected = np.einsum("Dr,rij->Dij", basis, coords)
-    range_residual = operator_norm((kb - projected).reshape(-1, T.d))
+    K = poisson_kernel(T, m).matrix.reshape(len(basis), -1)   # a row of d^2 entries per word
+    with _BLAS_SCOPE:
+        coords = basis.conj().T @ K
+        projected = basis @ coords
+    range_residual = operator_norm((K - projected).reshape(-1, T.d))
 
     words = list(WordIndex(T.n, min(word_degree, m)).words())
     # K* (B_alpha B_beta* tensor I) K = Y_alpha* Y_beta with Y_w = (B_w* tensor I) K

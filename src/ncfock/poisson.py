@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, ResourceCapError
 from .freealg import (MAX_BASIS_SIZE, MAX_DENSE_ENTRIES, BallPoint, NcPolynomial, WordIndex,
                       _word_products, evaluate, sup_norm_bounds, word_value)
-from .numerics import DEFAULT_TOL, _blas_threads, hermitian_sqrt, operator_norm
+from .numerics import DEFAULT_TOL, _BLAS_SCOPE, _blas_threads, hermitian_sqrt, operator_norm
 
 CONTRACTION_CLAMP = 1e-10
 # c0_sequence work per step, in units of d^3 multiply-adds: on a 2-vCPU host a
@@ -85,14 +85,16 @@ class PoissonKernelMatrix:
     """Truncated Poisson kernel.
 
     matrix has shape (D(n, m) * d, d); the row block of the word alpha is
-    Delta T_alpha*.  tail = ||I - K*K|| = ||Phi^(m+1)(I)|| measures the
-    uncertified part; certified means it fell below the requested tolerance.
+    Delta T_alpha*.  defect = I - K*K; tail = ||defect|| = ||Phi^(m+1)(I)||
+    measures the uncertified part; certified means it fell below the
+    requested tolerance.
     """
 
     n: int
     d: int
     m: int
     matrix: np.ndarray = field(repr=False)
+    defect: np.ndarray = field(repr=False)
     tail: float
     certified: bool
 
@@ -168,38 +170,41 @@ def poisson_kernel(T: RowContraction, m: int, tol: float = DEFAULT_TOL) -> Poiss
     Satisfies K*K = I - Phi^(m+1)(I) identically, hence K*K <= I with defect
     exactly sigma_(m+1).
     """
-    wi = WordIndex(T.n, m)
-    # the blocks, and their product with Delta, each hold D d^2 entries
-    if wi.dim * T.d > MAX_BASIS_SIZE or wi.dim * T.d ** 2 > MAX_DENSE_ENTRIES:
+    wi, d = WordIndex(T.n, m), T.d
+    # K holds D d^2 entries
+    if wi.dim * d > MAX_BASIS_SIZE or wi.dim * d ** 2 > MAX_DENSE_ENTRIES:
         raise ResourceCapError(
-            f"kernel of {wi.dim} * {T.d} rows and {wi.dim} * {T.d}^2 entries exceeds the "
+            f"kernel of {wi.dim} * {d} rows and {wi.dim} * {d}^2 entries exceeds the "
             f"caps {MAX_BASIS_SIZE} rows and {MAX_DENSE_ENTRIES} entries")
-    tstar = T.matrices.conj().transpose(0, 2, 1)
-    blocks = np.empty((wi.dim, T.d, T.d), dtype=complex)
-    grade = np.eye(T.d, dtype=complex)[None]
-    blocks[0] = grade[0]
-    for k in range(1, m + 1):
-        # append a letter at the end of the word: T_(alpha g_i)* = T_i* T_alpha*
-        grade = np.einsum("ixy,ayz->aixz", tstar, grade).reshape(-1, T.d, T.d)
-        blocks[wi.grade_slice(k)] = grade
-    blocks = np.einsum("xy,ayz->axz", T.delta, blocks)
-    K = np.ascontiguousarray(blocks.reshape(wi.dim * T.d, T.d))
-    tail = operator_norm(np.eye(T.d) - K.conj().T @ K)
-    return PoissonKernelMatrix(T.n, T.d, m, K, float(tail), bool(tail < tol))
+    tstar = np.ascontiguousarray(T.matrices.conj().transpose(0, 2, 1))
+    K = np.empty((wi.dim * d, d), dtype=complex)
+    blocks = K.reshape(wi.dim, d, d)
+    blocks[0] = T.delta
+    with _BLAS_SCOPE:
+        for k in range(1, m + 1):
+            # put a letter in front of the word: Delta T_(g_i alpha)* = (Delta T_alpha*) T_i*,
+            # so the grade-k words starting with i are all of grade k - 1 times T_i*
+            prev = blocks[wi.grade_slice(k - 1)].reshape(-1, d)
+            grade = blocks[wi.grade_slice(k)].reshape(T.n, -1, d)
+            for i in range(T.n):
+                np.matmul(prev, tstar[i], out=grade[i])
+        defect = np.eye(d) - K.conj().T @ K
+        tail = operator_norm(defect)
+    return PoissonKernelMatrix(T.n, d, m, K, defect, float(tail), bool(tail < tol))
 
 
 def _compression(blocks: np.ndarray, wi: WordIndex, alpha: tuple, beta: tuple) -> np.ndarray:
     """K* (M_alphabeta tensor I_d) K from the kernel's row blocks: the block of
     each word beta w meets that of alpha w, |w| <= m - max(|alpha|, |beta|)."""
-    n = wi.n
+    n, d = wi.n, blocks.shape[1]
     va, vb = word_value(alpha, n), word_value(beta, n)
-    out = np.zeros(blocks.shape[1:], dtype=complex)
+    out = np.zeros((d, d), dtype=complex)
     for t in range(wi.m - max(len(alpha), len(beta)) + 1):
         size = n ** t
         rows_out = wi.grade_start(t + len(alpha)) + va * size
         rows_in = wi.grade_start(t + len(beta)) + vb * size
-        out += np.einsum("axi,axj->ij", blocks[rows_out:rows_out + size].conj(),
-                         blocks[rows_in:rows_in + size])
+        out += (blocks[rows_out:rows_out + size].reshape(-1, d).conj().T
+                @ blocks[rows_in:rows_in + size].reshape(-1, d))
     return out
 
 
@@ -215,7 +220,9 @@ def poisson_compression(T: RowContraction, alpha, beta, m: int) -> np.ndarray:
     """K* (M_alphabeta tensor I_d) K, where M_alphabeta is the compression to
     P_m of the operator moving e_(beta delta) to e_(alpha delta)."""
     [(alpha, beta)] = _word_pairs([(alpha, beta)], m)
-    return _compression(poisson_kernel(T, m).blocks, WordIndex(T.n, m), alpha, beta)
+    blocks = poisson_kernel(T, m).blocks
+    with _BLAS_SCOPE:
+        return _compression(blocks, WordIndex(T.n, m), alpha, beta)
 
 
 def poisson_covariance_residuals(T: RowContraction, pairs, m: int) -> list:
@@ -225,8 +232,9 @@ def poisson_covariance_residuals(T: RowContraction, pairs, m: int) -> list:
     blocks, wi = poisson_kernel(T, m).blocks, WordIndex(T.n, m)
     words = list(dict.fromkeys(w for pair in pairs for w in pair))
     Tw = dict(zip(words, _word_products(T.matrices, words)))
-    return [operator_norm(_compression(blocks, wi, alpha, beta) - Tw[alpha] @ Tw[beta].conj().T)
-            for alpha, beta in pairs]
+    with _BLAS_SCOPE:
+        return [operator_norm(_compression(blocks, wi, alpha, beta)
+                              - Tw[alpha] @ Tw[beta].conj().T) for alpha, beta in pairs]
 
 
 def poisson_covariance_check(T: RowContraction, alpha, beta, m: int) -> float:

@@ -464,9 +464,9 @@ def test_caratheodory_side_cap_exit_code(tmp_path, capsys):
     doc = {"kind": "caratheodory", "n": 2, "degree": 11,
            "polynomial": [{"word": [1], "coeff": [1.0, 0.0]}]}
     path = _write(tmp_path, "p.json", doc)
-    start = time.perf_counter()
+    start = time.process_time()
     assert cli.main(["caratheodory", path]) == 3
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
     assert "compression of side" in capsys.readouterr().err
 
 
@@ -475,9 +475,9 @@ def test_poisson_kernel_entry_cap_exit_code(tmp_path, capsys):
     doc = {"kind": "poisson", "n": 1, "degree": 3332,
            "targets": [[[[0.0, 0.0]] * 300] * 300]}
     path = _write(tmp_path, "p.json", doc)
-    start = time.perf_counter()
+    start = time.process_time()
     assert cli.main(["poisson", "kernel", path]) == 3
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
     assert "entries" in capsys.readouterr().err
 
 
@@ -514,9 +514,9 @@ def test_ideal_non_homogeneous_candidate_cap_exit_code(tmp_path, capsys):
                            {"word": [], "coeff": [0.5, 0.0]}]]
            + [[{"word": list(word), "coeff": [1.0, 0.0]}] for word in words]}
     path = _write(tmp_path, "p.json", doc)
-    start = time.perf_counter()
+    start = time.process_time()
     assert cli.main(["ideal", "basis", path]) == 3
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
     assert "candidate space of size 8191" in capsys.readouterr().err
 
 
@@ -529,9 +529,9 @@ def test_ideal_homogeneous_candidate_cap_exit_code(tmp_path, capsys):
            "generators": [[{"word": [1], "coeff": [1.0, 0.0]}]]
            + [[{"word": list(word), "coeff": [1.0, 0.0]}] for word in words]}
     path = _write(tmp_path, "p.json", doc)
-    start = time.perf_counter()
+    start = time.process_time()
     assert cli.main(["ideal", "compressions", path]) == 3
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
     assert "degree-2 candidate space of size 4160" in capsys.readouterr().err
 
 
@@ -568,9 +568,9 @@ def test_ideal_compression_cap_exit_code(tmp_path, capsys):
 ])
 def test_huge_degree_or_kmax_fails_fast(tmp_path, capsys, argv, doc):
     path = _write(tmp_path, "p.json", doc)
-    start = time.perf_counter()
+    start = time.process_time()
     assert cli.main(argv[:2] + [path] + argv[2:]) == 3
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
     assert "resource cap" in capsys.readouterr().err
 
 

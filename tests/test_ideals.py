@@ -265,10 +265,10 @@ def test_non_homogeneous_candidate_cap_fails_fast(n, m, lead, count, message):
     gens = (NcPolynomial(n, {lead: 1.0, (): 0.5}),) + tuple(
         NcPolynomial(n, {word: 1.0}) for word in words)
     spec = IdealSpec(n, gens, m)
-    start = time.perf_counter()
+    start = time.process_time()
     with pytest.raises(ResourceCapError, match=message):
         build_quotient(spec)
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
 
 
 @pytest.mark.parametrize("cap, value, message", [
@@ -281,8 +281,8 @@ def test_non_homogeneous_caps_precede_each_degree(monkeypatch, cap, value, messa
     # formed, while the final compressions (2 x 28 x 28) would fit
     spec = IdealSpec(2, (NcPolynomial(2, {(1, 2): 1.0, (2, 1): -1.0, (1,): 0.3}),), 6)
     degrees = []
-    shifts = ideals._adjoint_shifts
-    monkeypatch.setattr(ideals, "_adjoint_shifts",
+    shifts = ideals._left_adjoint_shifts
+    monkeypatch.setattr(ideals, "_left_adjoint_shifts",
                         lambda X, n, m: degrees.append(m) or shifts(X, n, m))
     monkeypatch.setattr(ideals, cap, value)
     with pytest.raises(ResourceCapError, match=message):
@@ -304,10 +304,10 @@ def test_homogeneous_grade_coordinate_cap_fails_fast():
     # D(65, 3) minus the one padded product bounds dim N far above what the
     # compressions may hold, so the spec is refused before any grade is built
     spec = IdealSpec(65, (NcPolynomial(65, {(1, 2, 3): 1.0}),), 3)
-    start = time.perf_counter()
+    start = time.process_time()
     with pytest.raises(ResourceCapError):
         build_quotient(spec)
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
 
 
 @pytest.mark.parametrize("generators, message", [
@@ -323,10 +323,10 @@ def test_homogeneous_candidate_cap_fails_fast(generators, message):
     words = itertools.islice(itertools.product(range(2, 66), repeat=2), 3300)
     spec = IdealSpec(65, tuple(NcPolynomial(65, {word: 1.0})
                                for word in generators + list(words)), 2)
-    start = time.perf_counter()
+    start = time.process_time()
     with pytest.raises(ResourceCapError, match=message):
         build_quotient(spec)
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
 
 
 def test_homogeneous_basis_cap_precedes_allocation(monkeypatch):
@@ -388,6 +388,20 @@ def test_grade_exactness_across_truncations():
         assert blk4.shape[1] == blk7.shape[1]
         if blk4.shape[1]:
             assert _projector_distance(blk4, blk7) < 1e-10
+
+
+@pytest.mark.parametrize("n, m", [(1, 4), (2, 3), (3, 3)])
+def test_adjoint_shifts_drop_the_first_or_the_last_letter(n, m):
+    # oracle: row beta of L_i* X is row i beta of X, and of R_i* X row beta i;
+    # the recursion takes R_i* X as the reshape X[1:].reshape(-1, n, w)
+    rng = np.random.default_rng(n + m)
+    wi, below = WordIndex(n, m), WordIndex(n, m - 1)
+    X = rng.normal(size=(wi.dim, 3)) + 1j * rng.normal(size=(wi.dim, 3))
+    left, right = ideals._left_adjoint_shifts(X, n, m), X[1:].reshape(below.dim, n, 3)
+    for j, beta in enumerate(below.words()):
+        for i in range(1, n + 1):
+            assert np.array_equal(left[j, i - 1], X[wi.index((i,) + beta)])
+            assert np.array_equal(right[j, i - 1], X[wi.index(beta + (i,))])
 
 
 def test_semi_invariance_under_adjoint_shifts():
@@ -474,10 +488,10 @@ def test_caratheodory_examples():
 def test_caratheodory_side_cap_fails_fast(n, m0):
     # D = 4095, 2049 and 3280 exceed CARATHEODORY_MAX_DIM: one dense SVD of
     # that side would take 10-25 s
-    start = time.perf_counter()
+    start = time.process_time()
     with pytest.raises(ResourceCapError, match="compression of side"):
         caratheodory_distance(NcPolynomial.generator(n, 1), m0)
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
 
 
 def test_caratheodory_monotone_in_degree():

@@ -5,7 +5,7 @@ import pytest
 
 from ncfock import poisson
 from ncfock import (BallPoint, DomainError, NcPolynomial, ResourceCapError, RowContraction,
-                    c0_sequence, evaluate, is_c0_certified, minimal_subspace,
+                    WordIndex, c0_sequence, evaluate, is_c0_certified, minimal_subspace,
                     operator_norm, poisson_compression, poisson_covariance_check,
                     poisson_covariance_residuals, poisson_kernel, radial_scale,
                     suggest_truncation_degree, truncated_mult_matrix,
@@ -85,13 +85,13 @@ def test_is_c0_certified_matches_the_last_sigma():
 
 
 def test_kernel_entry_cap_fails_fast():
-    # D d = 3333 * 300 rows fit the row cap, but each of the two block arrays
-    # would hold D d^2 = 3.0e8 complex entries (4.8 GB)
+    # D d = 3333 * 300 rows fit the row cap, but the kernel would hold
+    # D d^2 = 3.0e8 complex entries (4.8 GB)
     t = RowContraction([np.zeros((300, 300))])
-    start = time.perf_counter()
+    start = time.process_time()
     with pytest.raises(ResourceCapError, match="entries"):
         poisson_kernel(t, 3332)
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
 
 
 def test_c0_sequence_nonincreasing_for_any_contraction():
@@ -114,6 +114,37 @@ def test_kernel_scalar_point():
     expected = np.sqrt(1 - lam.norm ** 2) * z.coeffs.reshape(-1, 1)
     assert np.allclose(kernel.matrix, expected, atol=1e-14)
     assert kernel.tail == pytest.approx(lam.norm ** (2 * (m + 1)), abs=1e-14)
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_kernel_row_blocks_follow_the_word_order(n, d):
+    # K*K does not depend on the order of the blocks and commuting scalar
+    # points hide the order of the letters: compare each block with Delta
+    # T_alpha* formed from the word alone, on non-commuting tuples
+    rng = np.random.default_rng(10 * n + d)
+    t = random_row_contraction(rng, n, d, rho=0.9)
+    m = 4
+    kernel = poisson_kernel(t, m)
+    wi = WordIndex(n, m)
+    for i in range(wi.dim):
+        expected = t.delta @ naive_word_product(t.matrices, wi.word(i)).conj().T
+        assert np.abs(kernel.blocks[i] - expected).max() <= 1e-14
+    gram = kernel.matrix.conj().T @ kernel.matrix
+    assert np.abs(kernel.defect - (np.eye(d) - gram)).max() <= 1e-15
+
+
+def test_kernel_identity_above_1e5_rows():
+    # D d = 88,573 * 2 = 177,146 rows (n = 3, m = 10)
+    rng = np.random.default_rng(31)
+    t = random_row_contraction(rng, 3, 2, rho=0.95)
+    m = 10
+    kernel = poisson_kernel(t, m)
+    assert kernel.matrix.shape == (177146, 2)
+    x = np.eye(2, dtype=complex)
+    for _ in range(m + 1):
+        x = t.cp_map(x)
+    assert np.linalg.norm(kernel.defect - x, 2) <= 1e-12
+    assert kernel.tail == pytest.approx(np.linalg.norm(x, 2), abs=1e-12)
 
 
 def test_kernel_zero_tuple_exact_isometry():
