@@ -27,7 +27,7 @@ import numpy as np
 # ideal code needs only numpy, and importing scipy.linalg takes about 0.3 s.
 
 from .errors import DomainError, ResourceCapError
-from .numerics import operator_norm
+from .numerics import _BLAS_SCOPE, operator_norm
 
 MAX_BASIS_SIZE = 10 ** 6       # cap on D(n, m); keeps everything desk-scale
 MAX_DENSE_ENTRIES = 2 ** 26    # cap on dense matrix allocations
@@ -631,7 +631,39 @@ def _dual_matrix(y, src, dst, con, size: int) -> np.ndarray:
     return out
 
 
-def _fejer_riesz_gram(r: list, n: int, d: int):
+def _schur_system(x: np.ndarray, w: np.ndarray, layout) -> np.ndarray:
+    """The real matrix of dy -> constraint(X M(dy) W) acting on [Re dy; Im dy],
+    for Hermitian X and W and the prefix pairs layout = _prefix_pairs(n, d).
+
+    The map is (minus conj(dy) + plus dy) / 2, where minus and plus sum, over
+    the pairs of each gamma by rows and by columns, X[src, dst] * W[src, dst].T
+    + conj(X[dst, src] * W[dst, src].T) and X[src, src] * W[dst, dst].T
+    + conj(X[dst, dst] * W[src, src].T).  As X and W are Hermitian these are
+    t + t.T with t = X[src, dst] * W[src, dst].T, and X[src, src] * W[dst, dst].T
+    + X[dst, dst].T * W[src, src]: three pairs x pairs gathers of each matrix.
+    Both are grouped in one pass over their (2, pairs, pairs) stack, and
+    added only once grouped.
+    """
+    src, dst, _, starts = layout
+    cons = starts.size
+
+    def gather(z, rows, cols):
+        return z.take(rows, 0).take(cols, 1)
+
+    stack = np.empty((2, src.size, src.size), dtype=complex)
+    np.multiply(gather(x, src, src), gather(w, dst, dst).T, out=stack[1])
+    stack[1] += gather(x, dst, dst).T * gather(w, src, src)
+    t = gather(x, src, dst) * gather(w, src, dst).T
+    np.add(t, t.T, out=stack[0])
+    minus, plus = np.add.reduceat(np.add.reduceat(stack, starts, axis=1), starts, axis=2)
+    tot, diff = 0.5 * (minus + plus), 0.5 * (plus - minus)
+    out = np.empty((2 * cons, 2 * cons), order="F")
+    out[:cons, :cons], out[:cons, cons:] = tot.real, -diff.imag
+    out[cons:, :cons], out[cons:, cons:] = tot.imag, diff.real
+    return out
+
+
+def _fejer_riesz_gram(r: list, n: int, d: int, layout=None):
     """Approximate primal-dual solution (Q, y) of min tr Q subject to
     sum_alpha Q[alpha, alpha gamma] = -r_gamma for every nonempty gamma and
     Q >= 0 (Q indexed by the words of length <= d), for a symbol scaled to
@@ -640,37 +672,35 @@ def _fejer_riesz_gram(r: list, n: int, d: int):
     A primal-dual interior-point method: HKM direction with Mehrotra's
     predictor-corrector, the dual slack S = I - M(y) kept exactly feasible.
     The Schur complement of the Newton system is gathered from X and S^-1
-    over the prefix pairs; no constraint matrix is formed.  The iterates stay
-    positive definite and are returned when the duality gap stops falling;
-    y (one entry per nonempty gamma, in grade order) is the last point
-    whose S had a Cholesky factor.
+    over the prefix pairs; no constraint matrix is formed.  As X and S^-1
+    are Hermitian, three pairs x pairs gathers of each, at (src, src),
+    (src, dst) and (dst, dst), give it (_schur_system): the (dst, src)
+    quadrant is the conjugate transpose of the (src, dst) one.  The
+    iterates stay positive definite and are returned when the duality gap
+    stops falling; y (one entry per nonempty gamma, in grade order) is the
+    last point whose S had a Cholesky factor.  layout is
+    _prefix_pairs(n, d), formed here when not given.
     """
-    import scipy.linalg
+    from scipy.linalg import lapack
 
-    src, dst, con, starts = _prefix_pairs(n, d)
-    size, pairs, cons = basis_size(n, d), src.size, starts.size
-    both = np.concatenate([src, dst])
+    src, dst, con, starts = layout = _prefix_pairs(n, d) if layout is None else layout
+    size, cons = basis_size(n, d), starts.size
     b = -np.concatenate(r[1:])
     eye = np.eye(size, dtype=complex)
+    # zheevr's workspace for the step lengths, queried once: its default
+    # lwork is far slower at size 40
+    work, rwork, iwork, _ = lapack.zheevr_lwork(size, lower=1)
+    workspace = dict(lwork=int(work.real), lrwork=int(rwork), liwork=int(iwork))
 
     def constraint(y):
         """(A(Y) + A(Y*)) / 2 with A(Y)_gamma = sum_alpha Y[alpha, alpha gamma]."""
         return (np.add.reduceat(y[src, dst], starts)
                 + np.add.reduceat(y[dst, src].conj(), starts)) / 2
 
-    def quadrants(z):
-        """z at the (src, src), (src, dst), (dst, src) and (dst, dst) index pairs."""
-        g = z[both][:, both]
-        return g[:pairs, :pairs], g[:pairs, pairs:], g[pairs:, :pairs], g[pairs:, pairs:]
-
-    def grouped(t):
-        """Sums of t over the pairs of each gamma, by rows and by columns."""
-        return np.add.reduceat(np.add.reduceat(t, starts, axis=0), starts, axis=1)
-
     def max_step(inv_chol, dz):
         """Largest t with Z + t dZ >= 0, for Z = L L* and inv_chol = L^-1."""
-        low = scipy.linalg.eigh(inv_chol @ dz @ inv_chol.conj().T, eigvals_only=True,
-                                subset_by_index=[0, 0], check_finite=False)[0]
+        low = lapack.zheevr(inv_chol @ dz @ inv_chol.conj().T, compute_v=0, range="I",
+                            lower=1, il=1, iu=1, overwrite_a=1, **workspace)[0][0]
         return -1.0 / low if low < 0 else np.inf
 
     x, s, y = eye, eye, np.zeros(cons, dtype=complex)
@@ -684,20 +714,16 @@ def _fejer_riesz_gram(r: list, n: int, d: int):
             break
         mu_prev = mu
         # LAPACK's triangular inverse: OpenBLAS threads trsm even at this size
-        inv_x = scipy.linalg.lapack.ztrtri(chol_x, lower=1)[0]
-        inv_s = scipy.linalg.lapack.ztrtri(chol_s, lower=1)[0]
+        inv_x = lapack.ztrtri(chol_x, lower=1)[0]
+        inv_s = lapack.ztrtri(chol_s, lower=1)[0]
         w = inv_s.conj().T @ inv_s
-        xss, xsd, xds, xdd = quadrants(x)
-        wss, wsd, wds, wdd = quadrants(w)
         # the linear map dy -> constraint(X M(dy) S^-1) is (minus conj(dy) + plus dy) / 2
-        minus = grouped(xsd * wsd.T + (xds * wds.T).conj())
-        plus = grouped(xss * wdd.T + (xdd * wss.T).conj())
-        tot, diff = minus + plus, plus - minus
-        schur = scipy.linalg.lu_factor(0.5 * np.block([[tot.real, -diff.imag],
-                                                       [tot.imag, diff.real]]))
+        lu, piv, info = lapack.dgetrf(_schur_system(x, w, layout), overwrite_a=1)
+        if info:
+            break
 
         def newton(rhs, target, second):
-            sol = scipy.linalg.lu_solve(schur, np.concatenate([rhs.real, rhs.imag]))
+            sol = lapack.dgetrs(lu, piv, np.concatenate([rhs.real, rhs.imag]))[0]
             dy = sol[:cons] + 1j * sol[cons:]
             md = _dual_matrix(dy, src, dst, con, size)
             dx = target * w - x + (x @ md - second) @ w
@@ -725,10 +751,11 @@ def _fejer_riesz_gram(r: list, n: int, d: int):
     return x, y
 
 
-def _fejer_riesz_bounds(p: NcPolynomial, q: np.ndarray, y: np.ndarray):
+def _fejer_riesz_bounds(p: NcPolynomial, q: np.ndarray, y: np.ndarray, r=None, layout=None):
     """Certified (lower, upper) for ||L_p|| from any Hermitian q indexed by
     the words of length <= deg p and any dual point y, one entry per
-    nonempty gamma in grade order.
+    nonempty gamma in grade order.  r is _symbol(p) and layout
+    _prefix_pairs(p.n, deg p), each formed here when not given.
 
     upper: with F the eigenvectors of q scaled by the roots of its clipped
     eigenvalues, Q+ = F F* is positive semidefinite, so the hereditary square
@@ -753,9 +780,9 @@ def _fejer_riesz_bounds(p: NcPolynomial, q: np.ndarray, y: np.ndarray):
     import scipy.linalg
 
     n, d = p.n, int(p.degree)
-    r = _symbol(p)
+    r = _symbol(p) if r is None else r
     r0, symbol = r[0][0].real, np.concatenate(r[1:])
-    src, dst, con, starts = _prefix_pairs(n, d)
+    src, dst, con, starts = _prefix_pairs(n, d) if layout is None else layout
     size, eps = q.shape[0], np.finfo(float).eps
     vals, vecs = scipy.linalg.eigh(q)
     f = vecs * np.sqrt(np.clip(vals, 0.0, None))
@@ -808,9 +835,12 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     upper, upper_method = grade_sum, "grade_norms"
     lower = None
     if sum(b * n ** b for b in range(1, d + 1)) <= FEJER_RIESZ_MAX_PAIRS:
-        scale = r[0][0].real
-        gram, dual = _fejer_riesz_gram([rg / scale for rg in r], n, d)
-        lower, bound = _fejer_riesz_bounds(p, scale * gram, dual)
+        import scipy.linalg   # loaded before the scope, which then finds its OpenBLAS
+
+        layout, scale = _prefix_pairs(n, d), r[0][0].real
+        with _BLAS_SCOPE:
+            gram, dual = _fejer_riesz_gram([rg / scale for rg in r], n, d, layout)
+            lower, bound = _fejer_riesz_bounds(p, scale * gram, dual, r, layout)
         if bound < upper:
             upper, upper_method = bound, "fejer_riesz"
     if n == 1:

@@ -17,6 +17,16 @@ size: their GEMMs have one long side (rows x d times d x d, or r x D
 times D x d^2).  On a 2-vCPU host with two OpenBLAS threads, a kernel
 build at n = 3, d = 2, m = 11 (531,440 rows) took 163-177 ms in one of
 seven fresh processes, on every call, against 11-20 ms on one thread.
+
+The Fejer-Riesz Gram solve and its certificate (freealg.sup_norm_bounds)
+enter _BLAS_SCOPE once, around both, at every size.  At degree 3 one and
+two threads ran alike; at mid sizes two threads stalled.  One solve of a
+dense p in each of four fresh processes on a 2-vCPU host:
+
+    n, d   prefix pairs   two threads     one thread
+    2, 5   258            990-2150 ms     72-127 ms
+    3, 4   426            1810-2430 ms    366-417 ms
+    2, 6   642            2630-3140 ms    570-727 ms
 """
 
 from __future__ import annotations

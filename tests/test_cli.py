@@ -681,6 +681,15 @@ REPORT_CONTRACT = {
     ("poisson_contraction.json", "poisson covariance"): (
         0, ["n", "d", "max_residual", "argmax_alpha", "argmax_beta",
             "identity_word_residual", "sigma_tail"]),
+    ("poisson_degree5.json", "poisson kernel"): (
+        0, ["n", "d", "rows", "cols", "tail", "certified", "identity_residual"]),
+    ("poisson_degree5.json", "poisson c0"): (0, ["n", "d", "sigma", "certified_c0"]),
+    ("poisson_degree5.json", "poisson vonneumann"): (
+        0, ["n", "d", "lhs", "lower", "upper", "gap", "lower_method", "upper_method",
+            "degree_used", "stabilized"]),
+    ("poisson_degree5.json", "poisson covariance"): (
+        0, ["n", "d", "max_residual", "argmax_alpha", "argmax_beta",
+            "identity_word_residual", "sigma_tail"]),
 }
 
 
@@ -723,6 +732,14 @@ def test_report_contract(name, command, capsys):
         else:
             assert json.loads(shown) == value
     assert len(text) >= 1 + len(lines)
+
+
+def test_degree5_problem_closes_its_bracket(capsys):
+    # a Gram solve above degree 3 (258 prefix pairs) through the console entry
+    argv = ["poisson", "vonneumann", str(PROBLEMS / "poisson_degree5.json"), "--json"]
+    assert cli.main(argv) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert (res["lower_method"], res["stabilized"]) == ("fejer_riesz_dual", True)
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -528,6 +528,40 @@ def test_fejer_riesz_dual_bound_holds_for_a_poor_dual_point():
             assert freealg._fejer_riesz_bounds(p, q, poor)[0] <= upper
 
 
+def test_mid_size_gram_solves_close_the_bracket():
+    # 258 and 426 prefix pairs: on one BLAS thread these take tenths of a second
+    rng = np.random.default_rng(408)
+    for n, degree in [(2, 5), (3, 4)]:
+        p = _norm_test_polynomial(rng, n, degree, dense=True)
+        lower, upper = bounds = sup_norm_bounds(p, 2)
+        assert bounds.lower_method == "fejer_riesz_dual"
+        assert upper - lower <= 1e-8 * max(1.0, upper)
+        assert lower >= np.linalg.norm(mult_matrix(p, 2), 2) * (1 - 1e-12)
+
+
+def _random_hermitian_pd(rng, size):
+    a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    h = a @ a.conj().T / size + 0.1 * np.eye(size)
+    return (h + h.conj().T) / 2
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_schur_system_is_the_newton_map(n, d):
+    # the real system on [Re dy; Im dy] is dy -> constraint(X M(dy) W), here
+    # formed from the full product: a sign or transpose slip in its Hermitian
+    # shortcut would only slow the solve, which the bracket tests do not see
+    rng = np.random.default_rng(409)
+    layout = src, dst, con, starts = freealg._prefix_pairs(n, d)
+    size, cons = basis_size(n, d), starts.size
+    x, w = _random_hermitian_pd(rng, size), _random_hermitian_pd(rng, size)
+    dy = rng.normal(size=cons) + 1j * rng.normal(size=cons)
+    y = x @ freealg._dual_matrix(dy, src, dst, con, size) @ w
+    c = (np.add.reduceat(y[src, dst], starts) + np.add.reduceat(y[dst, src].conj(), starts)) / 2
+    got = freealg._schur_system(x, w, layout) @ np.concatenate([dy.real, dy.imag])
+    want = np.concatenate([c.real, c.imag])
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_norm_bounds_name_the_upper_method(monkeypatch):
     rng = np.random.default_rng(405)
     p = _norm_test_polynomial(rng, 2, 2, dense=True)

@@ -5,10 +5,12 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg  # noqa: F401  loaded first, so that the fixture below sets its OpenBLAS too
 
 import ncfock
-from ncfock import (DomainError, PickProblem, SingularGramError, as_hermitian, c0_sequence,
-                    hermitian_sqrt, min_interpolation_norm, operator_norm, psd_check)
+from ncfock import (DomainError, NcPolynomial, PickProblem, SingularGramError, as_hermitian,
+                    c0_sequence, freealg, hermitian_sqrt, min_interpolation_norm,
+                    operator_norm, psd_check)
 from ncfock.numerics import (_BLAS_SCOPE, SINGLE_THREAD_DIMS, SINGLE_THREAD_ENTRIES,
                              _blas_threads, _blas_threads_for)
 from helpers import max_generalized_eigenvalue, random_row_contraction, random_unitary
@@ -275,4 +277,27 @@ def test_c0_sequence_holds_one_scope_around_its_loop(two_blas_threads, monkeypat
     monkeypatch.setattr(T, "cp_map", failing)
     with pytest.raises(FloatingPointError):
         c0_sequence(T, 5)
+    assert _BLAS_SCOPE.counts() == two_blas_threads
+
+
+def test_gram_solve_and_certificate_run_on_one_thread(two_blas_threads, monkeypatch):
+    # at 15 words and 34 prefix pairs, below SINGLE_THREAD_DIMS: the norm
+    # solve holds one scope at every size, and restores the counts after it
+    # returns and after it raises
+    p = NcPolynomial(2, {(): 0.5, (1,): 1.0, (2, 1): -0.25, (1, 2, 2): 0.2j})
+    counts, schur, bounds = [], freealg._schur_system, freealg._fejer_riesz_bounds
+    monkeypatch.setattr(freealg, "_schur_system",
+                        lambda *a: counts.append(_BLAS_SCOPE.counts()) or schur(*a))
+    monkeypatch.setattr(freealg, "_fejer_riesz_bounds",
+                        lambda *a: counts.append(_BLAS_SCOPE.counts()) or bounds(*a))
+    assert freealg.sup_norm_bounds(p, 3).lower_method == "fejer_riesz_dual"
+    assert len(counts) > 2
+    assert all(c == dict.fromkeys(two_blas_threads, 1) for c in counts)
+    assert _BLAS_SCOPE.counts() == two_blas_threads
+
+    def failing(*args):
+        raise FloatingPointError("certificate failed")
+    monkeypatch.setattr(freealg, "_fejer_riesz_bounds", failing)
+    with pytest.raises(FloatingPointError):
+        freealg.sup_norm_bounds(p, 3)
     assert _BLAS_SCOPE.counts() == two_blas_threads
