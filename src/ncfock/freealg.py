@@ -32,7 +32,12 @@ from .numerics import _BLAS_SCOPE, operator_norm
 MAX_BASIS_SIZE = 10 ** 6       # cap on D(n, m); keeps everything desk-scale
 MAX_DENSE_ENTRIES = 2 ** 26    # cap on dense matrix allocations
 COEFF_CHOP = 1e-15             # coefficients below this are dropped after arithmetic
-FEJER_RIESZ_MAX_PAIRS = 1024   # cap on the prefix pairs of the Fejer-Riesz Gram solve
+# Cap on the work of one Fejer-Riesz Gram solve iteration, 8 P^2 + D^3 for P
+# prefix pairs and D words (_fejer_riesz_work): an entry of the Schur system's
+# P x P gathers costs about eight multiply-adds of the D x D factorizations.
+# On a 2-vCPU host the solve took 0.8-0.9 s at n = 1, d = 44 (7.9e6) and
+# n = 2, d = 6 (5.3e6), 2.4 s at n = 6, d = 3 (2.2e7), 8 s at n = 22, d = 2 (1.4e8)
+FEJER_RIESZ_MAX_WORK = 2 ** 23
 FR_MAX_ITER = 60               # interior-point iterations of the Gram solve
 FR_GAP_TOL = 1e-10             # stop once tr(XS) <= this * (1 + tr X) ...
 FR_STALL_TOL = 1e-8            # ... or once it stops halving below this
@@ -600,6 +605,13 @@ def _circle_max(p: NcPolynomial) -> float:
     return float(max(grid.max(), refined.max(initial=0.0)))
 
 
+def _fejer_riesz_work(n: int, d: int) -> int:
+    """8 P^2 + D^3 for the P = sum_beta |beta| prefix pairs and the D words
+    of length <= d: the work of one Gram solve iteration (FEJER_RIESZ_MAX_WORK)."""
+    pairs = sum(b * n ** b for b in range(1, d + 1))
+    return 8 * pairs ** 2 + basis_size(n, d) ** 3
+
+
 def _prefix_pairs(n: int, d: int):
     """Index arrays (src, dst, con, starts) over the splittings
     beta = alpha gamma, |beta| <= d, gamma nonempty: src indexes alpha and
@@ -697,8 +709,13 @@ def _fejer_riesz_gram(r: list, n: int, d: int, layout=None):
         return (np.add.reduceat(y[src, dst], starts)
                 + np.add.reduceat(y[dst, src].conj(), starts)) / 2
 
-    def max_step(inv_chol, dz):
-        """Largest t with Z + t dZ >= 0, for Z = L L* and inv_chol = L^-1."""
+    def max_step(z, inv_chol, dz, cap):
+        """Largest t with Z + t dZ >= 0, for Z = L L* and inv_chol = L^-1, or
+        inf when it is at least cap.  When Z + cap dZ has a Cholesky factor,
+        the segment from Z to it stays positive definite (the cone is
+        convex), so the step is at least cap and the eigensolve is skipped."""
+        if not lapack.zpotrf(z + cap * dz, lower=1, clean=0, overwrite_a=1)[1]:
+            return np.inf
         low = lapack.zheevr(inv_chol @ dz @ inv_chol.conj().T, compute_v=0, range="I",
                             lower=1, il=1, iu=1, overwrite_a=1, **workspace)[0][0]
         return -1.0 / low if low < 0 else np.inf
@@ -730,7 +747,7 @@ def _fejer_riesz_gram(r: list, n: int, d: int, layout=None):
             return (dx + dx.conj().T) / 2, dy, -md
 
         dx, dy, ds = newton(b, 0.0, 0.0)
-        tx, ts = min(1.0, max_step(inv_x, dx)), min(1.0, max_step(inv_s, ds))
+        tx, ts = min(1.0, max_step(x, inv_x, dx, 1.0)), min(1.0, max_step(s, inv_s, ds, 1.0))
         sigma = (np.vdot(s + ts * ds, x + tx * dx).real / size / mu) ** 3
         second = dx @ ds
         dx, dy, ds = newton(b - sigma * mu * constraint(w) + constraint(second @ w),
@@ -738,8 +755,8 @@ def _fejer_riesz_gram(r: list, n: int, d: int, layout=None):
         # step fraction 0.9 + 0.09 min(last steps), as in SDPT3: short steps keep
         # the iterates away from the boundary, where the method would jam
         fraction = 0.9 + 0.09 * min(tx_last, ts_last)
-        tx = min(1.0, fraction * max_step(inv_x, dx))
-        ts = min(1.0, fraction * max_step(inv_s, ds))
+        tx = min(1.0, fraction * max_step(x, inv_x, dx, 1.0 / fraction))
+        ts = min(1.0, fraction * max_step(s, inv_s, ds, 1.0 / fraction))
         tx_last, ts_last = tx, ts
         x_new, y_new = x + tx * dx, y + ts * dy
         s_new = eye - _dual_matrix(y_new, src, dst, con, size)
@@ -818,7 +835,7 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
 
     For n = 1, lower is max |p| on the unit circle, which there is the
     multiplier norm (capped at upper, since evaluation can round above it).
-    For n >= 2 above FEJER_RIESZ_MAX_PAIRS prefix pairs the solve is
+    For n >= 2 above FEJER_RIESZ_MAX_WORK (_fejer_riesz_work) the solve is
     skipped: upper is the grade-norm sum and lower the norm of L_p on P_m
     (Lanczos on the symbol), the only place m enters.  For homogeneous p,
     L_p is ||p||_2 times an isometry, so lower = upper = ||p||_2 and no solve
@@ -834,7 +851,7 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     r = _symbol(p)
     upper, upper_method = grade_sum, "grade_norms"
     lower = None
-    if sum(b * n ** b for b in range(1, d + 1)) <= FEJER_RIESZ_MAX_PAIRS:
+    if _fejer_riesz_work(n, d) <= FEJER_RIESZ_MAX_WORK:
         import scipy.linalg   # loaded before the scope, which then finds its OpenBLAS
 
         layout, scale = _prefix_pairs(n, d), r[0][0].real

@@ -10,13 +10,14 @@ or wide operands whose entry count lies in SINGLE_THREAD_ENTRIES
 (_blas_threads_for): at those sizes handing work to a second OpenBLAS
 thread costs more than the arithmetic it saves.
 
-The Poisson kernel's recursion and its K*K tail (poisson.poisson_kernel),
-and the products of kernel blocks in poisson._compression and
-ideals._poisson_residuals, enter the one-thread scope _BLAS_SCOPE at every
-size: their GEMMs have one long side (rows x d times d x d, or r x D
-times D x d^2).  On a 2-vCPU host with two OpenBLAS threads, a kernel
-build at n = 3, d = 2, m = 11 (531,440 rows) took 163-177 ms in one of
-seven fresh processes, on every call, against 11-20 ms on one thread.
+The Poisson kernel's recursion and its K*K tail (poisson.poisson_kernel,
+one real product R^T R on K's float64 view R), and the products of kernel
+blocks in poisson._compressions and ideals._poisson_residuals, enter the
+one-thread scope _BLAS_SCOPE at every size: their GEMMs have one long side
+(rows x d times d x d, 2d x rows times rows x 2d, or r x D times D x d^2).
+On a 2-vCPU host with two OpenBLAS threads, a kernel build at n = 3, d = 2,
+m = 11 (531,440 rows) took 163-177 ms in one of seven fresh processes, on
+every call, against 11-20 ms on one thread.
 
 The Fejer-Riesz Gram solve and its certificate (freealg.sup_norm_bounds)
 enter _BLAS_SCOPE once, around both, at every size.  At degree 3 one and

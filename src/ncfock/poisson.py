@@ -26,6 +26,10 @@ CONTRACTION_CLAMP = 1e-10
 # admitted call takes about 1 s (at most 2.1 s measured over n <= 3, d <= 256)
 C0_STEP_OVERHEAD = 2 ** 13
 C0_MAX_WORK = 2 ** 28
+# Real entries of each side gathered into one batched product of kernel runs
+# (_compressions): the 256 KB copies stay in cache at any pair count.  With
+# 2^18 entries a side, the 91 pairs of n = 3, d = 2, m = 9 took 20 ms, not 8
+COMPRESSION_BATCH_ENTRIES = 2 ** 15
 
 
 class RowContraction:
@@ -168,7 +172,9 @@ def poisson_kernel(T: RowContraction, m: int, tol: float = DEFAULT_TOL) -> Poiss
     """Truncated Poisson kernel with row blocks Delta T_alpha*, |alpha| <= m.
 
     Satisfies K*K = I - Phi^(m+1)(I) identically, hence K*K <= I with defect
-    exactly sigma_(m+1).
+    exactly sigma_(m+1).  The defect I - K*K comes from one real product
+    R^T R on K's float64 view R (_complex_form), so no second K, conjugate
+    or otherwise, is allocated: the kernel is the call's only large array.
     """
     wi, d = WordIndex(T.n, m), T.d
     # K holds D d^2 entries
@@ -188,24 +194,61 @@ def poisson_kernel(T: RowContraction, m: int, tol: float = DEFAULT_TOL) -> Poiss
             grade = blocks[wi.grade_slice(k)].reshape(T.n, -1, d)
             for i in range(T.n):
                 np.matmul(prev, tstar[i], out=grade[i])
-        defect = np.eye(d) - K.conj().T @ K
+        R = K.view(np.float64)
+        defect = np.eye(d) - _complex_form(R.T @ R)
         tail = operator_norm(defect)
     return PoissonKernelMatrix(T.n, d, m, K, defect, float(tail), bool(tail < tol))
 
 
-def _compression(blocks: np.ndarray, wi: WordIndex, alpha: tuple, beta: tuple) -> np.ndarray:
-    """K* (M_alphabeta tensor I_d) K from the kernel's row blocks: the block of
-    each word beta w meets that of alpha w, |w| <= m - max(|alpha|, |beta|)."""
-    n, d = wi.n, blocks.shape[1]
-    va, vb = word_value(alpha, n), word_value(beta, n)
-    out = np.zeros((d, d), dtype=complex)
-    for t in range(wi.m - max(len(alpha), len(beta)) + 1):
-        size = n ** t
-        rows_out = wi.grade_start(t + len(alpha)) + va * size
-        rows_in = wi.grade_start(t + len(beta)) + vb * size
-        out += (blocks[rows_out:rows_out + size].reshape(-1, d).conj().T
-                @ blocks[rows_in:rows_in + size].reshape(-1, d))
-    return out
+def _complex_form(g: np.ndarray) -> np.ndarray:
+    """A* B from the real product g = Ra^T Rb, for stacks of shape
+    (..., 2d, 2d), where Ra and Rb are the float64 views of the complex A
+    and B (a.view(np.float64)), whose columns alternate real and imaginary
+    parts.  With A = P + iQ and B = U + iV, g viewed as complex holds
+    P^T U + i P^T V in its even rows and Q^T U + i Q^T V in its odd ones,
+    and A* B = (P - iQ)^T (U + iV) is the even rows minus i times the odd."""
+    c = g.view(complex)
+    return c[..., 0::2, :] - 1j * c[..., 1::2, :]
+
+
+def _compressions(K: np.ndarray, wi: WordIndex, pairs: list) -> np.ndarray:
+    """K* (M_alphabeta tensor I_d) K of each word pair, shape (len(pairs), d, d).
+
+    The block of each word beta w meets that of alpha w, |w| <= m -
+    max(|alpha|, |beta|).  The words alpha w with |w| = t are a run of n^t
+    blocks, so each t takes one batched real product over the runs of every
+    pair that reaches it, gathered from K's float64 view, at most
+    COMPRESSION_BATCH_ENTRIES entries of each side a product; a longer run
+    is multiplied where it lies.  Each distinct pair is formed once; pairs
+    are ordered by their longer word, so the pairs that reach t lead the
+    batch.
+    """
+    n, d = wi.n, K.shape[1]
+    R = K.view(np.float64)
+    order = sorted(dict.fromkeys(pairs), key=lambda pair: max(map(len, pair)))
+    where = {pair: k for k, pair in enumerate(order)}
+    lengths = np.array([[len(alpha), len(beta)] for alpha, beta in order],
+                       dtype=int).reshape(-1, 2)
+    values = np.array([[word_value(alpha, n), word_value(beta, n)] for alpha, beta in order],
+                      dtype=int).reshape(-1, 2)
+    starts = np.array([wi.grade_start(k) for k in range(wi.m + 1)])
+    reach = wi.m - lengths.max(axis=1)
+    out = np.zeros((len(order), 2 * d, 2 * d))
+    for t in range(int(reach.max(initial=-1)) + 1):
+        live, size = int(np.count_nonzero(reach >= t)), n ** t
+        first = starts[lengths[:live] + t] + values[:live] * size   # first block of each run
+        # runs[s] is the run of size blocks from block s: overlapping views of R, only read
+        runs = np.ndarray((wi.dim - size + 1, size * d, 2 * d), R.dtype, R, 0,
+                          (d * R.strides[0], *R.strides))
+        step = max(1, COMPRESSION_BATCH_ENTRIES // (size * d * 2 * d))
+        for lo in range(0, live, step):
+            if step == 1:   # a run that fills the budget alone is sliced, not copied
+                a, b = first[lo]
+                left, right = runs[a:a + 1], runs[b:b + 1]
+            else:
+                left, right = runs[first[lo:lo + step, 0]], runs[first[lo:lo + step, 1]]
+            out[lo:lo + len(left)] += left.transpose(0, 2, 1) @ right
+    return _complex_form(out)[[where[pair] for pair in pairs]]
 
 
 def _word_pairs(pairs, m: int) -> list:
@@ -219,22 +262,27 @@ def _word_pairs(pairs, m: int) -> list:
 def poisson_compression(T: RowContraction, alpha, beta, m: int) -> np.ndarray:
     """K* (M_alphabeta tensor I_d) K, where M_alphabeta is the compression to
     P_m of the operator moving e_(beta delta) to e_(alpha delta)."""
-    [(alpha, beta)] = _word_pairs([(alpha, beta)], m)
-    blocks = poisson_kernel(T, m).blocks
+    pairs = _word_pairs([(alpha, beta)], m)
+    K = poisson_kernel(T, m).matrix
     with _BLAS_SCOPE:
-        return _compression(blocks, WordIndex(T.n, m), alpha, beta)
+        return _compressions(K, WordIndex(T.n, m), pairs)[0]
 
 
 def poisson_covariance_residuals(T: RowContraction, pairs, m: int) -> list:
     """Residuals ||K* (M_alphabeta tensor I) K - T_alpha T_beta*|| of the word
-    pairs (alpha, beta), all from one kernel of degree m."""
+    pairs (alpha, beta), all from one kernel of degree m: the compressions
+    in batched products (_compressions), the norms in one batched call."""
     pairs = _word_pairs(pairs, m)
-    blocks, wi = poisson_kernel(T, m).blocks, WordIndex(T.n, m)
+    K = poisson_kernel(T, m).matrix
     words = list(dict.fromkeys(w for pair in pairs for w in pair))
-    Tw = dict(zip(words, _word_products(T.matrices, words)))
+    where = {w: k for k, w in enumerate(words)}
+    Tw = _word_products(T.matrices, words)
+    left = Tw[[where[alpha] for alpha, _ in pairs]]
+    right = Tw[[where[beta] for _, beta in pairs]]
     with _BLAS_SCOPE:
-        return [operator_norm(_compression(blocks, wi, alpha, beta)
-                              - Tw[alpha] @ Tw[beta].conj().T) for alpha, beta in pairs]
+        defects = (_compressions(K, WordIndex(T.n, m), pairs)
+                   - left @ right.conj().transpose(0, 2, 1))
+        return np.linalg.norm(defects, 2, axis=(1, 2)).tolist()
 
 
 def poisson_covariance_check(T: RowContraction, alpha, beta, m: int) -> float:

@@ -55,6 +55,23 @@ def naive_evaluate(p, X):
     return out
 
 
+def naive_compression(blocks, wi, alpha, beta):
+    """K* (M_alphabeta tensor I_d) K from the kernel's row blocks, one pair
+    and one grade at a time: the block of each word beta w meets that of
+    alpha w, |w| <= m - max(|alpha|, |beta|).  The oracle for the batched
+    poisson._compressions."""
+    n, d = wi.n, blocks.shape[1]
+    va, vb = word_value(alpha, n), word_value(beta, n)
+    out = np.zeros((d, d), dtype=complex)
+    for t in range(wi.m - max(len(alpha), len(beta)) + 1):
+        size = n ** t
+        rows_out = wi.grade_start(t + len(alpha)) + va * size
+        rows_in = wi.grade_start(t + len(beta)) + vb * size
+        out += (blocks[rows_out:rows_out + size].reshape(-1, d).conj().T
+                @ blocks[rows_in:rows_in + size].reshape(-1, d))
+    return out
+
+
 def random_point(rng, n, radius=0.6):
     v = rng.uniform(-1.0, 1.0, size=(n, 2))
     coords = (v[:, 0] + 1j * v[:, 1]) * (radius / np.sqrt(2 * n))

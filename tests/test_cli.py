@@ -690,6 +690,15 @@ REPORT_CONTRACT = {
     ("poisson_degree5.json", "poisson covariance"): (
         0, ["n", "d", "max_residual", "argmax_alpha", "argmax_beta",
             "identity_word_residual", "sigma_tail"]),
+    ("poisson_three_letters.json", "poisson kernel"): (
+        0, ["n", "d", "rows", "cols", "tail", "certified", "identity_residual"]),
+    ("poisson_three_letters.json", "poisson c0"): (0, ["n", "d", "sigma", "certified_c0"]),
+    ("poisson_three_letters.json", "poisson vonneumann"): (
+        0, ["n", "d", "lhs", "lower", "upper", "gap", "lower_method", "upper_method",
+            "degree_used", "stabilized"]),
+    ("poisson_three_letters.json", "poisson covariance"): (
+        0, ["n", "d", "max_residual", "argmax_alpha", "argmax_beta",
+            "identity_word_residual", "sigma_tail"]),
 }
 
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -471,9 +473,9 @@ def test_lower_bound_is_the_truncated_multiplier_norm():
 
 
 def test_truncated_fallback_is_the_multiplier_norm_on_p_m(monkeypatch):
-    # above the pair cap the n >= 2 lower bound is Lanczos on P_m, at
+    # above the work cap the n >= 2 lower bound is Lanczos on P_m, at
     # D(n, m) <= 256 (once diagonalized densely) and above (D(2, 8) = 511)
-    monkeypatch.setattr(freealg, "FEJER_RIESZ_MAX_PAIRS", 0)
+    monkeypatch.setattr(freealg, "FEJER_RIESZ_MAX_WORK", 0)
     rng = np.random.default_rng(406)
     for n, m in [(2, 0), (2, 1), (2, 5), (3, 3), (2, 8)]:
         for dense in (True, False):
@@ -539,6 +541,25 @@ def test_mid_size_gram_solves_close_the_bracket():
         assert lower >= np.linalg.norm(mult_matrix(p, 2), 2) * (1 - 1e-12)
 
 
+def test_gram_work_cap_admits_mid_sizes_and_stops_wide_alphabets():
+    # the work counts the D^3 factorizations as well as the Schur system: at
+    # n = 22, d = 2 (990 prefix pairs, D = 507) the solve took seconds, and
+    # sup_norm_bounds now takes the truncated path there
+    for n, degree in [(2, 5), (3, 4), (2, 6), (1, 44), (3, 3)]:
+        assert freealg._fejer_riesz_work(n, degree) <= freealg.FEJER_RIESZ_MAX_WORK
+    assert freealg._fejer_riesz_work(22, 2) > freealg.FEJER_RIESZ_MAX_WORK
+    p = _norm_test_polynomial(np.random.default_rng(410), 22, 2, dense=True)
+    start = time.process_time()
+    try:
+        lower, upper = bounds = sup_norm_bounds(p, 2)
+    except ResourceCapError:
+        pass
+    else:
+        assert bounds.lower_method == "truncated"
+        assert lower <= upper
+    assert time.process_time() - start < 1.0
+
+
 def _random_hermitian_pd(rng, size):
     a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     h = a @ a.conj().T / size + 0.1 * np.eye(size)
@@ -572,7 +593,7 @@ def test_norm_bounds_name_the_upper_method(monkeypatch):
     homogeneous = random_polynomial(rng, 2, 2, terms=4, homogeneous=True)
     bounds = sup_norm_bounds(homogeneous, 3)
     assert (bounds.lower_method, bounds.upper_method) == ("grade_norms", "grade_norms")
-    monkeypatch.setattr(freealg, "FEJER_RIESZ_MAX_PAIRS", 0)
+    monkeypatch.setattr(freealg, "FEJER_RIESZ_MAX_WORK", 0)
     lower, upper = bounds = sup_norm_bounds(p, 3)
     assert (bounds.lower_method, bounds.upper_method) == ("truncated", "grade_norms")
     assert upper == pytest.approx(sum(p.grade_norms()), rel=1e-15)

@@ -1,4 +1,6 @@
+import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from ncfock import (BallPoint, DomainError, NcPolynomial, ResourceCapError, RowC
                     poisson_covariance_residuals, poisson_kernel, radial_scale,
                     suggest_truncation_degree, truncated_mult_matrix,
                     von_neumann_margin, z_vector)
-from helpers import (naive_word_product, random_polynomial, random_row_contraction,
-                     random_unitary, symmetrized_basis)
+from helpers import (naive_compression, naive_word_product, random_polynomial,
+                     random_row_contraction, random_unitary, symmetrized_basis)
 
 
 def test_row_contraction_rejects_expansive_tuples():
@@ -133,6 +135,37 @@ def test_kernel_row_blocks_follow_the_word_order(n, d):
     assert np.abs(kernel.defect - (np.eye(d) - gram)).max() <= 1e-15
 
 
+@pytest.mark.parametrize("n, d, m", [(3, 2, 9), (2, 4, 10)])
+def test_kernel_allocates_no_second_kernel(n, d, m):
+    # the defect comes from K's real view: the build's peak stays at the one
+    # kernel array, where a conjugate copy for K*K would double it
+    t = random_row_contraction(np.random.default_rng(11 * n + d), n, d, rho=0.9)
+    poisson_kernel(t, 1)   # first-call imports and caches stay out of the trace
+    tracemalloc.start()
+    try:
+        K = poisson_kernel(t, m).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.nbytes <= peak <= 1.1 * K.nbytes
+
+
+def test_covariance_copies_no_kernel_run_above_the_batch_budget():
+    # runs longer than the batch budget are multiplied in place; the gathered
+    # copies of shorter ones stay near 2 * COMPRESSION_BATCH_ENTRIES floats
+    t = random_row_contraction(np.random.default_rng(12), 3, 1, rho=0.9)
+    pairs = list(itertools.combinations_with_replacement(WordIndex(3, 2).words(), 2))
+    poisson_covariance_residuals(t, pairs, 3)
+    K = poisson_kernel(t, 11).matrix
+    tracemalloc.start()
+    try:
+        poisson_covariance_residuals(t, pairs, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * K.nbytes + 32 * poisson.COMPRESSION_BATCH_ENTRIES
+
+
 def test_kernel_identity_above_1e5_rows():
     # D d = 88,573 * 2 = 177,146 rows (n = 3, m = 10)
     rng = np.random.default_rng(31)
@@ -224,6 +257,39 @@ def test_covariance_residuals_match_the_moved_word_operator():
             assert residual == poisson_covariance_check(t, alpha, beta, m)
     with pytest.raises(ValueError):
         poisson_covariance_residuals(t, [((), ()), ((1, 1, 1, 1), ())], 3)
+
+
+def _mixed_pairs(rng, n, longest, count):
+    """count random word pairs of lengths 0..longest, with repeats."""
+    words = list(WordIndex(n, longest).words())
+    picks = rng.integers(0, len(words), size=(count, 2))
+    pairs = [(words[i], words[j]) for i, j in picks]
+    return pairs + pairs[:2]
+
+
+@pytest.mark.parametrize("n, d, m", [(1, 1, 12), (1, 4, 12), (1, 3, 0), (2, 1, 6), (2, 3, 6),
+                                     (2, 4, 8), (3, 1, 3), (3, 2, 5), (3, 4, 4)])
+def test_batched_covariance_matches_the_per_pair_oracle(n, d, m):
+    # every pair of words up to length 2 (the CLI's request), then random pairs
+    # of mixed lengths with repeats, then a single pair
+    rng = np.random.default_rng(100 * n + 10 * d + m)
+    t = random_row_contraction(rng, n, d, rho=float(rng.uniform(0.4, 0.95)))
+    blocks, wi = poisson_kernel(t, m).blocks, WordIndex(n, m)
+    words = list(WordIndex(n, min(2, m)).words())
+    for pairs in (list(itertools.combinations_with_replacement(words, 2)),
+                  _mixed_pairs(rng, n, m, 12),
+                  [(words[-1], words[0])]):
+        residuals = poisson_covariance_residuals(t, pairs, m)
+        assert len(residuals) == len(pairs)
+        for (alpha, beta), residual in zip(pairs, residuals):
+            exact = (naive_word_product(t.matrices, alpha)
+                     @ naive_word_product(t.matrices, beta).conj().T)
+            oracle = operator_norm(naive_compression(blocks, wi, alpha, beta) - exact)
+            assert abs(residual - oracle) <= 1e-13
+        alpha, beta = pairs[-1]
+        assert residuals[-1] == poisson_covariance_check(t, alpha, beta, m)
+        assert np.abs(poisson_compression(t, alpha, beta, m)
+                      - naive_compression(blocks, wi, alpha, beta)).max() <= 1e-13
 
 
 def test_von_neumann_homogeneous_hard_bound():
