@@ -470,6 +470,7 @@ def _poisson_vonneumann(T, problem, params, report):
     report.results.update(lhs=float(lhs), lower=lower, upper=upper, gap=upper - lower,
                           lower_method=bounds.lower_method, upper_method=bounds.upper_method,
                           degree_used=m if bounds.lower_method == "truncated" else None,
+                          gram_size=bounds.gram_size,
                           stabilized=upper - lower <= STABILIZED_GAP * max(1.0, upper))
     report.violation = bool(violated)
     if violated:

@@ -32,11 +32,12 @@ from .numerics import _BLAS_SCOPE, operator_norm
 MAX_BASIS_SIZE = 10 ** 6       # cap on D(n, m); keeps everything desk-scale
 MAX_DENSE_ENTRIES = 2 ** 26    # cap on dense matrix allocations
 COEFF_CHOP = 1e-15             # coefficients below this are dropped after arithmetic
-# Cap on the work of one Fejer-Riesz Gram solve iteration, 8 P^2 + D^3 for P
-# prefix pairs and D words (_fejer_riesz_work): an entry of the Schur system's
-# P x P gathers costs about eight multiply-adds of the D x D factorizations.
-# On a 2-vCPU host the solve took 0.8-0.9 s at n = 1, d = 44 (7.9e6) and
-# n = 2, d = 6 (5.3e6), 2.4 s at n = 6, d = 3 (2.2e7), 8 s at n = 22, d = 2 (1.4e8)
+# Cap on the work of one Fejer-Riesz Gram solve iteration, 8 P^2 + |W|^3 for the
+# |W| words of the solve's word set W and the P splittings inside it
+# (_fejer_riesz_work): an entry of the Schur system's P x P gathers costs about
+# eight multiply-adds of the |W| x |W| factorizations.  On a 2-vCPU host the
+# solve on all words took 0.8-0.9 s at n = 1, d = 44 (7.9e6) and n = 2, d = 6
+# (5.3e6), 2.4 s at n = 6, d = 3 (2.2e7), 8 s at n = 22, d = 2 (1.4e8)
 FEJER_RIESZ_MAX_WORK = 2 ** 23
 FR_MAX_ITER = 60               # interior-point iterations of the Gram solve
 FR_GAP_TOL = 1e-10             # stop once tr(XS) <= this * (1 + tr X) ...
@@ -519,17 +520,20 @@ class NormBounds(tuple):
     certificate beat the sum of the grade norms, "grade_norms" otherwise.
     lower_method names the source of lower: "fejer_riesz_dual" (the dual
     point of the Gram solve), "circle" (n = 1), "truncated" (the norm on
-    P_m, above the pair cap of the solve) or "grade_norms" (homogeneous p).
+    P_m, when the solve's work exceeds FEJER_RIESZ_MAX_WORK) or "grade_norms"
+    (homogeneous p).  gram_size is the number of words the Gram solve ran
+    on, the size of the suffix closure of supp p, or None when no solve ran.
     """
 
-    def __new__(cls, lower, upper, upper_method: str, lower_method: str):
+    def __new__(cls, lower, upper, upper_method: str, lower_method: str, gram_size=None):
         self = super().__new__(cls, (float(lower), float(upper)))
         self.upper_method = upper_method
         self.lower_method = lower_method
+        self.gram_size = gram_size
         return self
 
     def __getnewargs__(self):
-        return (*self, self.upper_method, self.lower_method)
+        return (*self, self.upper_method, self.lower_method, self.gram_size)
 
 
 def _symbol(p: NcPolynomial) -> list:
@@ -605,32 +609,54 @@ def _circle_max(p: NcPolynomial) -> float:
     return float(max(grid.max(), refined.max(initial=0.0)))
 
 
-def _fejer_riesz_work(n: int, d: int) -> int:
-    """8 P^2 + D^3 for the P = sum_beta |beta| prefix pairs and the D words
-    of length <= d: the work of one Gram solve iteration (FEJER_RIESZ_MAX_WORK)."""
-    pairs = sum(b * n ** b for b in range(1, d + 1))
-    return 8 * pairs ** 2 + basis_size(n, d) ** 3
+def _suffix_closure(p: NcPolynomial) -> np.ndarray:
+    """W, the least set of words that holds every word of p and is closed under
+    deleting the first letter (so it holds ()), as the sorted indices of its
+    words among those of length <= deg p in grade order."""
+    n = p.n
+    start = np.array(WordIndex(n, int(p.degree))._start)
+    grade = np.array([len(word) for word in p.terms])
+    value = np.array([word_value(word, n) for word in p.terms])
+    # each word of grade g gives its g + 1 suffixes, the last k letters for k = 0..g
+    word = np.repeat(np.arange(grade.size), grade + 1)
+    k = np.arange(word.size) - np.repeat(np.cumsum(grade + 1) - grade - 1, grade + 1)
+    return np.unique(start[k] + value[word] % n ** k)
 
 
-def _prefix_pairs(n: int, d: int):
-    """Index arrays (src, dst, con, starts) over the splittings
-    beta = alpha gamma, |beta| <= d, gamma nonempty: src indexes alpha and
-    dst beta among the words of length <= d, sorted by gamma; con[k] is the
-    index of the gamma of pair k among the nonempty words in grade order,
-    and starts[j] is the first pair of the j-th one.  There are
-    sum_beta |beta| pairs.
+def _word_set_layout(n: int, d: int, words: np.ndarray):
+    """Index arrays (src, dst, con, starts, gaps) over the splittings
+    beta = alpha gamma, gamma nonempty, with alpha and beta in a word set W
+    closed under deleting the first letter; words holds the sorted indices
+    of W's words among those of length <= d in grade order.  src indexes
+    alpha and dst beta in W, sorted by gamma; gaps holds each gamma that
+    occurs once, as its index among the nonempty words in grade order;
+    con[k] is the position in gaps of the gamma of pair k, and starts[j] is
+    the first pair of gaps[j].  On all words there are sum_beta |beta| pairs
+    and every gamma occurs, in the order of the pairs listed by grade.
     """
-    wi = WordIndex(n, d)
-    src, dst, con = [], [], []
-    for b in range(1, d + 1):
-        for a in range(b):
-            src.append(np.repeat(np.arange(n ** a) + wi.grade_start(a), n ** (b - a)))
-            dst.append(np.arange(n ** b) + wi.grade_start(b))
-            con.append(np.tile(np.arange(n ** (b - a)) + wi.grade_start(b - a) - 1, n ** a))
-    src, dst, con = (np.concatenate(v) for v in (src, dst, con))
-    order = np.argsort(con, kind="stable")
-    starts = np.flatnonzero(np.diff(con[order], prepend=-1))
-    return src[order], dst[order], con[order], starts
+    start = np.array(WordIndex(n, d)._start)
+    grade = np.searchsorted(start, words, side="right") - 1
+    value = words - start[grade]
+    # each beta of grade b splits after a = 0..b-1 letters
+    beta = np.repeat(np.arange(words.size), grade)
+    a = np.arange(beta.size) - np.repeat(np.cumsum(grade) - grade, grade)
+    tail = grade[beta] - a
+    alpha = start[a] + value[beta] // n ** tail
+    src = np.searchsorted(words, alpha)
+    keep = np.flatnonzero(words.take(src, mode="clip") == alpha)
+    # gamma is a suffix of beta, so in W as well; only alpha can fall outside
+    gamma = (start[tail] - 1 + value[beta] % n ** tail)[keep]
+    order = np.argsort(gamma, kind="stable")
+    gamma = gamma[order]
+    first = np.diff(gamma, prepend=-1) > 0
+    starts = np.flatnonzero(first)
+    return src[keep][order], beta[keep][order], np.cumsum(first) - 1, starts, gamma[starts]
+
+
+def _fejer_riesz_work(size: int, layout) -> int:
+    """8 P^2 + |W|^3 for the P pairs of layout = _word_set_layout(n, d, W) and
+    |W| = size: the work of one Gram solve iteration (FEJER_RIESZ_MAX_WORK)."""
+    return 8 * layout[0].size ** 2 + size ** 3
 
 
 def _dual_matrix(y, src, dst, con, size: int) -> np.ndarray:
@@ -645,7 +671,7 @@ def _dual_matrix(y, src, dst, con, size: int) -> np.ndarray:
 
 def _schur_system(x: np.ndarray, w: np.ndarray, layout) -> np.ndarray:
     """The real matrix of dy -> constraint(X M(dy) W) acting on [Re dy; Im dy],
-    for Hermitian X and W and the prefix pairs layout = _prefix_pairs(n, d).
+    for Hermitian X and W and the pairs layout = _word_set_layout(n, d, W).
 
     The map is (minus conj(dy) + plus dy) / 2, where minus and plus sum, over
     the pairs of each gamma by rows and by columns, X[src, dst] * W[src, dst].T
@@ -656,7 +682,7 @@ def _schur_system(x: np.ndarray, w: np.ndarray, layout) -> np.ndarray:
     Both are grouped in one pass over their (2, pairs, pairs) stack, and
     added only once grouped.
     """
-    src, dst, _, starts = layout
+    src, dst, _, starts, _ = layout
     cons = starts.size
 
     def gather(z, rows, cols):
@@ -675,29 +701,29 @@ def _schur_system(x: np.ndarray, w: np.ndarray, layout) -> np.ndarray:
     return out
 
 
-def _fejer_riesz_gram(r: list, n: int, d: int, layout=None):
+def _fejer_riesz_gram(symbol: np.ndarray, size: int, layout):
     """Approximate primal-dual solution (Q, y) of min tr Q subject to
-    sum_alpha Q[alpha, alpha gamma] = -r_gamma for every nonempty gamma and
-    Q >= 0 (Q indexed by the words of length <= d), for a symbol scaled to
-    r_() = 1, and of its dual: max -2 Re <y, r> subject to I - M(y) >= 0.
+    sum_alpha Q[alpha, alpha gamma] = -r_gamma for every gamma of the layout
+    and Q >= 0, and of its dual: max -2 Re <y, r> subject to I - M(y) >= 0.
+    Q is indexed by the size words of a word set W, the pairs
+    layout = _word_set_layout(n, d, W) list the splittings inside it, and
+    symbol holds r_gamma at the layout's gaps, scaled to r_() = 1.
 
     A primal-dual interior-point method: HKM direction with Mehrotra's
     predictor-corrector, the dual slack S = I - M(y) kept exactly feasible.
     The Schur complement of the Newton system is gathered from X and S^-1
-    over the prefix pairs; no constraint matrix is formed.  As X and S^-1
+    over the pairs; no constraint matrix is formed.  As X and S^-1
     are Hermitian, three pairs x pairs gathers of each, at (src, src),
     (src, dst) and (dst, dst), give it (_schur_system): the (dst, src)
     quadrant is the conjugate transpose of the (src, dst) one.  The
     iterates stay positive definite and are returned when the duality gap
-    stops falling; y (one entry per nonempty gamma, in grade order) is the
-    last point whose S had a Cholesky factor.  layout is
-    _prefix_pairs(n, d), formed here when not given.
+    stops falling; y (one entry per gap of the layout) is the last point
+    whose S had a Cholesky factor.
     """
     from scipy.linalg import lapack
 
-    src, dst, con, starts = layout = _prefix_pairs(n, d) if layout is None else layout
-    size, cons = basis_size(n, d), starts.size
-    b = -np.concatenate(r[1:])
+    src, dst, con, starts, _ = layout
+    cons, b = starts.size, -symbol
     eye = np.eye(size, dtype=complex)
     # zheevr's workspace for the step lengths, queried once: its default
     # lwork is far slower at size 40
@@ -768,38 +794,37 @@ def _fejer_riesz_gram(r: list, n: int, d: int, layout=None):
     return x, y
 
 
-def _fejer_riesz_bounds(p: NcPolynomial, q: np.ndarray, y: np.ndarray, r=None, layout=None):
-    """Certified (lower, upper) for ||L_p|| from any Hermitian q indexed by
-    the words of length <= deg p and any dual point y, one entry per
-    nonempty gamma in grade order.  r is _symbol(p) and layout
-    _prefix_pairs(p.n, deg p), each formed here when not given.
+def _fejer_riesz_bounds(p: NcPolynomial, q: np.ndarray, y: np.ndarray, r: list, layout):
+    """Certified (lower, upper) for ||L_p|| from any Hermitian q indexed by a
+    word set W and any dual point y, one entry per gap of the pairs
+    layout = _word_set_layout(p.n, deg p, W).  W holds every word of p and
+    is closed under deleting the first letter, which makes the solve on it
+    exact (sup_norm_bounds).  r is _symbol(p).
 
     upper: with F the eigenvectors of q scaled by the roots of its clipped
     eigenvalues, Q+ = F F* is positive semidefinite, so the hereditary square
     sum Q+[alpha, beta] L_alpha* L_beta is >= 0, and with the residuals
     e_gamma = r_gamma + sum_alpha Q+[alpha, alpha gamma]:
-    ||L_p||^2 <= r_() + tr Q+ + 2 sum_gamma |e_gamma|.  The slack
-    8 eps (D^2 + P) (tr Q+ + ||c||_1^2), with eps the unit roundoff, D the
-    size of q and P the number of prefix pairs, covers the rounding in
-    forming F F*, r and the sums; a final factor 1 + 4 eps covers the root.
+    ||L_p||^2 <= r_() + tr Q+ + 2 sum_gamma |e_gamma|.  A gamma with no pair
+    in W has r_gamma = 0, and so e_gamma = 0.  The slack
+    8 eps (D^2 + P) (tr Q+ + ||c||_1^2), with eps the unit roundoff, D = |W|
+    and P the number of pairs, covers the rounding in forming F F*, r and
+    the sums; a final factor 1 + 4 eps covers the root.
 
-    lower: by McCullough's theorem the least trace of a PSD Gram matrix is
-    t* = ||L_p||^2 - r_(), attained by some Q*.  With S = I - M(y) and
-    delta = max(0, -lambda_min(S)), weak duality gives
-    t* + 2 Re <y, r> = tr(Q* S) >= -delta t*, and t* <= upper^2 - r_(), so
-    ||L_p||^2 >= r_() - 2 Re <y, r> - delta (upper^2 - r_()) for every y.
-    S is formed exactly.  The slack 16 eps D (||S||_F (upper^2 - r_())
-    + (1 + ||y||_1) r_()) covers eigh's error in lambda_min(S), which LAPACK
-    bounds by a small multiple of eps ||S||, and the rounding in r_(), in
-    each r_gamma (at most D eps r_() by Cauchy-Schwarz) and in the sums; a
+    lower: with S = I - M(y) and delta = max(0, -lambda_min(S)), the point
+    y / (1 + delta) is dual feasible, so its value bounds the least trace
+    ||L_p||^2 - r_() from below: ||L_p||^2 >= r_() + v / (1 + delta) for the
+    dual value v = -2 Re <y, r>.  S is formed exactly.  The slack
+    16 eps D (||S||_F |v| + (1 + ||y||_1) r_()) covers eigh's error in
+    lambda_min(S), which LAPACK bounds by a small multiple of eps ||S||, and
+    the rounding in r_(), in each r_gamma (at most D eps r_() by
+    Cauchy-Schwarz: only the terms of p add rounding) and in the sums; a
     factor 1 - 4 eps covers the root.
     """
     import scipy.linalg
 
-    n, d = p.n, int(p.degree)
-    r = _symbol(p) if r is None else r
-    r0, symbol = r[0][0].real, np.concatenate(r[1:])
-    src, dst, con, starts = _prefix_pairs(n, d) if layout is None else layout
+    src, dst, con, starts, gaps = layout
+    r0, symbol = r[0][0].real, np.concatenate(r[1:])[gaps]
     size, eps = q.shape[0], np.finfo(float).eps
     vals, vecs = scipy.linalg.eigh(q)
     f = vecs * np.sqrt(np.clip(vals, 0.0, None))
@@ -813,10 +838,10 @@ def _fejer_riesz_bounds(p: NcPolynomial, q: np.ndarray, y: np.ndarray, r=None, l
 
     s = np.eye(size) - _dual_matrix(y, src, dst, con, size)
     delta = max(0.0, -float(scipy.linalg.eigh(s, eigvals_only=True, subset_by_index=[0, 0])[0]))
-    excess = max(0.0, upper * upper - r0)
-    slack = 16 * eps * size * (float(np.linalg.norm(s)) * excess
+    value = -2 * float(np.vdot(y, symbol).real)
+    slack = 16 * eps * size * (float(np.linalg.norm(s)) * abs(value)
                                + (1 + float(np.abs(y).sum())) * r0)
-    square = r0 - 2 * float(np.vdot(y, symbol).real) - delta * excess - slack
+    square = r0 + value / (1 + delta) - slack
     lower = float(np.sqrt(max(square, 0.0))) * (1 - 4 * eps)
     return lower, upper
 
@@ -833,14 +858,39 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     whether or not the solve converged (_fejer_riesz_bounds).  upper is the
     smaller of this bound and the sum of the grade norms.
 
+    The solve runs on W, the suffix closure of supp p: the least word set
+    that holds every word of p and is closed under deleting the first letter
+    (_suffix_closure).  Its optimum is the one on all words:
+    - Upper side.  A PSD Gram matrix on W x W, padded with zeros, is
+      feasible for the full problem with the same trace: every gamma with
+      r_gamma != 0 has alpha and alpha gamma in supp p, inside W, so no
+      constraint is lost.
+    - Lower side.  Let S_W = I - M_W(y) >= 0 on W and take Gram vectors
+      v_w, w in W, with S_W[alpha, beta] = <v_alpha, v_beta>.  The form of M
+      gives S_W[i alpha, j beta] = delta_ij S_W[alpha, beta] whenever i alpha
+      and j beta lie in W (and then alpha and beta do), so v_alpha ->
+      v_(i alpha) is a partial row isometry, which extends to a row isometry
+      V on a larger space.  With xi = v_(), closure under deleting the first
+      letter gives V_w xi = v_w for every w in W.  So
+      S'[alpha, beta] = <V_alpha xi, V_beta xi> over all words of length
+      <= deg p is PSD, has the form I - M(y'), and y' agrees with y at every
+      gamma with a pair in W, which holds every gamma the objective reads.
+      The dual value on W is a dual value on all words, a certified lower
+      bound, and r_() plus it is ||p(V) xi||^2: V is an explicit witness.
+    - If lambda_min(S_W) = -delta < 0, y / (1 + delta) is exactly feasible,
+      as S_W(y / (1 + delta)) = (S_W(y) + delta I) / (1 + delta).
+    This is the hereditary analogue of the Newton chip method for sums of
+    hermitian squares (Klep-Povh, J. Pure Appl. Algebra 214 (2010)).  For
+    dense p and for n = 1, W is every word of length <= deg p.
+
     For n = 1, lower is max |p| on the unit circle, which there is the
     multiplier norm (capped at upper, since evaluation can round above it).
-    For n >= 2 above FEJER_RIESZ_MAX_WORK (_fejer_riesz_work) the solve is
-    skipped: upper is the grade-norm sum and lower the norm of L_p on P_m
-    (Lanczos on the symbol), the only place m enters.  For homogeneous p,
-    L_p is ||p||_2 times an isometry, so lower = upper = ||p||_2 and no solve
-    is made.  upper_method and lower_method on the result say which bounds
-    were used.
+    Where the work on W exceeds FEJER_RIESZ_MAX_WORK (_fejer_riesz_work) the
+    solve is skipped: upper is the grade-norm sum and, for n >= 2, lower the
+    norm of L_p on P_m (Lanczos on the symbol), the only place m enters.  For
+    homogeneous p, L_p is ||p||_2 times an isometry, so lower = upper =
+    ||p||_2 and no solve is made.  upper_method, lower_method and gram_size
+    (|W|, when the solve ran) on the result say which bounds were used.
     """
     if p.is_zero:
         return NormBounds(0.0, 0.0, "grade_norms", "grade_norms")
@@ -850,18 +900,21 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     n, d = p.n, int(p.degree)
     r = _symbol(p)
     upper, upper_method = grade_sum, "grade_norms"
-    lower = None
-    if _fejer_riesz_work(n, d) <= FEJER_RIESZ_MAX_WORK:
+    lower = size = None
+    words = _suffix_closure(p)
+    # the |W|^3 term alone rules out a large W before its pairs are listed
+    layout = _word_set_layout(n, d, words) if words.size ** 3 <= FEJER_RIESZ_MAX_WORK else None
+    if layout is not None and _fejer_riesz_work(words.size, layout) <= FEJER_RIESZ_MAX_WORK:
         import scipy.linalg   # loaded before the scope, which then finds its OpenBLAS
 
-        layout, scale = _prefix_pairs(n, d), r[0][0].real
+        size, scale = words.size, r[0][0].real
         with _BLAS_SCOPE:
-            gram, dual = _fejer_riesz_gram([rg / scale for rg in r], n, d, layout)
+            gram, dual = _fejer_riesz_gram(np.concatenate(r[1:])[layout[4]] / scale, size, layout)
             lower, bound = _fejer_riesz_bounds(p, scale * gram, dual, r, layout)
         if bound < upper:
             upper, upper_method = bound, "fejer_riesz"
     if n == 1:
-        return NormBounds(min(_circle_max(p), upper), upper, upper_method, "circle")
+        return NormBounds(min(_circle_max(p), upper), upper, upper_method, "circle", size)
     if lower is None:
         return NormBounds(_truncated_norm(r, n, m), upper, upper_method, "truncated")
-    return NormBounds(lower, upper, upper_method, "fejer_riesz_dual")
+    return NormBounds(lower, upper, upper_method, "fejer_riesz_dual", size)

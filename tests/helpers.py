@@ -133,6 +133,57 @@ def random_row_contraction(rng, n, d, rho=0.9):
     return RowContraction(g * np.sqrt(rho * (1.0 - 1e-8) / s))
 
 
+def graded_polynomial(rng, n, degree, constant=0.5):
+    """One random word per grade 1..degree plus a constant: a sparse p whose
+    suffix closure is far smaller than the D(n, degree) words."""
+    terms = {(): constant}
+    for k in range(1, degree + 1):
+        word = tuple(int(i) for i in rng.integers(1, n + 1, size=k))
+        terms[word] = 0.8 ** k * complex(rng.normal(), rng.normal())
+    return NcPolynomial(n, terms)
+
+
+def naive_suffix_closure(p):
+    """Every suffix of every word of p, () included, in grade order: the
+    oracle for freealg._suffix_closure."""
+    closure = {word[k:] for word in p.terms for k in range(len(word) + 1)}
+    return sorted(closure, key=lambda word: (len(word), word))
+
+
+def naive_word_set_pairs(words):
+    """(gamma, position of alpha, position of beta) for each splitting
+    beta = alpha gamma, gamma nonempty, with alpha and beta in the list of
+    words, sorted by gamma in grade order and then by alpha: the oracle for
+    freealg._word_set_layout, one word and split at a time."""
+    pos = {word: k for k, word in enumerate(words)}
+    pairs = [(beta[a:], pos[beta[:a]], pos[beta])
+             for beta in words for a in range(len(beta)) if beta[:a] in pos]
+    return sorted(pairs, key=lambda t: (len(t[0]), t[0], t[1]))
+
+
+def gns_row_isometry(s, words, n):
+    """The row isometry of the Gram vectors of a dual slack S = I - M(y) > 0
+    on a word set closed under deleting the first letter, listed as words.
+
+    With conj(S) = G* G, column w of G is v_w, so S[alpha, beta] = <v_alpha, v_beta>.
+    V_i maps v_u to v_(iu) whenever iu is in the set, and is zero on the
+    orthocomplement of those v_u.  S[i alpha, j beta] = delta_ij S[alpha, beta]
+    makes each V_i isometric there and their ranges orthogonal, so
+    [V_1 ... V_n] is a partial isometry: a row contraction, and a row isometry
+    on every vector that p(V) xi reads.  Returns (V, xi) with xi = v_(), so
+    that V_w xi = v_w for every listed w.
+    """
+    g = np.linalg.cholesky(s.conj()).conj().T
+    pos = {word: k for k, word in enumerate(words)}
+    V = np.zeros((n,) + s.shape, dtype=complex)
+    for i in range(1, n + 1):
+        pairs = [(pos[w[1:]], pos[w]) for w in words if w and w[0] == i]
+        if pairs:
+            src, dst = (list(v) for v in zip(*pairs))
+            V[i - 1] = g[:, dst] @ np.linalg.pinv(g[:, src])
+    return V, g[:, pos[()]]
+
+
 def random_unitary(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)

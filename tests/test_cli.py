@@ -297,6 +297,8 @@ def test_poisson_vonneumann_reports_the_certified_bracket(tmp_path, capsys, n, f
     assert payload["parameters"]["degree"] == degree
     # the Gram solve (or the circle max) gives the bracket: no degree entered it
     assert res["degree_used"] is None
+    # on the suffix closure of the support: (), (1,) and (n, 1)
+    assert res["gram_size"] == 3
     assert res["lower"] <= res["upper"]
     assert res["lhs"] <= res["upper"]
     assert res["gap"] == pytest.approx(res["upper"] - res["lower"], abs=1e-15)
@@ -309,15 +311,18 @@ def test_poisson_vonneumann_reports_the_certified_bracket(tmp_path, capsys, n, f
 
 
 def test_poisson_vonneumann_reports_the_degree_of_the_truncated_bound(tmp_path, capsys):
-    # degree 7 at n = 2 is above the Gram solve's pair cap, so lower is the
-    # norm of L_p on P_m and m is the degree used
+    # every word of degree 7 at n = 2: the suffix closure is all 255 words,
+    # above the Gram solve's work cap, so lower is the norm of L_p on P_m and
+    # m is the degree used
+    rng = np.random.default_rng(31)
+    top = [{"word": list(w), "coeff": [0.05 * rng.normal(), 0.05 * rng.normal()]}
+           for w in itertools.product((1, 2), repeat=7)]
     doc = {"kind": "poisson", "n": 2, "targets": [[[[0.3, 0.1]]], [[[0.2, 0.0]]]],
-           "polynomial": [{"word": [], "coeff": [0.5, 0.0]},
-                          {"word": [1, 2, 2, 1, 1, 2, 1], "coeff": [1.0, 0.0]}]}
+           "polynomial": [{"word": [], "coeff": [0.5, 0.0]}] + top}
     path = _write(tmp_path, "p.json", doc)
     assert cli.main(["poisson", "vonneumann", path, "--json", "--degree", "9"]) == 0
     res = json.loads(capsys.readouterr().out)["results"]
-    assert res["lower_method"] == "truncated"
+    assert (res["lower_method"], res["gram_size"]) == ("truncated", None)
     assert res["degree_used"] == 9
     assert res["lhs"] <= res["upper"]
 
@@ -677,7 +682,7 @@ REPORT_CONTRACT = {
     ("poisson_contraction.json", "poisson c0"): (0, ["n", "d", "sigma", "certified_c0"]),
     ("poisson_contraction.json", "poisson vonneumann"): (
         0, ["n", "d", "lhs", "lower", "upper", "gap", "lower_method", "upper_method",
-            "degree_used", "stabilized"]),
+            "degree_used", "gram_size", "stabilized"]),
     ("poisson_contraction.json", "poisson covariance"): (
         0, ["n", "d", "max_residual", "argmax_alpha", "argmax_beta",
             "identity_word_residual", "sigma_tail"]),
@@ -686,7 +691,7 @@ REPORT_CONTRACT = {
     ("poisson_degree5.json", "poisson c0"): (0, ["n", "d", "sigma", "certified_c0"]),
     ("poisson_degree5.json", "poisson vonneumann"): (
         0, ["n", "d", "lhs", "lower", "upper", "gap", "lower_method", "upper_method",
-            "degree_used", "stabilized"]),
+            "degree_used", "gram_size", "stabilized"]),
     ("poisson_degree5.json", "poisson covariance"): (
         0, ["n", "d", "max_residual", "argmax_alpha", "argmax_beta",
             "identity_word_residual", "sigma_tail"]),
@@ -695,8 +700,17 @@ REPORT_CONTRACT = {
     ("poisson_three_letters.json", "poisson c0"): (0, ["n", "d", "sigma", "certified_c0"]),
     ("poisson_three_letters.json", "poisson vonneumann"): (
         0, ["n", "d", "lhs", "lower", "upper", "gap", "lower_method", "upper_method",
-            "degree_used", "stabilized"]),
+            "degree_used", "gram_size", "stabilized"]),
     ("poisson_three_letters.json", "poisson covariance"): (
+        0, ["n", "d", "max_residual", "argmax_alpha", "argmax_beta",
+            "identity_word_residual", "sigma_tail"]),
+    ("poisson_sparse_degree7.json", "poisson kernel"): (
+        0, ["n", "d", "rows", "cols", "tail", "certified", "identity_residual"]),
+    ("poisson_sparse_degree7.json", "poisson c0"): (0, ["n", "d", "sigma", "certified_c0"]),
+    ("poisson_sparse_degree7.json", "poisson vonneumann"): (
+        0, ["n", "d", "lhs", "lower", "upper", "gap", "lower_method", "upper_method",
+            "degree_used", "gram_size", "stabilized"]),
+    ("poisson_sparse_degree7.json", "poisson covariance"): (
         0, ["n", "d", "max_residual", "argmax_alpha", "argmax_beta",
             "identity_word_residual", "sigma_tail"]),
 }
@@ -749,6 +763,17 @@ def test_degree5_problem_closes_its_bracket(capsys):
     assert cli.main(argv) == 0
     res = json.loads(capsys.readouterr().out)["results"]
     assert (res["lower_method"], res["stabilized"]) == ("fejer_riesz_dual", True)
+
+
+def test_sparse_degree7_problem_solves_on_its_suffix_closure(capsys):
+    # one word per grade to degree 7 at n = 2: the solve on all 255 words is
+    # above the work cap, the one on the suffix closure (8 words) is not
+    argv = ["poisson", "vonneumann", str(PROBLEMS / "poisson_sparse_degree7.json"), "--json"]
+    assert cli.main(argv) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert (res["lower_method"], res["stabilized"]) == ("fejer_riesz_dual", True)
+    assert res["gram_size"] <= 9
+    assert res["lhs"] <= res["upper"]
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -8,7 +8,8 @@ from ncfock import (BallPoint, DomainError, FockVector, NcMatrixPolynomial, NcPo
                     mult_matrix, operator_norm, sup_norm_bounds, tensor_product, z_vector)
 from ncfock import (IdealSpec, RowContraction, build_quotient, freealg,
                     q_commutation_spec)
-from helpers import (naive_evaluate, random_point, random_polynomial,
+from helpers import (graded_polynomial, gns_row_isometry, naive_evaluate, naive_suffix_closure,
+                     naive_word_set_pairs, random_point, random_polynomial,
                      random_row_contraction)
 
 
@@ -486,12 +487,28 @@ def test_truncated_fallback_is_the_multiplier_norm_on_p_m(monkeypatch):
             assert abs(bounds[0] - oracle) <= 1e-10 * oracle
 
 
-def _gram_solve(p):
-    """(Q, y) of the Fejer-Riesz solve, Q scaled back to the symbol of p."""
+def _all_words(p):
+    return np.arange(basis_size(p.n, int(p.degree)))
+
+
+def _gram_solve(p, words=None):
+    """(Q, y, layout) of the Fejer-Riesz solve on a word set, by default the
+    suffix closure of supp p, Q scaled back to the symbol of p."""
+    words = freealg._suffix_closure(p) if words is None else words
+    layout = freealg._word_set_layout(p.n, int(p.degree), words)
     r = freealg._symbol(p)
     scale = r[0][0].real
-    q, y = freealg._fejer_riesz_gram([rg / scale for rg in r], p.n, int(p.degree))
-    return scale * q, y
+    q, y = freealg._fejer_riesz_gram(np.concatenate(r[1:])[layout[4]] / scale, words.size,
+                                     layout)
+    return scale * q, y, layout
+
+
+def _gram_bracket(p, words=None):
+    """The certified (lower, upper) of the solve on a word set (_gram_solve),
+    on one BLAS thread as in sup_norm_bounds."""
+    with freealg._BLAS_SCOPE:
+        q, y, layout = _gram_solve(p, words)
+        return freealg._fejer_riesz_bounds(p, q, y, freealg._symbol(p), layout)
 
 
 def test_fejer_riesz_bound_holds_for_a_poor_indefinite_gram_matrix():
@@ -499,8 +516,9 @@ def test_fejer_riesz_bound_holds_for_a_poor_indefinite_gram_matrix():
     for trial in range(9):
         n, degree = 1 + trial % 3, 2 + trial % 2
         p = _norm_test_polynomial(rng, n, degree, dense=True)
-        q, y = _gram_solve(p)
-        scale = freealg._symbol(p)[0][0].real
+        q, y, layout = _gram_solve(p)
+        r = freealg._symbol(p)
+        scale = r[0][0].real
         # halve the optimal Gram matrix and push it below zero: the trace term
         # alone then falls short of ||L_p||^2, the residual term must make it up
         poor = 0.5 * q - 1e-3 * scale * np.eye(q.shape[0])
@@ -508,7 +526,7 @@ def test_fejer_riesz_bound_holds_for_a_poor_indefinite_gram_matrix():
                       else sup_norm_bounds(p, {2: 9, 3: 6}[n])[0])
         trace_only = np.sqrt(scale + np.clip(np.linalg.eigvalsh(poor), 0, None).sum())
         assert trace_only < true_below
-        assert freealg._fejer_riesz_bounds(p, poor, y)[1] >= true_below
+        assert freealg._fejer_riesz_bounds(p, poor, y, r, layout)[1] >= true_below
 
 
 def test_fejer_riesz_dual_bound_holds_for_a_poor_dual_point():
@@ -516,18 +534,18 @@ def test_fejer_riesz_dual_bound_holds_for_a_poor_dual_point():
     for trial in range(12):
         n = 1 + trial % 3
         p = _norm_test_polynomial(rng, n, 1 + trial % 3, dense=trial % 2 == 0)
-        q, y = _gram_solve(p)
-        _, upper = freealg._fejer_riesz_bounds(p, q, y)
+        q, y, layout = _gram_solve(p)
         r = freealg._symbol(p)
-        src, dst, con, _ = freealg._prefix_pairs(n, int(p.degree))
+        _, upper = freealg._fejer_riesz_bounds(p, q, y, r, layout)
+        src, dst, con, _, gaps = layout
         for poor in (1.5 * y, 3 * y):
             # scaled past the optimum, the dual value alone overshoots
-            # ||L_p||^2 and I - M(y) is indefinite: the penalty must undo it
-            value = r[0][0].real - 2 * np.vdot(poor, np.concatenate(r[1:])).real
+            # ||L_p||^2 and I - M(y) is indefinite: the rescaling must undo it
+            value = r[0][0].real - 2 * np.vdot(poor, np.concatenate(r[1:])[gaps]).real
             s = np.eye(q.shape[0]) - freealg._dual_matrix(poor, src, dst, con, q.shape[0])
             assert value > upper ** 2
             assert np.linalg.eigvalsh(s)[0] < 0
-            assert freealg._fejer_riesz_bounds(p, q, poor)[0] <= upper
+            assert freealg._fejer_riesz_bounds(p, q, poor, r, layout)[0] <= upper
 
 
 def test_mid_size_gram_solves_close_the_bracket():
@@ -541,21 +559,121 @@ def test_mid_size_gram_solves_close_the_bracket():
         assert lower >= np.linalg.norm(mult_matrix(p, 2), 2) * (1 - 1e-12)
 
 
+@pytest.mark.parametrize("n,d", [(1, 4), (2, 3), (3, 2), (2, 5), (4, 4), (6, 3)])
+def test_word_set_layout_matches_the_word_by_word_oracle(n, d):
+    # on all words and on suffix closures: the same pairs, grouped by gamma
+    # in grade order, and inside a group ordered by alpha, the order the
+    # solve on all words has always summed them in
+    rng = np.random.default_rng(413)
+    wi = WordIndex(n, d)
+    cases = [np.arange(wi.dim)]
+    for _ in range(4):
+        p = _sparse_test_polynomial(rng, n, d)
+        closure = freealg._suffix_closure(p)
+        assert [wi.word(i) for i in closure] == naive_suffix_closure(p)
+        if p.degree == d:
+            cases.append(closure)
+    for words in cases:
+        src, dst, con, starts, gaps = freealg._word_set_layout(n, d, words)
+        got = [(wi.word(gaps[c] + 1), a, b) for a, b, c in zip(src, dst, con)]
+        assert got == naive_word_set_pairs([wi.word(i) for i in words])
+        assert np.array_equal(starts, np.flatnonzero(np.diff(con, prepend=-1)))
+        assert np.all(np.diff(gaps) > 0)
+
+
+def _sparse_test_polynomial(rng, n, degree):
+    """A random sparse p (_norm_test_polynomial) or one word per grade."""
+    if rng.random() < 0.5:
+        return graded_polynomial(rng, n, degree)
+    return _norm_test_polynomial(rng, n, degree, dense=False)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2),
+                                 (4, 3)])
+def test_gram_solve_on_the_suffix_closure_matches_the_solve_on_all_words(n, d):
+    # the closure drops words, pairs and gaps, and neither side of the bracket
+    # moves: the solve on it is exact (sup_norm_bounds' docstring)
+    rng = np.random.default_rng(420 + 10 * n + d)
+    for _ in range(3):
+        p = _sparse_test_polynomial(rng, n, d)
+        if p.is_homogeneous:
+            continue
+        closure, full = _gram_bracket(p), _gram_bracket(p, _all_words(p))
+        assert closure[0] <= closure[1]
+        scale = max(1.0, full[1])
+        assert abs(closure[0] - full[0]) <= 1e-8 * scale
+        assert abs(closure[1] - full[1]) <= 1e-8 * scale
+        bounds = sup_norm_bounds(p, 2)
+        assert bounds.gram_size == freealg._suffix_closure(p).size <= basis_size(n, d)
+        assert bounds[0] == pytest.approx(closure[0], rel=1e-12)
+
+
+def test_closure_brackets_order_and_bound_the_von_neumann_side():
+    # one word per grade up to degrees whose full solve is above the work cap
+    rng = np.random.default_rng(421)
+    for n, d in [(2, 3), (2, 6), (2, 8), (3, 3), (3, 5), (4, 5), (6, 3)]:
+        for _ in range(2):
+            p = graded_polynomial(rng, n, d)
+            lower, upper = bounds = sup_norm_bounds(p, 2)
+            assert bounds.lower_method == "fejer_riesz_dual"
+            assert bounds.gram_size < basis_size(n, d)
+            assert lower <= upper <= sum(p.grade_norms()) * (1 + 1e-15)
+            assert upper - lower <= 1e-6 * max(1.0, upper)
+            for _ in range(3):
+                t = random_row_contraction(rng, n, int(rng.integers(1, 5)),
+                                           rho=float(rng.uniform(0.5, 1.0)))
+                assert operator_norm(evaluate(p, t.matrices)) <= upper + 1e-12 * max(1.0, upper)
+
+
+@pytest.mark.parametrize("n,d", [(2, 4), (3, 3), (2, 7), (4, 5)])
+def test_gns_witness_of_the_closure_dual_point_attains_its_value(n, d):
+    # the row isometry V of the Gram vectors of S_W = I - M_W(y) has
+    # ||p(V) xi||^2 = r_() - 2 Re <y, r>: the dual value on W is attained by
+    # a row contraction, so it is a lower bound on ||L_p||^2
+    rng = np.random.default_rng(412)
+    p = graded_polynomial(rng, n, d)
+    q, y, layout = _gram_solve(p)
+    src, dst, con, _, gaps = layout
+    size = q.shape[0]
+    s = np.eye(size) - freealg._dual_matrix(y, src, dst, con, size)
+    wi = WordIndex(n, d)
+    V, xi = gns_row_isometry(s, [wi.word(i) for i in freealg._suffix_closure(p)], n)
+    assert operator_norm(V.transpose(1, 0, 2).reshape(size, -1)) <= 1 + 1e-10
+    r = freealg._symbol(p)
+    value = r[0][0].real - 2 * np.vdot(y, np.concatenate(r[1:])[gaps]).real
+    image = evaluate(p, V) @ xi
+    assert abs(np.vdot(image, image).real - value) <= 1e-8 * value
+    lower, upper = sup_norm_bounds(p, 2)
+    assert value <= upper ** 2 * (1 + 1e-12)
+    assert abs(np.sqrt(value) - lower) <= 1e-8 * upper
+
+
+def _work_on_all_words(n, degree):
+    words = np.arange(basis_size(n, degree))
+    return freealg._fejer_riesz_work(words.size, freealg._word_set_layout(n, degree, words))
+
+
 def test_gram_work_cap_admits_mid_sizes_and_stops_wide_alphabets():
-    # the work counts the D^3 factorizations as well as the Schur system: at
-    # n = 22, d = 2 (990 prefix pairs, D = 507) the solve took seconds, and
-    # sup_norm_bounds now takes the truncated path there
+    # the work counts the |W|^3 factorizations as well as the Schur system: on
+    # all words at n = 22, d = 2 (990 pairs, |W| = 507) the solve took seconds,
+    # and sup_norm_bounds takes the truncated path for a dense p there
     for n, degree in [(2, 5), (3, 4), (2, 6), (1, 44), (3, 3)]:
-        assert freealg._fejer_riesz_work(n, degree) <= freealg.FEJER_RIESZ_MAX_WORK
-    assert freealg._fejer_riesz_work(22, 2) > freealg.FEJER_RIESZ_MAX_WORK
-    p = _norm_test_polynomial(np.random.default_rng(410), 22, 2, dense=True)
+        assert _work_on_all_words(n, degree) <= freealg.FEJER_RIESZ_MAX_WORK
+    assert _work_on_all_words(22, 2) > freealg.FEJER_RIESZ_MAX_WORK
+    rng = np.random.default_rng(410)
+    # a sparse p over the same alphabet has a small closure, and solves
+    sparse = graded_polynomial(rng, 22, 2)
+    bounds = sup_norm_bounds(sparse, 2)
+    assert (bounds.lower_method, bounds.gram_size) == ("fejer_riesz_dual", 4)
+    assert bounds[1] - bounds[0] <= 1e-8 * max(1.0, bounds[1])
+    p = _norm_test_polynomial(rng, 22, 2, dense=True)
     start = time.process_time()
     try:
         lower, upper = bounds = sup_norm_bounds(p, 2)
     except ResourceCapError:
         pass
     else:
-        assert bounds.lower_method == "truncated"
+        assert (bounds.lower_method, bounds.gram_size) == ("truncated", None)
         assert lower <= upper
     assert time.process_time() - start < 1.0
 
@@ -566,14 +684,12 @@ def _random_hermitian_pd(rng, size):
     return (h + h.conj().T) / 2
 
 
-@pytest.mark.parametrize("n,d", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
-def test_schur_system_is_the_newton_map(n, d):
+def _assert_schur_system_is_the_newton_map(rng, size, layout):
     # the real system on [Re dy; Im dy] is dy -> constraint(X M(dy) W), here
     # formed from the full product: a sign or transpose slip in its Hermitian
     # shortcut would only slow the solve, which the bracket tests do not see
-    rng = np.random.default_rng(409)
-    layout = src, dst, con, starts = freealg._prefix_pairs(n, d)
-    size, cons = basis_size(n, d), starts.size
+    src, dst, con, starts, _ = layout
+    cons = starts.size
     x, w = _random_hermitian_pd(rng, size), _random_hermitian_pd(rng, size)
     dy = rng.normal(size=cons) + 1j * rng.normal(size=cons)
     y = x @ freealg._dual_matrix(dy, src, dst, con, size) @ w
@@ -583,21 +699,45 @@ def test_schur_system_is_the_newton_map(n, d):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("n,d", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_schur_system_is_the_newton_map(n, d):
+    words = np.arange(basis_size(n, d))
+    layout = freealg._word_set_layout(n, d, words)
+    _assert_schur_system_is_the_newton_map(np.random.default_rng(409), words.size, layout)
+
+
+@pytest.mark.parametrize("n,d", [(2, 4), (3, 3), (4, 5)])
+def test_schur_system_is_the_newton_map_on_a_suffix_closure(n, d):
+    # a closure drops words, and with them pairs and whole gaps: the gathers
+    # and the grouping by gap must follow the renumbering
+    rng = np.random.default_rng(411)
+    p = graded_polynomial(rng, n, d)
+    words = freealg._suffix_closure(p)
+    layout = freealg._word_set_layout(n, d, words)
+    assert words.size < basis_size(n, d) and layout[4].size < basis_size(n, d) - 1
+    _assert_schur_system_is_the_newton_map(rng, words.size, layout)
+
+
 def test_norm_bounds_name_the_upper_method(monkeypatch):
     rng = np.random.default_rng(405)
     p = _norm_test_polynomial(rng, 2, 2, dense=True)
     bounds = sup_norm_bounds(p, 3)
     assert (bounds.lower_method, bounds.upper_method) == ("fejer_riesz_dual", "fejer_riesz")
+    assert bounds.gram_size == 7
     line = _norm_test_polynomial(rng, 1, 2, dense=True)
-    assert sup_norm_bounds(line, 3).lower_method == "circle"
+    bounds = sup_norm_bounds(line, 3)
+    assert (bounds.lower_method, bounds.gram_size) == ("circle", 3)
     homogeneous = random_polynomial(rng, 2, 2, terms=4, homogeneous=True)
     bounds = sup_norm_bounds(homogeneous, 3)
     assert (bounds.lower_method, bounds.upper_method) == ("grade_norms", "grade_norms")
+    assert bounds.gram_size is None
     monkeypatch.setattr(freealg, "FEJER_RIESZ_MAX_WORK", 0)
     lower, upper = bounds = sup_norm_bounds(p, 3)
     assert (bounds.lower_method, bounds.upper_method) == ("truncated", "grade_norms")
+    assert bounds.gram_size is None
     assert upper == pytest.approx(sum(p.grade_norms()), rel=1e-15)
-    assert sup_norm_bounds(line, 3).lower_method == "circle"
+    bounds = sup_norm_bounds(line, 3)
+    assert (bounds.lower_method, bounds.gram_size) == ("circle", None)
 
 
 def test_zero_polynomial():

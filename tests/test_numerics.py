@@ -281,9 +281,9 @@ def test_c0_sequence_holds_one_scope_around_its_loop(two_blas_threads, monkeypat
 
 
 def test_gram_solve_and_certificate_run_on_one_thread(two_blas_threads, monkeypatch):
-    # at 15 words and 34 prefix pairs, below SINGLE_THREAD_DIMS: the norm
-    # solve holds one scope at every size, and restores the counts after it
-    # returns and after it raises
+    # on a suffix closure of 6 words and 8 pairs, below SINGLE_THREAD_DIMS:
+    # the norm solve holds one scope at every size, and restores the counts
+    # after it returns and after it raises
     p = NcPolynomial(2, {(): 0.5, (1,): 1.0, (2, 1): -0.25, (1, 2, 2): 0.2j})
     counts, schur, bounds = [], freealg._schur_system, freealg._fejer_riesz_bounds
     monkeypatch.setattr(freealg, "_schur_system",
