@@ -407,8 +407,7 @@ def _pick_interpolant(prob, problem, params, report):
         report.warnings.append(f"min_norm not computed: {exc}")
     # all k node values from one (n, k, 1, 1) stack of the points
     nodes = prob.coords.T[:, :, None, None]
-    residual = max(operator_norm(v - w)
-                   for v, w in zip(freealg.evaluate(phi, nodes), prob.targets))
+    residual = float(operator_norm(freealg.evaluate(phi, nodes) - prob.targets).max())
     if residual > params["tol"]:
         report.warnings.append(
             f"interpolation residual {residual:.3e} exceeds tol: the monomial "

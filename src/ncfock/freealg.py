@@ -331,14 +331,18 @@ class NcMatrixPolynomial:
         C_alpha is the coefficient matrix of the word alpha.  The L_alpha of
         one grade are isometries with orthogonal ranges, so this is the
         multiplier norm of the grade-k part and the sum bounds the whole.
+        Zero blocks pad the grades to one height for one batched norm.
         """
         grades = [{} for _ in range(int(max(self.degree, -1)) + 1)]
         for a, row in enumerate(self.entries):
             for b, p in enumerate(row):
                 for word, coeff in p.terms.items():
-                    block = grades[len(word)].setdefault(word, np.zeros(self.shape, complex))
-                    block[a, b] = coeff
-        return [operator_norm(np.vstack(list(g.values()))) if g else 0.0 for g in grades]
+                    grades[len(word)].setdefault(word, np.zeros(self.shape, complex))[a, b] = coeff
+        (rows, cols), height = self.shape, max(map(len, grades), default=0)
+        stack = np.zeros((len(grades), height, rows, cols), complex)
+        for k, g in enumerate(grades):
+            stack[k, :len(g)] = list(g.values()) or 0
+        return operator_norm(stack.reshape(len(grades), height * rows, cols)).tolist()
 
 
 def tensor_product(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:

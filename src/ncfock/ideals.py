@@ -43,7 +43,7 @@ from .errors import DomainError, ResourceCapError
 from .freealg import (MAX_DENSE_ENTRIES, NcPolynomial, WordIndex, _capped_basis_size,
                       _mult_triplets, _word_products, basis_size, evaluate,
                       truncated_mult_matrix)
-from .numerics import _BLAS_SCOPE, _blas_threads, _blas_threads_for, operator_norm
+from .numerics import _BLAS_SCOPE, _svd, operator_norm
 from .poisson import RowContraction, is_c0_certified, poisson_kernel
 
 GRADE_COORD_CAP = 4096       # largest single-grade coordinate space we factorize
@@ -164,10 +164,8 @@ def _null_space(A: np.ndarray, tol: float) -> np.ndarray:
     if not A.size:
         return np.eye(w, dtype=complex)
     if len(A) > w and A.size > SMALL_STACK:
-        with _blas_threads_for(A):
-            A = np.linalg.qr(A, mode="r")
-    with _blas_threads(w):
-        _, s, vh = np.linalg.svd(A, full_matrices=len(A) < w)
+        A = np.linalg.qr(A, mode="r")
+    _, s, vh = _svd(A, full_matrices=len(A) < w)
     return vh[np.count_nonzero(s > tol):].conj().T
 
 
@@ -347,8 +345,7 @@ def _next_complement(N: np.ndarray, n: int, k: int, units, graded: bool, rank_to
     if graded:
         U, kept = N, N[:0, :0]
     else:
-        with _blas_threads(max(size, r)):
-            u, s, _ = np.linalg.svd(N[-size:], full_matrices=False)
+        u, s, _ = _svd(N[-size:])
         U, kept = u[:, :np.count_nonzero(s > rank_tol)], N
     (base, lower), q = kept.shape, U.shape[1]
     w = lower + n * q
@@ -377,13 +374,10 @@ def _next_complement(N: np.ndarray, n: int, k: int, units, graded: bool, rank_to
         # builds at n = 2, m = 4..6 8-12% slower
         C = N[:, :0]
         if r < below:
-            with _blas_threads(below):
-                C = np.linalg.qr(N, mode="complete")[0][:, r:]
-        with _blas_threads_for(images):
-            images = C.conj().T @ images
+            C = np.linalg.qr(N, mode="complete")[0][:, r:]
+        images = C.conj().T @ images
     else:
-        with _blas_threads_for(images):
-            images -= N @ (N.conj().T @ images)
+        images -= N @ (N.conj().T @ images)
     rows.append(images.reshape(len(images) * shifted.shape[1], w))
     X = _null_space(np.vstack(rows), rank_tol)
     top = (U @ X[lower:].reshape(n, q, X.shape[1])).reshape(n * size, X.shape[1])
@@ -413,12 +407,13 @@ def ideal_subspace(spec: IdealSpec, rank_tol: float = RANK_TOL) -> np.ndarray:
         raise ResourceCapError(
             f"coordinate space of size {factored} exceeds the cap {GRADE_COORD_CAP}")
     model = build_quotient(spec, rank_tol)
-    if spec.homogeneous:
-        return _assemble(wi, [
-            _null_space(model.n_basis[wi.grade_slice(k), model.grade_positions(k)].conj().T,
-                        rank_tol)
-            for k in range(spec.m + 1)])
-    return _null_space(model.n_basis.conj().T, rank_tol)
+    with _BLAS_SCOPE:
+        if spec.homogeneous:
+            return _assemble(wi, [
+                _null_space(model.n_basis[wi.grade_slice(k), model.grade_positions(k)].conj().T,
+                            rank_tol)
+                for k in range(spec.m + 1)])
+        return _null_space(model.n_basis.conj().T, rank_tol)
 
 
 @dataclass
@@ -462,7 +457,7 @@ def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel
     One recursion over degrees builds N (_complement_recursion), run once
     per process for each ideal (see the module docstring); the model is
     assembled from its prefix up to m on every call, bit-identical to a
-    fresh build.
+    fresh build.  The whole build runs on one BLAS thread (see numerics).
     Homogeneous generators give grade-exact bases whose step coordinates
     are the block-bidiagonal compressions; the top grade maps into
     truncated territory, so relation checks only hold on grades up to
@@ -470,9 +465,10 @@ def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel
     B_i = (L_i* N)* N.  The model's .spec is the caller's spec.
     """
     key = _memo_key(spec, rank_tol)
-    run = _complement_recursion(spec, rank_tol, key)
-    _memo_put(key, run)
-    return _quotient_model(spec, run)
+    with _BLAS_SCOPE:
+        run = _complement_recursion(spec, rank_tol, key)
+        _memo_put(key, run)
+        return _quotient_model(spec, run)
 
 
 def _quotient_model(spec: IdealSpec, run: _Recursion) -> QuotientModel:
@@ -606,7 +602,7 @@ def _poisson_residuals(T, spec, m, model, word_degree):
     Tw = _word_products(T.matrices, words)
     defects = (np.einsum("aki,bkj->abij", Y.conj(), Y)
                - np.einsum("aij,bkj->abik", Tw, Tw.conj()))
-    worst = np.linalg.norm(defects.reshape(-1, T.d, T.d), 2, axis=(1, 2)).max()
+    worst = operator_norm(defects.reshape(-1, T.d, T.d)).max()
     return (float(range_residual), float(worst))
 
 

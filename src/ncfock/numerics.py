@@ -4,30 +4,31 @@ All tolerances are relative to the spectral scale max(1, ||A||_2); the
 default 1e-10 reflects that feasibility-boundary matrices are numerically
 singular by design.
 
-LAPACK calls on matrices whose larger side lies in SINGLE_THREAD_DIMS run
-on one BLAS thread (see _blas_threads), and so do the calls on tall, narrow
-or wide operands whose entry count lies in SINGLE_THREAD_ENTRIES
-(_blas_threads_for): at those sizes handing work to a second OpenBLAS
-thread costs more than the arithmetic it saves.
+One thread rule: every LAPACK call, and the kernel products below, runs on
+one OpenBLAS thread at every size, inside the scope _BLAS_SCOPE, entered
+once per public call (inner calls nest in it).  The scope finds a library
+only when entered at depth 0, so a lazy `import scipy...` precedes it (see
+sup_norm_bounds).  Only the Lanczos fallback of sup_norm_bounds keeps the
+process's threads.  There is no size cut-off: on a 2-vCPU host two threads
+were faster only above side 256 or about 48,000 entries, which only the
+benchmark's quotient_ladder reaches, about 0.06 times a request, and its
+largest fresh builds took as long under this rule as under cut-offs.  Two
+threads cost most on these calls (2-vCPU host, fresh processes):
 
-The Poisson kernel's recursion and its K*K tail (poisson.poisson_kernel,
-one real product R^T R on K's float64 view R), and the products of kernel
-blocks in poisson._compressions and ideals._poisson_residuals, enter the
-one-thread scope _BLAS_SCOPE at every size: their GEMMs have one long side
-(rows x d times d x d, 2d x rows times rows x 2d, or r x D times D x d^2).
-On a 2-vCPU host with two OpenBLAS threads, a kernel build at n = 3, d = 2,
-m = 11 (531,440 rows) took 163-177 ms in one of seven fresh processes, on
-every call, against 11-20 ms on one thread.
+- The Poisson kernel's recursion and its K*K tail (poisson.poisson_kernel,
+  one real product R^T R on K's float64 view R), and the products of kernel
+  blocks in poisson._compressions and ideals._poisson_residuals: GEMMs with
+  one long side.  A kernel build at n = 3, d = 2, m = 11 (531,440 rows)
+  took 163-177 ms on two threads in one of seven processes, on every call,
+  against 11-20 ms on one.
+- The Fejer-Riesz Gram solve and its certificate (freealg.sup_norm_bounds),
+  in one scope around both.  One solve of a dense p, on the pairs of its
+  suffix closure (all words of length <= d), in each of four processes:
 
-The Fejer-Riesz Gram solve and its certificate (freealg.sup_norm_bounds)
-enter _BLAS_SCOPE once, around both, at every size.  At degree 3 one and
-two threads ran alike; at mid sizes two threads stalled.  One solve of a
-dense p in each of four fresh processes on a 2-vCPU host:
-
-    n, d   prefix pairs   two threads     one thread
-    2, 5   258            990-2150 ms     72-127 ms
-    3, 4   426            1810-2430 ms    366-417 ms
-    2, 6   642            2630-3140 ms    570-727 ms
+    n, d   pairs   two threads     one thread
+    2, 5   258     990-2150 ms     72-127 ms
+    3, 4   426     1810-2430 ms    366-417 ms
+    2, 6   642     2630-3140 ms    570-727 ms
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import os
 import sys
 import threading
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,15 +47,6 @@ from .errors import DomainError
 
 DEFAULT_TOL = 1e-10
 HERMITIAN_RTOL = 1e-12
-# Sizes whose LAPACK calls run on one BLAS thread.  Above 256, two threads
-# win.  Up to 16, eigh and svd ran alike on one and two threads (no stalls in
-# 1,500 calls), so the scope, about 5 us a call, is skipped there.
-SINGLE_THREAD_DIMS = range(17, 257)
-# Entry counts of the tall, narrow or wide operands whose calls run on one
-# BLAS thread (_blas_threads_for): up to those of a 256 x 256 square.  At
-# 289-1,024 entries the scope cost 2-12 us against 10-16 us for the products
-# that form a null-space stack, so it is skipped there.
-SINGLE_THREAD_ENTRIES = range(1025, 257 * 257)
 
 # The OpenBLAS builds bundled in the numpy and scipy wheels: the package,
 # the library file next to it, and the suffix of its thread-count symbols.
@@ -134,30 +125,6 @@ class _BlasThreadScope:
 
 
 _BLAS_SCOPE = _BlasThreadScope()
-_DEFAULT_THREADS = nullcontext()
-
-
-def _blas_threads(dim: int):
-    """Context that runs the enclosed LAPACK calls on one BLAS thread when
-    dim is in SINGLE_THREAD_DIMS, restoring every count on exit, also when a
-    call raises; other sizes keep the process's thread counts."""
-    return _BLAS_SCOPE if dim in SINGLE_THREAD_DIMS else _DEFAULT_THREADS
-
-
-def _blas_threads_for(a: np.ndarray):
-    """The thread scope of a call on the tall, narrow or wide a, keyed on its
-    number of entries (SINGLE_THREAD_ENTRIES).
-
-    Keyed on its larger side, a tall, narrow call ran on two threads.  On a
-    2-vCPU host a complex QR of 512 x 18 (9,216 entries) then took 0.25-0.35
-    ms against 0.12-0.19 ms on one, or stalled for tens of milliseconds in
-    some processes; at 508 x 72 (36,576) both took 2.0-2.2 ms; from 48,000
-    entries on (1500 x 32, 700 x 80, 3000 x 20) two threads were 5-20%
-    faster, so the cut-off at 66,049 entries keeps one thread on
-    48,000-66,048 entries where two would be faster; above it two won
-    (1020 x 94: 5.2-5.5 ms against 6.5-7.3 ms).
-    """
-    return _BLAS_SCOPE if a.size in SINGLE_THREAD_ENTRIES else _DEFAULT_THREADS
 
 
 def as_hermitian(a, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
@@ -192,22 +159,39 @@ def psd_check(a, tol: float = DEFAULT_TOL) -> PsdVerdict:
     h = as_hermitian(a)
     if h.size == 0:
         return PsdVerdict(True, 0.0, np.zeros(0, dtype=complex), float(tol), 1.0)
-    with _blas_threads(h.shape[0]):
+    with _BLAS_SCOPE:
         vals, vecs = np.linalg.eigh(h)
     scale = max(1.0, float(abs(vals[0])), float(abs(vals[-1])))
     return PsdVerdict(bool(vals[0] >= -tol * scale), float(vals[0]),
                       vecs[:, 0].copy(), float(tol), scale)
 
 
-def operator_norm(a) -> float:
-    """Largest singular value (vectors are treated as single columns)."""
+def operator_norm(a):
+    """Largest singular value (vectors are treated as single columns).
+
+    Of a stack of matrices, shape (k, r, c), it is the array of the k
+    largest singular values, from one batched SVD.
+    """
     a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0.0
     if a.ndim == 1:
         return float(np.linalg.norm(a))
-    with _blas_threads(max(a.shape)):
-        return float(np.linalg.svd(a, compute_uv=False)[0])
+    if a.size == 0:
+        return np.zeros(a.shape[:-2]) if a.ndim > 2 else 0.0
+    with _BLAS_SCOPE:
+        top = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return top if a.ndim > 2 else float(top)
+
+
+def _svd(a: np.ndarray, full_matrices: bool = False):
+    """(u, s, vh) of np.linalg.svd (zgesdd), retried once with zgesvd when
+    that does not converge, as it did on a finite 94 x 94 triangle of the
+    quotient recursion of [e1, e2] + c e1 (n = 2, m = 8, c = 0.47878923076784435).
+    If scipy is first imported here, that retry runs on scipy's own count."""
+    try:
+        return np.linalg.svd(a, full_matrices=full_matrices)
+    except np.linalg.LinAlgError:
+        import scipy.linalg
+        return scipy.linalg.svd(a, full_matrices=full_matrices, lapack_driver="gesvd")
 
 
 def hermitian_sqrt(a, *, tol: float = 1e-12) -> np.ndarray:
@@ -217,7 +201,7 @@ def hermitian_sqrt(a, *, tol: float = 1e-12) -> np.ndarray:
     anything lower means the input is indefinite and raises.
     """
     h = as_hermitian(a)
-    with _blas_threads(h.shape[0]):
+    with _BLAS_SCOPE:
         vals, vecs = np.linalg.eigh(h)
         scale = max(1.0, float(np.abs(vals).max()))
         if vals[0] < -tol * scale:

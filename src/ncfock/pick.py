@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, ResourceCapError, SingularGramError
 from .freealg import (MAX_BASIS_SIZE, MAX_DENSE_ENTRIES, BallPoint, NcMatrixPolynomial,
                       NcPolynomial)
-from .numerics import (DEFAULT_TOL, PsdVerdict, _blas_threads, as_hermitian, operator_norm,
+from .numerics import (DEFAULT_TOL, PsdVerdict, _BLAS_SCOPE, as_hermitian, operator_norm,
                        psd_check)
 
 POINT_SEPARATION = 1e-14
@@ -123,7 +123,7 @@ def _min_norm(G: np.ndarray, W: np.ndarray) -> tuple:
     """(c*, cond(G)): c* = ||(L^-1 (x) I) diag(W_1, ..., W_k) (L (x) I)||_2
     for G = L L*, and the condition number lambda_max / lambda_min of G."""
     k, N, _ = W.shape
-    with _blas_threads(k * N):
+    with _BLAS_SCOPE:
         vals = np.linalg.eigvalsh(G)
         scale = max(1.0, float(np.abs(vals).max()))
         if vals[0] <= GRAM_PD_TOL * scale:
@@ -181,8 +181,9 @@ def certify(problem: PickProblem, tol: float = DEFAULT_TOL) -> PickCertificate:
     """Feasibility certificate at norm level 1, cross-checked against c*."""
     _dense_cap(problem)
     G = gram(problem)
-    verdict = psd_check(_pick_blocks(G, problem.targets, 1.0), tol)
-    cstar, condition = _min_norm(G, problem.targets)
+    with _BLAS_SCOPE:
+        verdict = psd_check(_pick_blocks(G, problem.targets, 1.0), tol)
+        cstar, condition = _min_norm(G, problem.targets)
     consistent = verdict.is_psd == (cstar <= 1.0 + tol)
     return PickCertificate(
         feasible=verdict.is_psd,
@@ -217,7 +218,7 @@ def lagrange_interpolant(problem: PickProblem) -> NcMatrixPolynomial:
             words.append(tuple(i + 1 for i in word))
             columns.append(np.prod(lam[:, list(word)], axis=1))
         if size >= k:
-            with _blas_threads(size):
+            with _BLAS_SCOPE:
                 X, _, _, s = np.linalg.lstsq(np.stack(columns, axis=1), W, rcond=None)
             if d == k - 1 or s[-1] > DEFAULT_TOL * s[0]:
                 break

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, ResourceCapError
 from .freealg import (MAX_BASIS_SIZE, MAX_DENSE_ENTRIES, BallPoint, NcPolynomial, WordIndex,
                       _word_products, evaluate, sup_norm_bounds, word_value)
-from .numerics import DEFAULT_TOL, _BLAS_SCOPE, _blas_threads, hermitian_sqrt, operator_norm
+from .numerics import DEFAULT_TOL, _BLAS_SCOPE, _svd, hermitian_sqrt, operator_norm
 
 CONTRACTION_CLAMP = 1e-10
 # c0_sequence work per step, in units of d^3 multiply-adds: on a 2-vCPU host a
@@ -124,7 +124,7 @@ def _sigmas(T: RowContraction, kmax: int, floor: float) -> list:
     x = np.eye(T.d, dtype=complex)
     # one thread scope for the whole loop, so the map's products and the norms
     # do not toggle the thread count on every step
-    with _blas_threads(T.d):
+    with _BLAS_SCOPE:
         out = [operator_norm(x)]
         for _ in range(kmax):
             if out[-1] < floor:
@@ -282,7 +282,7 @@ def poisson_covariance_residuals(T: RowContraction, pairs, m: int) -> list:
     with _BLAS_SCOPE:
         defects = (_compressions(K, WordIndex(T.n, m), pairs)
                    - left @ right.conj().transpose(0, 2, 1))
-        return np.linalg.norm(defects, 2, axis=(1, 2)).tolist()
+        return operator_norm(defects).tolist()
 
 
 def poisson_covariance_check(T: RowContraction, alpha, beta, m: int) -> float:
@@ -333,7 +333,8 @@ def minimal_subspace(T: RowContraction, m: int, rank_tol: float = 1e-10) -> np.n
             f"uncertified tail {kernel.tail:.3e} at m = {m}: the subspace reflects "
             "the truncation, not the full kernel", stacklevel=2)
     V = kernel.blocks.reshape(-1, T.d * T.d)
-    u, s, _ = np.linalg.svd(V, full_matrices=False)
+    with _BLAS_SCOPE:
+        u, s, _ = _svd(V)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((V.shape[0], 0), dtype=complex)
     rank = int(np.count_nonzero(s > rank_tol * s[0]))

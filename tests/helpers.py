@@ -15,7 +15,7 @@ from ncfock import (BallPoint, NcPolynomial, ResourceCapError, RowContraction,
                     SingularGramError, WordIndex, as_hermitian, gram)
 from ncfock.freealg import word_value
 from ncfock.ideals import _lambda_table
-from ncfock.numerics import _blas_threads
+from ncfock.numerics import _BLAS_SCOPE
 
 
 def random_polynomial(rng, n, degree, terms=5, scale=1.0, homogeneous=False,
@@ -103,7 +103,7 @@ def max_generalized_eigenvalue(b, a):
     B = as_hermitian(b)
     if A.shape != B.shape:
         raise ValueError("shape mismatch between the two forms")
-    with _blas_threads(A.shape[0]):
+    with _BLAS_SCOPE:
         vals = np.linalg.eigvalsh(A)
         scale = max(1.0, float(np.abs(vals).max()))
         if vals[0] <= 1e-12 * scale:

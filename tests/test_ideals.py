@@ -300,6 +300,16 @@ def test_non_homogeneous_model_past_the_old_dense_cap():
         ideal_subspace(spec)
 
 
+def test_non_homogeneous_build_survives_an_svd_that_does_not_converge():
+    # with OpenBLAS 0.3.31, zgesdd fails on a finite 94 x 94 triangle of this
+    # recursion ("SVD did not converge"); numerics._svd retries with zgesvd
+    c = 0.47878923076784435
+    spec = IdealSpec(2, (NcPolynomial(2, {(1, 2): 1.0, (2, 1): -1.0, (1,): c}),), 8)
+    N = build_quotient(spec).n_basis
+    assert N.shape[0] == 511
+    assert np.linalg.norm(N.conj().T @ N - np.eye(N.shape[1]), 2) < 1e-12
+
+
 def test_homogeneous_grade_coordinate_cap_fails_fast():
     # D(65, 3) minus the one padded product bounds dim N far above what the
     # compressions may hold, so the spec is refused before any grade is built

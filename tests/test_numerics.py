@@ -1,3 +1,4 @@
+import collections
 import os
 import subprocess
 import sys
@@ -8,16 +9,15 @@ import pytest
 import scipy.linalg  # noqa: F401  loaded first, so that the fixture below sets its OpenBLAS too
 
 import ncfock
-from ncfock import (DomainError, NcPolynomial, PickProblem, SingularGramError, as_hermitian,
-                    c0_sequence, freealg, hermitian_sqrt, min_interpolation_norm,
-                    operator_norm, psd_check)
-from ncfock.numerics import (_BLAS_SCOPE, SINGLE_THREAD_DIMS, SINGLE_THREAD_ENTRIES,
-                             _blas_threads, _blas_threads_for)
+from ncfock import (DomainError, IdealSpec, NcPolynomial, PickProblem, SingularGramError,
+                    as_hermitian, build_quotient, c0_sequence, certify, freealg, hermitian_sqrt,
+                    ideals, min_interpolation_norm, numerics, operator_norm, psd_check)
+from ncfock.numerics import _BLAS_SCOPE
 from helpers import max_generalized_eigenvalue, random_row_contraction, random_unitary
 
 
 @pytest.fixture
-def two_blas_threads():
+def two_threads():
     """Every controlled OpenBLAS at 2 threads, so that a lost restore shows."""
     before = _BLAS_SCOPE.counts()
     setters = [set_ for _, set_ in _BLAS_SCOPE._functions.values()]
@@ -80,6 +80,22 @@ def test_operator_norm_matches_spectral_norm():
     for rows, cols in [(2, 2), (1, 5), (7, 3), (30, 30), (200, 30)]:
         a = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
         assert operator_norm(a) == np.linalg.norm(a, 2)
+    # a stack takes one batched SVD, with the values of one call per matrix
+    stack = rng.normal(size=(5, 7, 3)) + 1j * rng.normal(size=(5, 7, 3))
+    assert operator_norm(stack).tolist() == [operator_norm(x) for x in stack]
+    assert operator_norm(np.zeros((4, 0, 3))).tolist() == [0.0] * 4
+
+
+def test_svd_retries_with_gesvd_when_gesdd_does_not_converge(monkeypatch):
+    a = np.random.default_rng(2).normal(size=(6, 4)) + 0j
+    _, s, _ = numerics._svd(a)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    u, t, vh = numerics._svd(a)
+    assert t == pytest.approx(s, rel=1e-13)
+    assert np.abs((u * t) @ vh - a).max() <= 1e-13
 
 
 # The generalized eigenvalue is the c* oracle of the Pick tests (helpers).
@@ -154,64 +170,80 @@ def test_blas_thread_scope_controls_numpys_openblas():
 
 
 @pytest.mark.parametrize("size", [40, 600])
-def test_psd_check_leaves_the_thread_count(two_blas_threads, size):
+def test_psd_check_leaves_the_thread_count(two_threads, size):
     rng = np.random.default_rng(size)
     g = rng.normal(size=(size, size))
     assert not psd_check(g + g.T).is_psd
-    assert _BLAS_SCOPE.counts() == two_blas_threads
+    assert _BLAS_SCOPE.counts() == two_threads
 
 
-@pytest.mark.parametrize("dim", [SINGLE_THREAD_DIMS[0], SINGLE_THREAD_DIMS[-1]])
-def test_small_calls_run_on_one_thread(two_blas_threads, dim):
-    with _blas_threads(dim):
-        assert set(_BLAS_SCOPE.counts().values()) <= {1}
-    assert _BLAS_SCOPE.counts() == two_blas_threads
+def _public_call(name: str, side: int):
+    """A call of a public entry whose LAPACK calls have sides up to 16 (side 3)
+    or one above 256 (side 300): sizes that the former size gates left on
+    the process's threads."""
+    rng = np.random.default_rng(side)
+    g = rng.normal(size=(side, side))
+    if name == "psd_check":
+        return lambda: psd_check(g + g.T)
+    if name == "operator_norm":
+        return lambda: operator_norm(g)
+    if name == "hermitian_sqrt":
+        return lambda: hermitian_sqrt(g @ g.T)
+    if name == "build_quotient":
+        # the words avoiding e1 e1 (m = 2) or e1 e1 e1 (m = 9); the last
+        # step of the latter factors 298 candidates
+        word, m = ((1, 1), 2) if side == 3 else ((1, 1, 1), 9)
+        return lambda: build_quotient(IdealSpec(2, (NcPolynomial(2, {word: 1.0}),), m))
+    # k nodes with N x N targets: the Pick matrix has side k N
+    k, N = (3, 1) if side == 3 else (30, 10)
+    nodes = rng.normal(size=(k, 3))
+    nodes *= 0.8 / np.linalg.norm(nodes, axis=1, keepdims=True)
+    return lambda: certify(PickProblem(nodes, 0.3 * rng.normal(size=(k, N, N))))
 
 
-@pytest.mark.parametrize("dim", [SINGLE_THREAD_DIMS[0] - 1, SINGLE_THREAD_DIMS[-1] + 1])
-def test_tiny_and_large_calls_keep_the_process_threads(two_blas_threads, dim):
-    with _blas_threads(dim):
-        assert _BLAS_SCOPE.counts() == two_blas_threads
+@pytest.mark.parametrize("side", [3, 300])
+@pytest.mark.parametrize("name", ["psd_check", "operator_norm", "hermitian_sqrt",
+                                  "build_quotient", "certify"])
+def test_public_entries_run_on_one_thread_at_every_size(two_threads, monkeypatch,
+                                                        name, side):
+    call = _public_call(name, side)
+    monkeypatch.setattr(ideals, "_memo", collections.OrderedDict())
+    seen = []
+    for lapack in ("eigh", "eigvalsh", "svd", "qr", "cholesky", "solve", "lstsq"):
+        def recorded(a, *args, _lapack=getattr(np.linalg, lapack), **kwargs):
+            seen.append((_BLAS_SCOPE.counts(), max(np.shape(a)[-2:])))
+            return _lapack(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, lapack, recorded)
+    call()
+    sides = [size for _, size in seen]
+    assert max(sides) <= 16 if side == 3 else max(sides) > 256
+    assert all(counts == dict.fromkeys(two_threads, 1) for counts, _ in seen)
+    assert _BLAS_SCOPE.counts() == two_threads
 
 
-@pytest.mark.parametrize("rows", [SINGLE_THREAD_ENTRIES[0], SINGLE_THREAD_ENTRIES[-1]])
-def test_tall_calls_run_on_one_thread_by_their_entries(two_blas_threads, rows):
-    # a column of rows entries: keyed on its larger side it would keep two
-    with _blas_threads_for(np.empty((rows, 1))):
-        assert set(_BLAS_SCOPE.counts().values()) <= {1}
-    assert _BLAS_SCOPE.counts() == two_blas_threads
-
-
-@pytest.mark.parametrize("rows", [SINGLE_THREAD_ENTRIES[0] - 1, SINGLE_THREAD_ENTRIES[-1] + 1])
-def test_small_and_large_tall_calls_keep_the_process_threads(two_blas_threads, rows):
-    with _blas_threads_for(np.empty((rows, 1))):
-        assert _BLAS_SCOPE.counts() == two_blas_threads
-
-
-def test_thread_count_is_restored_when_the_call_raises(two_blas_threads):
+def test_thread_count_is_restored_when_the_call_raises(two_threads):
     # k = 17 nodes, two of them 2e-13 apart: c* raises inside its one-thread scope
-    size = SINGLE_THREAD_DIMS[0]
+    size = 17
     nodes = np.linspace(-0.8, 0.8, size)
     nodes[1] = nodes[0] + 2e-13
     with pytest.raises(SingularGramError):
         min_interpolation_norm(PickProblem(nodes[:, None], [0.5] * size))
     with pytest.raises(DomainError):
         hermitian_sqrt(np.diag(np.linspace(-0.5, 1.0, size)))
-    assert _BLAS_SCOPE.counts() == two_blas_threads
+    assert _BLAS_SCOPE.counts() == two_threads
 
 
-def test_nested_scopes_restore_the_outer_count(two_blas_threads):
-    size = SINGLE_THREAD_DIMS[0]
-    with _blas_threads(size):
+def test_nested_scopes_restore_the_outer_count(two_threads):
+    with _BLAS_SCOPE:
         outer = _BLAS_SCOPE.counts()
-        with _blas_threads(size):
-            psd_check(np.eye(size))
+        with _BLAS_SCOPE:
+            psd_check(np.eye(17))
         assert _BLAS_SCOPE.counts() == outer
-    assert _BLAS_SCOPE.counts() == two_blas_threads
+    assert _BLAS_SCOPE.counts() == two_threads
 
 
-def test_scopes_from_many_python_threads_restore_the_count(two_blas_threads):
-    a = np.diag(np.arange(1.0, SINGLE_THREAD_DIMS[0] + 1))
+def test_scopes_from_many_python_threads_restore_the_count(two_threads):
+    a = np.diag(np.arange(1.0, 18.0))
     errors = []
 
     def work():
@@ -232,12 +264,21 @@ def test_scopes_from_many_python_threads_restore_the_count(two_blas_threads):
     finally:
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers) and not errors
-    assert _BLAS_SCOPE.counts() == two_blas_threads
+    assert _BLAS_SCOPE.counts() == two_threads
+
+
+def _fresh_python(code: str, *args: str, **env) -> str:
+    """stdout of code run in a new interpreter that imports ncfock from this tree."""
+    src = os.path.dirname(os.path.dirname(ncfock.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout
 
 
 def test_pick_certification_does_not_import_scipy(tmp_path):
-    # 20 nodes, so that the Pick matrix and c* take the one-thread scope; then
-    # the same nodes through `pick interpolant`, which also computes c*
+    # the Pick matrix and c* of 20 nodes, which take the one-thread scope;
+    # then the same nodes through `pick interpolant`, which also computes c*
     code = ("import sys, numpy, ncfock, ncfock.cli\n"
             "nodes = 0.3 * numpy.random.default_rng(1).normal(size=(20, 3))\n"
             "targets = numpy.linspace(-0.5, 0.5, 20)\n"
@@ -248,17 +289,32 @@ def test_pick_certification_does_not_import_scipy(tmp_path):
             "open(sys.argv[1], 'w').write(__import__('json').dumps(doc))\n"
             "code = ncfock.cli.main(['pick', 'interpolant', sys.argv[1], '--out', sys.argv[2]])\n"
             "print('scipy' in sys.modules, code, ncfock.numerics._BLAS_SCOPE.status)")
-    src = os.path.dirname(os.path.dirname(ncfock.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "p.json"),
-                          str(tmp_path / "report.txt")], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.startswith("False 0 ")
+    out = _fresh_python(code, str(tmp_path / "p.json"), str(tmp_path / "report.txt"))
+    assert out.startswith("False 0 ")
     assert (tmp_path / "report.txt").read_text().startswith("ncfock pick interpolant")
 
 
-def test_c0_sequence_holds_one_scope_around_its_loop(two_blas_threads, monkeypatch):
+def test_norm_solve_imports_scipy_before_its_scope():
+    # the scope finds scipy's OpenBLAS only when entered at depth 0 with
+    # scipy loaded, so sup_norm_bounds must import scipy.linalg first; this
+    # module has imported scipy already, which would hide a wrong order
+    code = ("import sys\n"
+            "from ncfock import NcPolynomial, freealg\n"
+            "from ncfock.numerics import _BLAS_SCOPE as scope\n"
+            "assert 'scipy' not in sys.modules\n"
+            "seen, schur = [], freealg._schur_system\n"
+            "freealg._schur_system = (lambda *a:\n"
+            "    seen.append(scope.counts().get('scipy')) or schur(*a))\n"
+            "p = NcPolynomial(2, {(): 0.5, (1,): 1.0, (2, 1): -0.25, (1, 2, 2): 0.2j})\n"
+            "assert freealg.sup_norm_bounds(p, 3).lower_method == 'fejer_riesz_dual'\n"
+            "print(scope.status['scipy'], '/', *set(seen), '/', scope.counts().get('scipy'))")
+    out = _fresh_python(code, OPENBLAS_NUM_THREADS="2")
+    if out.startswith("not controlled: no "):
+        pytest.skip("scipy bundles no OpenBLAS here; the scope is a no-op")
+    assert out.split() == ["controlled", "/", "1", "/", "2"]
+
+
+def test_c0_sequence_holds_one_scope_around_its_loop(two_threads, monkeypatch):
     # at d = 32 the map's products and the norms run on one thread, and the
     # values are those of the loop run on the process's threads
     T = random_row_contraction(np.random.default_rng(5), 2, 32)
@@ -270,20 +326,19 @@ def test_c0_sequence_holds_one_scope_around_its_loop(two_blas_threads, monkeypat
     monkeypatch.setattr(T, "cp_map", lambda x: counts.append(_BLAS_SCOPE.counts()) or cp_map(x))
     assert c0_sequence(T, 20) == pytest.approx(expected, rel=1e-13, abs=0)
     assert len(counts) == 20 and all(set(c.values()) <= {1} for c in counts)
-    assert _BLAS_SCOPE.counts() == two_blas_threads
+    assert _BLAS_SCOPE.counts() == two_threads
 
     def failing(x):
         raise FloatingPointError("map failed")
     monkeypatch.setattr(T, "cp_map", failing)
     with pytest.raises(FloatingPointError):
         c0_sequence(T, 5)
-    assert _BLAS_SCOPE.counts() == two_blas_threads
+    assert _BLAS_SCOPE.counts() == two_threads
 
 
-def test_gram_solve_and_certificate_run_on_one_thread(two_blas_threads, monkeypatch):
-    # on a suffix closure of 6 words and 8 pairs, below SINGLE_THREAD_DIMS:
-    # the norm solve holds one scope at every size, and restores the counts
-    # after it returns and after it raises
+def test_gram_solve_and_certificate_run_on_one_thread(two_threads, monkeypatch):
+    # on a suffix closure of 6 words and 8 pairs: the norm solve holds one
+    # scope, and restores the counts after it returns and after it raises
     p = NcPolynomial(2, {(): 0.5, (1,): 1.0, (2, 1): -0.25, (1, 2, 2): 0.2j})
     counts, schur, bounds = [], freealg._schur_system, freealg._fejer_riesz_bounds
     monkeypatch.setattr(freealg, "_schur_system",
@@ -292,12 +347,12 @@ def test_gram_solve_and_certificate_run_on_one_thread(two_blas_threads, monkeypa
                         lambda *a: counts.append(_BLAS_SCOPE.counts()) or bounds(*a))
     assert freealg.sup_norm_bounds(p, 3).lower_method == "fejer_riesz_dual"
     assert len(counts) > 2
-    assert all(c == dict.fromkeys(two_blas_threads, 1) for c in counts)
-    assert _BLAS_SCOPE.counts() == two_blas_threads
+    assert all(c == dict.fromkeys(two_threads, 1) for c in counts)
+    assert _BLAS_SCOPE.counts() == two_threads
 
     def failing(*args):
         raise FloatingPointError("certificate failed")
     monkeypatch.setattr(freealg, "_fejer_riesz_bounds", failing)
     with pytest.raises(FloatingPointError):
         freealg.sup_norm_bounds(p, 3)
-    assert _BLAS_SCOPE.counts() == two_blas_threads
+    assert _BLAS_SCOPE.counts() == two_threads
