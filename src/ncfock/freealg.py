@@ -23,8 +23,9 @@ import bisect
 import math
 
 import numpy as np
-# scipy is imported inside the norm-bound functions that use it: the pick and
-# ideal code needs only numpy, and importing scipy.linalg takes about 0.3 s.
+# scipy is imported only inside _truncated_norm, the Lanczos fallback of the
+# norm bounds: everything else runs on numpy alone, and in a fresh process
+# importing scipy.linalg takes 0.21-0.23 s and 26-28 MB (2-vCPU host).
 
 from .errors import DomainError, ResourceCapError
 from .numerics import _BLAS_SCOPE, operator_norm
@@ -69,6 +70,16 @@ def _capped_basis_size(n: int, m: int) -> int:
         raise ResourceCapError(
             f"basis of size D({n},{m}) = {dim} exceeds the cap {MAX_BASIS_SIZE}")
     return dim
+
+
+def _grade_starts(n: int, d: int) -> np.ndarray:
+    """[0, D(n, 0), ..., D(n, d)] as int64: the index of the first word of each
+    grade 0..d + 1 in grade order, with no cap on D(n, d) beyond fitting in
+    int64, or ResourceCapError when it does not (n >= 2 and d >= 63 gives
+    D(n, d) > 2^63 before n^(d+1) is formed)."""
+    if n >= 2 and d >= 63 or basis_size(n, d) > np.iinfo(np.int64).max:
+        raise ResourceCapError(f"word indices up to D({n},{d}) do not fit in 64 bits")
+    return np.array([0] + [basis_size(n, k) for k in range(d + 1)], dtype=np.int64)
 
 
 def word_value(word, n: int) -> int:
@@ -540,19 +551,27 @@ class NormBounds(tuple):
         return (*self, self.upper_method, self.lower_method, self.gram_size)
 
 
-def _symbol(p: NcPolynomial) -> list:
-    """Coefficients of L_p* L_p = r_() I + sum_{gamma != ()} (r_gamma L_gamma + h.c.).
-
-    r_gamma = sum_alpha conj(c_alpha) c_(alpha gamma).  Entry g of the list
-    holds the r_gamma of the n^g words of length g in grade order; entry 0
-    is [||p||_2^2].
+def _symbol(p: NcPolynomial, gaps: np.ndarray) -> np.ndarray:
+    """Coefficients of L_p* L_p = r_() I + sum_{gamma != ()} (r_gamma L_gamma + h.c.),
+    r_gamma = sum_alpha conj(c_alpha) c_(alpha gamma): entry 0 is r_() = ||p||_2^2
+    and entry 1 + j the r_gamma of gaps[j], the gamma's index among the nonempty
+    words in grade order.  Summed over the pairs of terms of p that split as
+    alpha and alpha gamma, so it costs p's letters, not the D(n, deg p) words.
+    gaps must hold every such gamma, as the gaps of _word_set_layout do on a
+    word set closed under deleting the first letter that holds the words of p.
     """
-    n, d = p.n, int(p.degree)
-    wi = WordIndex(n, d)
-    c = p.to_fock(d).coeffs
-    blocks = [c[wi.grade_slice(k)] for k in range(d + 1)]
-    return [sum(blocks[a].conj() @ blocks[a + g].reshape(n ** a, n ** g)
-                for a in range(d + 1 - g)) for g in range(d + 1)]
+    start = _grade_starts(p.n, int(p.degree))
+    gammas, values = [], []
+    for word, c in p.terms.items():
+        for a in range(len(word)):
+            head = p.terms.get(word[:a])
+            if head is not None:
+                gammas.append(start[len(word) - a] - 1 + word_value(word[a:], p.n))
+                values.append(head.conjugate() * c)
+    r = np.zeros(gaps.size + 1, dtype=complex)
+    r[0] = sum(abs(c) ** 2 for c in p.terms.values())
+    np.add.at(r, 1 + np.searchsorted(gaps, np.array(gammas, dtype=np.int64)), values)
+    return r
 
 
 def _compressed_square(r: list, wi: WordIndex, x: np.ndarray) -> np.ndarray:
@@ -572,14 +591,21 @@ def _compressed_square(r: list, wi: WordIndex, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _truncated_norm(r: list, n: int, m: int) -> float:
+def _truncated_norm(p: NcPolynomial, m: int) -> float:
     """||L_p restricted to P_m||, the root of the top eigenvalue of
     P_m L_p* L_p P_m, by Lanczos on the symbol.  A Ritz value never exceeds
-    the top eigenvalue, so the result is a lower bound at any convergence."""
+    the top eigenvalue, so the result is a lower bound at any convergence.
+    The symbol r is formed here over all D(n, deg p) words: entry g holds
+    the r_gamma of the n^g words of length g in grade order."""
     if m == 0:
-        return float(np.sqrt(r[0][0].real))   # L_p maps the empty word to p
+        return float(np.linalg.norm(list(p.terms.values())))   # L_p maps () to p
     import scipy.sparse.linalg
 
+    n, d = p.n, int(p.degree)
+    c, grades = p.to_fock(d).coeffs, WordIndex(n, d)
+    blocks = [c[grades.grade_slice(k)] for k in range(d + 1)]
+    r = [sum(blocks[a].conj() @ blocks[a + g].reshape(n ** a, n ** g)
+             for a in range(d + 1 - g)) for g in range(d + 1)]
     wi = WordIndex(n, m)
     op = scipy.sparse.linalg.LinearOperator(
         (wi.dim, wi.dim), dtype=complex,
@@ -618,9 +644,9 @@ def _suffix_closure(p: NcPolynomial) -> np.ndarray:
     deleting the first letter (so it holds ()), as the sorted indices of its
     words among those of length <= deg p in grade order."""
     n = p.n
-    start = np.array(WordIndex(n, int(p.degree))._start)
+    start = _grade_starts(n, int(p.degree))
     grade = np.array([len(word) for word in p.terms])
-    value = np.array([word_value(word, n) for word in p.terms])
+    value = np.array([word_value(word, n) for word in p.terms], dtype=np.int64)
     # each word of grade g gives its g + 1 suffixes, the last k letters for k = 0..g
     word = np.repeat(np.arange(grade.size), grade + 1)
     k = np.arange(word.size) - np.repeat(np.cumsum(grade + 1) - grade - 1, grade + 1)
@@ -638,7 +664,7 @@ def _word_set_layout(n: int, d: int, words: np.ndarray):
     the first pair of gaps[j].  On all words there are sum_beta |beta| pairs
     and every gamma occurs, in the order of the pairs listed by grade.
     """
-    start = np.array(WordIndex(n, d)._start)
+    start = _grade_starts(n, d)
     grade = np.searchsorted(start, words, side="right") - 1
     value = words - start[grade]
     # each beta of grade b splits after a = 0..b-1 letters
@@ -663,6 +689,24 @@ def _fejer_riesz_work(size: int, layout) -> int:
     return 8 * layout[0].size ** 2 + size ** 3
 
 
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """L^-1 of an invertible lower-triangular L, by halves:
+    [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], down to blocks of
+    side <= 32, which np.linalg.inv inverts (its pivoting may leave rounding
+    above the diagonal).  At sides 63-200 this took 0.27-0.6 of the time of
+    np.linalg.inv on all of L, which factors it as a general matrix (2-vCPU
+    host, one thread)."""
+    k = chol.shape[0]
+    if k <= 32:
+        return np.linalg.inv(chol)
+    h = k // 2
+    a, b = _lower_inverse(chol[:h, :h]), _lower_inverse(chol[h:, h:])
+    out = np.zeros_like(chol)
+    out[:h, :h], out[h:, h:] = a, b
+    out[h:, :h] = -(b @ chol[h:, :h] @ a)
+    return out
+
+
 def _dual_matrix(y, src, dst, con, size: int) -> np.ndarray:
     """M(y) = sum_gamma conj(y_gamma) E_gamma + y_gamma E_gamma*, with
     tr(X M(y)) = 2 Re <y, A(X)>.  Every entry is one y_gamma or its
@@ -673,7 +717,17 @@ def _dual_matrix(y, src, dst, con, size: int) -> np.ndarray:
     return out
 
 
-def _schur_system(x: np.ndarray, w: np.ndarray, layout) -> np.ndarray:
+def _schur_workspace(size: int, layout) -> tuple:
+    """Buffers for _schur_system on the pairs of layout, allocated once per
+    solve: the gathers come to pairs x pairs complex entries each (1 MB at
+    258 pairs), and fresh ones each iteration page-faulted at rates that
+    depended on the process's allocation history."""
+    pairs, cons = layout[0].size, layout[3].size
+    return (np.empty((pairs, size), dtype=complex), np.empty((2, pairs, pairs), dtype=complex),
+            np.empty((2, pairs, pairs), dtype=complex), np.empty((2, cons, pairs), dtype=complex))
+
+
+def _schur_system(x: np.ndarray, w: np.ndarray, layout, work) -> np.ndarray:
     """The real matrix of dy -> constraint(X M(dy) W) acting on [Re dy; Im dy],
     for Hermitian X and W and the pairs layout = _word_set_layout(n, d, W).
 
@@ -682,22 +736,25 @@ def _schur_system(x: np.ndarray, w: np.ndarray, layout) -> np.ndarray:
     + conj(X[dst, src] * W[dst, src].T) and X[src, src] * W[dst, dst].T
     + conj(X[dst, dst] * W[src, src].T).  As X and W are Hermitian these are
     t + t.T with t = X[src, dst] * W[src, dst].T, and X[src, src] * W[dst, dst].T
-    + X[dst, dst].T * W[src, src]: three pairs x pairs gathers of each matrix.
-    Both are grouped in one pass over their (2, pairs, pairs) stack, and
-    added only once grouped.
+    + X[dst, dst].T * W[src, src]: three pairs x pairs gathers of each matrix
+    (Z[rows, cols].T is Z.T[cols, rows]).  Both are grouped in one pass over
+    their (2, pairs, pairs) stack, and added only once grouped, all in the
+    buffers work = _schur_workspace(size, layout).
     """
     src, dst, _, starts, _ = layout
     cons = starts.size
+    row, (a, b), stack, grouped = work
 
-    def gather(z, rows, cols):
-        return z.take(rows, 0).take(cols, 1)
+    def gather(z, rows, cols, out):
+        # mode "clip" writes straight into out; the indices are in range
+        return z.take(rows, 0, row, "clip").take(cols, 1, out, "clip")
 
-    stack = np.empty((2, src.size, src.size), dtype=complex)
-    np.multiply(gather(x, src, src), gather(w, dst, dst).T, out=stack[1])
-    stack[1] += gather(x, dst, dst).T * gather(w, src, src)
-    t = gather(x, src, dst) * gather(w, src, dst).T
+    np.multiply(gather(x, src, src, a), gather(w.T, dst, dst, b), out=stack[1])
+    stack[1] += np.multiply(gather(x.T, dst, dst, a), gather(w, src, src, b), out=a)
+    t = np.multiply(gather(x, src, dst, a), gather(w.T, dst, src, b), out=a)
     np.add(t, t.T, out=stack[0])
-    minus, plus = np.add.reduceat(np.add.reduceat(stack, starts, axis=1), starts, axis=2)
+    minus, plus = np.add.reduceat(np.add.reduceat(stack, starts, axis=1, out=grouped),
+                                  starts, axis=2)
     tot, diff = 0.5 * (minus + plus), 0.5 * (plus - minus)
     out = np.empty((2 * cons, 2 * cons), order="F")
     out[:cons, :cons], out[:cons, cons:] = tot.real, -diff.imag
@@ -724,15 +781,9 @@ def _fejer_riesz_gram(symbol: np.ndarray, size: int, layout):
     stops falling; y (one entry per gap of the layout) is the last point
     whose S had a Cholesky factor.
     """
-    from scipy.linalg import lapack
-
     src, dst, con, starts, _ = layout
     cons, b = starts.size, -symbol
     eye = np.eye(size, dtype=complex)
-    # zheevr's workspace for the step lengths, queried once: its default
-    # lwork is far slower at size 40
-    work, rwork, iwork, _ = lapack.zheevr_lwork(size, lower=1)
-    workspace = dict(lwork=int(work.real), lrwork=int(rwork), liwork=int(iwork))
 
     def constraint(y):
         """(A(Y) + A(Y*)) / 2 with A(Y)_gamma = sum_alpha Y[alpha, alpha gamma]."""
@@ -744,14 +795,16 @@ def _fejer_riesz_gram(symbol: np.ndarray, size: int, layout):
         inf when it is at least cap.  When Z + cap dZ has a Cholesky factor,
         the segment from Z to it stays positive definite (the cone is
         convex), so the step is at least cap and the eigensolve is skipped."""
-        if not lapack.zpotrf(z + cap * dz, lower=1, clean=0, overwrite_a=1)[1]:
+        try:
+            np.linalg.cholesky(z + cap * dz)
             return np.inf
-        low = lapack.zheevr(inv_chol @ dz @ inv_chol.conj().T, compute_v=0, range="I",
-                            lower=1, il=1, iu=1, overwrite_a=1, **workspace)[0][0]
+        except np.linalg.LinAlgError:
+            low = np.linalg.eigvalsh(inv_chol @ dz @ inv_chol.conj().T)[0]
         return -1.0 / low if low < 0 else np.inf
 
     x, s, y = eye, eye, np.zeros(cons, dtype=complex)
     chol_x = chol_s = eye
+    work = _schur_workspace(size, layout)
     mu_prev, tx_last, ts_last = np.inf, 0.0, 0.0
     for _ in range(FR_MAX_ITER):
         mu = np.vdot(s, x).real / size
@@ -760,23 +813,22 @@ def _fejer_riesz_gram(symbol: np.ndarray, size: int, layout):
                                               and mu * size <= FR_STALL_TOL * scale):
             break
         mu_prev = mu
-        # LAPACK's triangular inverse: OpenBLAS threads trsm even at this size
-        inv_x = lapack.ztrtri(chol_x, lower=1)[0]
-        inv_s = lapack.ztrtri(chol_s, lower=1)[0]
+        inv_x, inv_s = _lower_inverse(chol_x), _lower_inverse(chol_s)
         w = inv_s.conj().T @ inv_s
         # the linear map dy -> constraint(X M(dy) S^-1) is (minus conj(dy) + plus dy) / 2
-        lu, piv, info = lapack.dgetrf(_schur_system(x, w, layout), overwrite_a=1)
-        if info:
-            break
+        schur = _schur_system(x, w, layout, work)
 
         def newton(rhs, target, second):
-            sol = lapack.dgetrs(lu, piv, np.concatenate([rhs.real, rhs.imag]))[0]
+            sol = np.linalg.solve(schur, np.concatenate([rhs.real, rhs.imag]))
             dy = sol[:cons] + 1j * sol[cons:]
             md = _dual_matrix(dy, src, dst, con, size)
             dx = target * w - x + (x @ md - second) @ w
             return (dx + dx.conj().T) / 2, dy, -md
 
-        dx, dy, ds = newton(b, 0.0, 0.0)
+        try:
+            dx, dy, ds = newton(b, 0.0, 0.0)
+        except np.linalg.LinAlgError:   # a singular Schur system ends the solve
+            break
         tx, ts = min(1.0, max_step(x, inv_x, dx, 1.0)), min(1.0, max_step(s, inv_s, ds, 1.0))
         sigma = (np.vdot(s + ts * ds, x + tx * dx).real / size / mu) ** 3
         second = dx @ ds
@@ -798,12 +850,13 @@ def _fejer_riesz_gram(symbol: np.ndarray, size: int, layout):
     return x, y
 
 
-def _fejer_riesz_bounds(p: NcPolynomial, q: np.ndarray, y: np.ndarray, r: list, layout):
+def _fejer_riesz_bounds(p: NcPolynomial, q: np.ndarray, y: np.ndarray, r: np.ndarray,
+                        layout):
     """Certified (lower, upper) for ||L_p|| from any Hermitian q indexed by a
     word set W and any dual point y, one entry per gap of the pairs
     layout = _word_set_layout(p.n, deg p, W).  W holds every word of p and
     is closed under deleting the first letter, which makes the solve on it
-    exact (sup_norm_bounds).  r is _symbol(p).
+    exact (sup_norm_bounds).  r is _symbol(p, gaps).
 
     upper: with F the eigenvectors of q scaled by the roots of its clipped
     eigenvalues, Q+ = F F* is positive semidefinite, so the hereditary square
@@ -825,12 +878,10 @@ def _fejer_riesz_bounds(p: NcPolynomial, q: np.ndarray, y: np.ndarray, r: list, 
     Cauchy-Schwarz: only the terms of p add rounding) and in the sums; a
     factor 1 - 4 eps covers the root.
     """
-    import scipy.linalg
-
-    src, dst, con, starts, gaps = layout
-    r0, symbol = r[0][0].real, np.concatenate(r[1:])[gaps]
+    src, dst, con, starts, _ = layout
+    r0, symbol = r[0].real, r[1:]
     size, eps = q.shape[0], np.finfo(float).eps
-    vals, vecs = scipy.linalg.eigh(q)
+    vals, vecs = np.linalg.eigh(q)
     f = vecs * np.sqrt(np.clip(vals, 0.0, None))
     q_plus = f @ f.conj().T
     trace = float(np.vdot(f, f).real)
@@ -841,7 +892,7 @@ def _fejer_riesz_bounds(p: NcPolynomial, q: np.ndarray, y: np.ndarray, r: list, 
     upper = float(np.sqrt(square)) * (1 + 4 * eps)
 
     s = np.eye(size) - _dual_matrix(y, src, dst, con, size)
-    delta = max(0.0, -float(scipy.linalg.eigh(s, eigvals_only=True, subset_by_index=[0, 0])[0]))
+    delta = max(0.0, -float(np.linalg.eigvalsh(s)[0]))
     value = -2 * float(np.vdot(y, symbol).real)
     slack = 16 * eps * size * (float(np.linalg.norm(s)) * abs(value)
                                + (1 + float(np.abs(y).sum())) * r0)
@@ -902,23 +953,20 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     if p.is_homogeneous:
         return NormBounds(grade_sum, grade_sum, "grade_norms", "grade_norms")
     n, d = p.n, int(p.degree)
-    r = _symbol(p)
     upper, upper_method = grade_sum, "grade_norms"
     lower = size = None
     words = _suffix_closure(p)
     # the |W|^3 term alone rules out a large W before its pairs are listed
     layout = _word_set_layout(n, d, words) if words.size ** 3 <= FEJER_RIESZ_MAX_WORK else None
     if layout is not None and _fejer_riesz_work(words.size, layout) <= FEJER_RIESZ_MAX_WORK:
-        import scipy.linalg   # loaded before the scope, which then finds its OpenBLAS
-
-        size, scale = words.size, r[0][0].real
+        size, r = words.size, _symbol(p, layout[4])
         with _BLAS_SCOPE:
-            gram, dual = _fejer_riesz_gram(np.concatenate(r[1:])[layout[4]] / scale, size, layout)
-            lower, bound = _fejer_riesz_bounds(p, scale * gram, dual, r, layout)
+            gram, dual = _fejer_riesz_gram(r[1:] / r[0].real, size, layout)
+            lower, bound = _fejer_riesz_bounds(p, r[0].real * gram, dual, r, layout)
         if bound < upper:
             upper, upper_method = bound, "fejer_riesz"
     if n == 1:
         return NormBounds(min(_circle_max(p), upper), upper, upper_method, "circle", size)
     if lower is None:
-        return NormBounds(_truncated_norm(r, n, m), upper, upper_method, "truncated")
+        return NormBounds(_truncated_norm(p, m), upper, upper_method, "truncated")
     return NormBounds(lower, upper, upper_method, "fejer_riesz_dual", size)

@@ -7,12 +7,13 @@ singular by design.
 One thread rule: every LAPACK call, and the kernel products below, runs on
 one OpenBLAS thread at every size, inside the scope _BLAS_SCOPE, entered
 once per public call (inner calls nest in it).  The scope finds a library
-only when entered at depth 0, so a lazy `import scipy...` precedes it (see
-sup_norm_bounds).  Only the Lanczos fallback of sup_norm_bounds keeps the
-process's threads.  There is no size cut-off: on a 2-vCPU host two threads
-were faster only above side 256 or about 48,000 entries, which only the
-benchmark's quotient_ladder reaches, about 0.06 times a request, and its
-largest fresh builds took as long under this rule as under cut-offs.  Two
+only when entered at depth 0 with its package loaded.  Everything runs on
+numpy's LAPACK except the two uses of scipy: the Lanczos fallback of
+sup_norm_bounds, which keeps the process's threads, and the retry of _svd.
+There is no size cut-off: on a 2-vCPU host two threads were faster only
+above side 256 or about 48,000 entries, which only the benchmark's
+quotient_ladder reaches, about 0.06 times a request, and its largest fresh
+builds took as long under this rule as under cut-offs.  Two
 threads cost most on these calls (2-vCPU host, fresh processes):
 
 - The Poisson kernel's recursion and its K*K tail (poisson.poisson_kernel,
@@ -29,6 +30,10 @@ threads cost most on these calls (2-vCPU host, fresh processes):
     2, 5   258     990-2150 ms     72-127 ms
     3, 4   426     1810-2430 ms    366-417 ms
     2, 6   642     2630-3140 ms    570-727 ms
+
+  That table was taken on scipy's LAPACK.  On numpy's, which the solve now
+  uses, one of eight two-thread solves at (2, 5) and (3, 4) took 915 ms,
+  against 86-100 ms on one thread.
 """
 
 from __future__ import annotations

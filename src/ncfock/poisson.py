@@ -108,19 +108,40 @@ class PoissonKernelMatrix:
         return self.matrix.reshape(-1, self.d, self.d)
 
 
-def _sigmas(T: RowContraction, kmax: int, floor: float) -> list:
-    """sigma_0, sigma_1, ... up to sigma_kmax or the first one below floor.
-
-    Each step costs a fixed C0_STEP_OVERHEAD plus (n + 1) d^3 (the map and
-    the norm); kmax steps are capped at C0_MAX_WORK, even if the loop stops
-    early.
-    """
+def _check_c0_work(T: RowContraction, kmax: int) -> None:
+    """Each step of the decay sequence costs a fixed C0_STEP_OVERHEAD plus
+    (n + 1) d^3 (the map and the norm); kmax steps are capped at C0_MAX_WORK,
+    even if the loop stops early.  Under it kmax d^2 < 4.5e6, so the stack of
+    iterates that c0_sequence keeps stays under 72 MB."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if kmax * (C0_STEP_OVERHEAD + (T.n + 1) * T.d ** 3) > C0_MAX_WORK:
         raise ResourceCapError(
             f"decay sequence of {kmax} steps on n = {T.n}, d = {T.d} exceeds the work "
             f"cap {C0_MAX_WORK}")
+
+
+def c0_sequence(T: RowContraction, kmax: int) -> list:
+    """sigma_k = ||Phi^k(I)|| for k = 0..kmax, by iterating the CP map.
+
+    The sequence is nonincreasing; vanishing in the limit is the pure decay
+    condition that makes kernel truncations certifiable.  The kmax iterates
+    are formed in one thread scope and their norms taken in one batched SVD
+    of their (kmax + 1, d, d) stack.
+    """
+    _check_c0_work(T, kmax)
+    x = np.empty((kmax + 1, T.d, T.d), dtype=complex)
+    x[0] = np.eye(T.d)
+    with _BLAS_SCOPE:
+        for k in range(kmax):
+            x[k + 1] = T.cp_map(x[k])
+        return operator_norm(x).tolist()
+
+
+def _sigmas(T: RowContraction, kmax: int, floor: float) -> list:
+    """sigma_0, sigma_1, ... up to sigma_kmax or the first one below floor,
+    one step at a time, under the work cap of c0_sequence."""
+    _check_c0_work(T, kmax)
     x = np.eye(T.d, dtype=complex)
     # one thread scope for the whole loop, so the map's products and the norms
     # do not toggle the thread count on every step
@@ -132,15 +153,6 @@ def _sigmas(T: RowContraction, kmax: int, floor: float) -> list:
             x = T.cp_map(x)
             out.append(operator_norm(x))
     return out
-
-
-def c0_sequence(T: RowContraction, kmax: int) -> list:
-    """sigma_k = ||Phi^k(I)|| for k = 0..kmax, by iterating the CP map.
-
-    The sequence is nonincreasing; vanishing in the limit is the pure decay
-    condition that makes kernel truncations certifiable.
-    """
-    return _sigmas(T, kmax, 0.0)
 
 
 def is_c0_certified(T: RowContraction, kmax: int = 30, margin: float = 1e-9) -> bool:

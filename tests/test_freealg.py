@@ -496,11 +496,9 @@ def _gram_solve(p, words=None):
     suffix closure of supp p, Q scaled back to the symbol of p."""
     words = freealg._suffix_closure(p) if words is None else words
     layout = freealg._word_set_layout(p.n, int(p.degree), words)
-    r = freealg._symbol(p)
-    scale = r[0][0].real
-    q, y = freealg._fejer_riesz_gram(np.concatenate(r[1:])[layout[4]] / scale, words.size,
-                                     layout)
-    return scale * q, y, layout
+    r = freealg._symbol(p, layout[4])
+    q, y = freealg._fejer_riesz_gram(r[1:] / r[0].real, words.size, layout)
+    return r[0].real * q, y, layout
 
 
 def _gram_bracket(p, words=None):
@@ -508,7 +506,7 @@ def _gram_bracket(p, words=None):
     on one BLAS thread as in sup_norm_bounds."""
     with freealg._BLAS_SCOPE:
         q, y, layout = _gram_solve(p, words)
-        return freealg._fejer_riesz_bounds(p, q, y, freealg._symbol(p), layout)
+        return freealg._fejer_riesz_bounds(p, q, y, freealg._symbol(p, layout[4]), layout)
 
 
 def test_fejer_riesz_bound_holds_for_a_poor_indefinite_gram_matrix():
@@ -517,8 +515,8 @@ def test_fejer_riesz_bound_holds_for_a_poor_indefinite_gram_matrix():
         n, degree = 1 + trial % 3, 2 + trial % 2
         p = _norm_test_polynomial(rng, n, degree, dense=True)
         q, y, layout = _gram_solve(p)
-        r = freealg._symbol(p)
-        scale = r[0][0].real
+        r = freealg._symbol(p, layout[4])
+        scale = r[0].real
         # halve the optimal Gram matrix and push it below zero: the trace term
         # alone then falls short of ||L_p||^2, the residual term must make it up
         poor = 0.5 * q - 1e-3 * scale * np.eye(q.shape[0])
@@ -535,13 +533,13 @@ def test_fejer_riesz_dual_bound_holds_for_a_poor_dual_point():
         n = 1 + trial % 3
         p = _norm_test_polynomial(rng, n, 1 + trial % 3, dense=trial % 2 == 0)
         q, y, layout = _gram_solve(p)
-        r = freealg._symbol(p)
+        r = freealg._symbol(p, layout[4])
         _, upper = freealg._fejer_riesz_bounds(p, q, y, r, layout)
-        src, dst, con, _, gaps = layout
+        src, dst, con, _, _ = layout
         for poor in (1.5 * y, 3 * y):
             # scaled past the optimum, the dual value alone overshoots
             # ||L_p||^2 and I - M(y) is indefinite: the rescaling must undo it
-            value = r[0][0].real - 2 * np.vdot(poor, np.concatenate(r[1:])[gaps]).real
+            value = r[0].real - 2 * np.vdot(poor, r[1:]).real
             s = np.eye(q.shape[0]) - freealg._dual_matrix(poor, src, dst, con, q.shape[0])
             assert value > upper ** 2
             assert np.linalg.eigvalsh(s)[0] < 0
@@ -579,6 +577,65 @@ def test_word_set_layout_matches_the_word_by_word_oracle(n, d):
         assert got == naive_word_set_pairs([wi.word(i) for i in words])
         assert np.array_equal(starts, np.flatnonzero(np.diff(con, prepend=-1)))
         assert np.all(np.diff(gaps) > 0)
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (2, 3), (3, 2), (4, 3)])
+def test_symbol_from_the_terms_matches_the_word_by_word_oracle(n, d):
+    # r_gamma = sum_alpha conj(c_alpha) c_(alpha gamma) at every nonempty word
+    # of length <= d, and r_() = ||p||_2^2, on dense and sparse p
+    rng = np.random.default_rng(414)
+    wi = WordIndex(n, d)
+    gaps = np.arange(wi.dim - 1)
+    for dense in (True, False, False):
+        p = _norm_test_polynomial(rng, n, d, dense)
+        if p.degree < d:
+            continue
+        r = freealg._symbol(p, gaps)
+        want = [sum(abs(c) ** 2 for c in p.terms.values())]
+        for gamma in map(wi.word, gaps + 1):
+            want.append(sum(np.conj(c) * p.coefficient(alpha + gamma)
+                            for alpha, c in p.terms.items()))
+        np.testing.assert_allclose(r, want, rtol=0, atol=1e-13 * want[0])
+
+
+def test_lower_inverse_matches_the_general_inverse():
+    # the inverse by halves of a Cholesky factor, at every side 1-70: below,
+    # at and above the blocks that np.linalg.inv inverts
+    rng = np.random.default_rng(415)
+    for size in range(1, 71):
+        a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        chol = np.linalg.cholesky(a @ a.conj().T / size + np.eye(size))
+        want = np.linalg.inv(chol)
+        got = freealg._lower_inverse(chol)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_sparse_p_beyond_the_basis_cap_solves_on_its_closure():
+    # one word per grade: D(2, 19) = 1,048,575 and D(30, 5) = 25,137,931 words
+    # pass MAX_BASIS_SIZE, but the closures hold a few dozen to a few hundred
+    # words, and nothing is formed over all words; at n = 30, d = 4 a warm
+    # call costs the closure alone (the dense symbol took 19-36 ms)
+    rng = np.random.default_rng(416)
+    for n, d in [(2, 19), (30, 5), (30, 4)]:
+        p = graded_polynomial(rng, n, d)
+        lower, upper = bounds = sup_norm_bounds(p, 2)
+        assert bounds.lower_method == "fejer_riesz_dual"
+        assert bounds.gram_size == freealg._suffix_closure(p).size
+        assert lower <= upper and upper - lower <= 1e-8 * upper
+    warm = []
+    for _ in range(3):
+        start = time.process_time()
+        sup_norm_bounds(p, 2)
+        warm.append(time.process_time() - start)
+    assert min(warm) < 0.01
+
+
+def test_word_indices_beyond_int64_fail_with_the_resource_cap():
+    # D(30, 13) > 2^63: no word index of that degree fits in int64
+    p = NcPolynomial(30, {(): 0.5, (1,) * 13: 1.0, (2, 3): 0.3})
+    with pytest.raises(ResourceCapError, match="64 bits"):
+        sup_norm_bounds(p, 2)
+    assert freealg._suffix_closure(NcPolynomial(30, {(): 0.5, (1,) * 12: 1.0})).size == 13
 
 
 def _sparse_test_polynomial(rng, n, degree):
@@ -639,8 +696,8 @@ def test_gns_witness_of_the_closure_dual_point_attains_its_value(n, d):
     wi = WordIndex(n, d)
     V, xi = gns_row_isometry(s, [wi.word(i) for i in freealg._suffix_closure(p)], n)
     assert operator_norm(V.transpose(1, 0, 2).reshape(size, -1)) <= 1 + 1e-10
-    r = freealg._symbol(p)
-    value = r[0][0].real - 2 * np.vdot(y, np.concatenate(r[1:])[gaps]).real
+    r = freealg._symbol(p, gaps)
+    value = r[0].real - 2 * np.vdot(y, r[1:]).real
     image = evaluate(p, V) @ xi
     assert abs(np.vdot(image, image).real - value) <= 1e-8 * value
     lower, upper = sup_norm_bounds(p, 2)
@@ -694,9 +751,15 @@ def _assert_schur_system_is_the_newton_map(rng, size, layout):
     dy = rng.normal(size=cons) + 1j * rng.normal(size=cons)
     y = x @ freealg._dual_matrix(dy, src, dst, con, size) @ w
     c = (np.add.reduceat(y[src, dst], starts) + np.add.reduceat(y[dst, src].conj(), starts)) / 2
-    got = freealg._schur_system(x, w, layout) @ np.concatenate([dy.real, dy.imag])
+    work = freealg._schur_workspace(size, layout)
+    got = freealg._schur_system(x, w, layout, work) @ np.concatenate([dy.real, dy.imag])
     want = np.concatenate([c.real, c.imag])
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # the solve reuses one workspace across iterations: what an earlier
+    # system left in it must not leak into the next
+    freealg._schur_system(w, x, layout, work)
+    again = freealg._schur_system(x, w, layout, work) @ np.concatenate([dy.real, dy.imag])
+    assert np.array_equal(again, got)
 
 
 @pytest.mark.parametrize("n,d", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])

@@ -294,24 +294,30 @@ def test_pick_certification_does_not_import_scipy(tmp_path):
     assert (tmp_path / "report.txt").read_text().startswith("ncfock pick interpolant")
 
 
-def test_norm_solve_imports_scipy_before_its_scope():
-    # the scope finds scipy's OpenBLAS only when entered at depth 0 with
-    # scipy loaded, so sup_norm_bounds must import scipy.linalg first; this
-    # module has imported scipy already, which would hide a wrong order
-    code = ("import sys\n"
-            "from ncfock import NcPolynomial, freealg\n"
+def test_norm_solve_and_vonneumann_do_not_import_scipy():
+    # the Gram solve and its certificate run on numpy's LAPACK: one solve,
+    # then `poisson vonneumann` on a problem file, leave scipy unloaded, and
+    # numpy's OpenBLAS reads one thread inside the solve and its own two
+    # after; this module has imported scipy already, so a fresh interpreter
+    problem = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "problems", "poisson_three_letters.json")
+    code = ("import contextlib, io, sys\n"
+            "from ncfock import NcPolynomial, cli, freealg\n"
             "from ncfock.numerics import _BLAS_SCOPE as scope\n"
-            "assert 'scipy' not in sys.modules\n"
             "seen, schur = [], freealg._schur_system\n"
             "freealg._schur_system = (lambda *a:\n"
-            "    seen.append(scope.counts().get('scipy')) or schur(*a))\n"
+            "    seen.append(scope.counts().get('numpy')) or schur(*a))\n"
             "p = NcPolynomial(2, {(): 0.5, (1,): 1.0, (2, 1): -0.25, (1, 2, 2): 0.2j})\n"
-            "assert freealg.sup_norm_bounds(p, 3).lower_method == 'fejer_riesz_dual'\n"
-            "print(scope.status['scipy'], '/', *set(seen), '/', scope.counts().get('scipy'))")
-    out = _fresh_python(code, OPENBLAS_NUM_THREADS="2")
-    if out.startswith("not controlled: no "):
-        pytest.skip("scipy bundles no OpenBLAS here; the scope is a no-op")
-    assert out.split() == ["controlled", "/", "1", "/", "2"]
+            "method = freealg.sup_norm_bounds(p, 3).lower_method\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.main(['poisson', 'vonneumann', sys.argv[1], '--json'])\n"
+            "print(method, code, '\"fejer_riesz_dual\"' in out.getvalue(), 'scipy' in sys.modules,\n"
+            "      '/', *set(seen), '/', scope.counts().get('numpy'), '/', scope.status['numpy'])")
+    out = _fresh_python(code, problem, OPENBLAS_NUM_THREADS="2").split(" / ")
+    assert out[0].split() == ["fejer_riesz_dual", "0", "True", "False"]
+    if out[3].startswith("not controlled: no "):
+        pytest.skip("numpy bundles no OpenBLAS here; the scope is a no-op")
+    assert out[1:3] == ["1", "2"]
 
 
 def test_c0_sequence_holds_one_scope_around_its_loop(two_threads, monkeypatch):
