@@ -15,8 +15,8 @@ lists, numpy scalars as Python numbers, keys and other objects through str.
 Exit codes: 0 computed, 1 computed with a property violation (for example an
 infeasible interpolation problem), 2 input error (schema, domain, singular
 Gram matrix, other ValueError), 3 resource cap (ResourceCapError or
-MemoryError), 4 internal failure (numpy LinAlgError, a RuntimeError such as
-ARPACK non-convergence, or any other exception).
+MemoryError), 4 internal failure (numpy LinAlgError, a RuntimeError, or any
+other exception).
 """
 
 from __future__ import annotations

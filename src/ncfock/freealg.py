@@ -23,9 +23,6 @@ import bisect
 import math
 
 import numpy as np
-# scipy is imported only inside _truncated_norm, the Lanczos fallback of the
-# norm bounds: everything else runs on numpy alone, and in a fresh process
-# importing scipy.linalg takes 0.21-0.23 s and 26-28 MB (2-vCPU host).
 
 from .errors import DomainError, ResourceCapError
 from .numerics import _BLAS_SCOPE, operator_norm
@@ -45,6 +42,8 @@ FR_GAP_TOL = 1e-10             # stop once tr(XS) <= this * (1 + tr X) ...
 FR_STALL_TOL = 1e-8            # ... or once it stops halving below this
 CIRCLE_NEWTON_STEPS = 8        # Newton steps from each maximum of the n = 1 FFT grid
 LANCZOS_TOL = 1e-10            # relative residual of the Ritz pair of the truncated fallback
+LANCZOS_VECTORS = 20           # vectors it stores, as ARPACK does for one eigenvalue
+LANCZOS_MAX_RESTARTS = 100     # restarts of its thick-restart Lanczos
 
 
 def basis_size(n: int, m: int) -> int:
@@ -536,8 +535,9 @@ class NormBounds(tuple):
     lower_method names the source of lower: "fejer_riesz_dual" (the dual
     point of the Gram solve), "circle" (n = 1), "truncated" (the norm on
     P_m, when the solve's work exceeds FEJER_RIESZ_MAX_WORK) or "grade_norms"
-    (homogeneous p).  gram_size is the number of words the Gram solve ran
-    on, the size of the suffix closure of supp p, or None when no solve ran.
+    (homogeneous p, or deg p <= 1).  gram_size is the number of words the
+    Gram solve ran on, the size of the suffix closure of supp p, or None when
+    no solve ran.
     """
 
     def __new__(cls, lower, upper, upper_method: str, lower_method: str, gram_size=None):
@@ -574,47 +574,71 @@ def _symbol(p: NcPolynomial, gaps: np.ndarray) -> np.ndarray:
     return r
 
 
-def _compressed_square(r: list, wi: WordIndex, x: np.ndarray) -> np.ndarray:
-    """P_m L_p* L_p P_m x for a block x of shape (D(n, m), b), from the symbol r.
+def _compressed_square(r: np.ndarray, wi: WordIndex, x: np.ndarray) -> np.ndarray:
+    """P_m L_p* L_p P_m x for x in P_m, from the symbol r = _symbol(p, gaps) on
+    all nonempty words, which lists r_gamma by the index of gamma in grade order.
 
     L_gamma maps grade k onto the rows of the words gamma beta, which form
     row gamma of grade k + |gamma| reshaped as (n^|gamma|, n^k): each grade
     pair is one outer-product update and its adjoint one contraction.
     """
-    n = wi.n
-    out = r[0][0].real * x
-    for g in range(1, len(r)):
+    out = r[0].real * x
+    for g in range(1, wi.m + 1):
+        block = r[wi.grade_slice(g)]
+        if not block.size:
+            break
         for k in range(wi.m - g + 1):
             low, high = wi.grade_slice(k), wi.grade_slice(k + g)
-            out[high] += np.multiply.outer(r[g], x[low]).reshape(-1, x.shape[1])
-            out[low] += np.einsum("g,gkb->kb", r[g].conj(), x[high].reshape(n ** g, n ** k, -1))
+            out[high] += np.outer(block, x[low]).ravel()
+            out[low] += block.conj() @ x[high].reshape(block.size, -1)
     return out
 
 
 def _truncated_norm(p: NcPolynomial, m: int) -> float:
-    """||L_p restricted to P_m||, the root of the top eigenvalue of
-    P_m L_p* L_p P_m, by Lanczos on the symbol.  A Ritz value never exceeds
-    the top eigenvalue, so the result is a lower bound at any convergence.
-    The symbol r is formed here over all D(n, deg p) words: entry g holds
-    the r_gamma of the n^g words of length g in grade order."""
+    """A lower bound on ||L_p restricted to P_m||: ||L_p x|| / ||x|| for the top
+    Ritz vector x of A = P_m L_p* L_p P_m, from a thick-restart Lanczos on the
+    symbol (Wu-Simon, SIAM J. Matrix Anal. Appl. 22 (2000)) that stores
+    LANCZOS_VECTORS vectors and keeps the top half of its Ritz vectors at a
+    restart.  Every x in P_m gives a lower bound, so the result is one
+    whether or not the Lanczos converged.
+
+    ||L_p x||^2 = <x, A x> is formed from the symbol.  With S the A of |p|
+    (coefficients |c_alpha|), the rounding of <x, A x> / <x, x>, in the
+    symbol, in A x and in the two inner products, is to first order at most
+    eps (2 D(n, deg p) + 2 D(n, m) + deg p + 9) / 2 times <|x|, S |x|> / <x, x>,
+    so the slack 2 eps (D(n, deg p) + D(n, m)) <|x|, S |x|> covers it; a
+    factor 1 - 4 eps covers the division and the root."""
     if m == 0:
         return float(np.linalg.norm(list(p.terms.values())))   # L_p maps () to p
-    import scipy.sparse.linalg
-
-    n, d = p.n, int(p.degree)
-    c, grades = p.to_fock(d).coeffs, WordIndex(n, d)
-    blocks = [c[grades.grade_slice(k)] for k in range(d + 1)]
-    r = [sum(blocks[a].conj() @ blocks[a + g].reshape(n ** a, n ** g)
-             for a in range(d + 1 - g)) for g in range(d + 1)]
-    wi = WordIndex(n, m)
-    op = scipy.sparse.linalg.LinearOperator(
-        (wi.dim, wi.dim), dtype=complex,
-        matvec=lambda v: _compressed_square(r, wi, v.reshape(-1, 1)).ravel())
+    n, eps = p.n, np.finfo(float).eps
+    gaps, wi = np.arange(_capped_basis_size(n, int(p.degree)) - 1), WordIndex(n, m)
+    r, size, kept = _symbol(p, gaps), min(LANCZOS_VECTORS, wi.dim), 0
+    v, h = np.zeros((size, wi.dim), dtype=complex), np.zeros((size, size), dtype=complex)
     # a fixed generic start keeps runs deterministic without sharing a symmetry of p
-    v0 = np.random.default_rng(0).standard_normal(wi.dim).astype(complex)
-    top = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, tol=LANCZOS_TOL,
-                                    return_eigenvectors=False)[0]
-    return float(np.sqrt(max(float(np.real(top)), 0.0)))
+    v[0] = np.random.default_rng(0).standard_normal(wi.dim)
+    v[0] /= np.linalg.norm(v[0])
+    for _ in range(LANCZOS_MAX_RESTARTS):
+        for j in range(kept, size):
+            w = _compressed_square(r, wi, v[j])
+            for _ in range(2):      # Gram-Schmidt twice: h is the projection V* A V
+                c = (v[:j + 1] @ w.conj()).conj()
+                w -= c @ v[:j + 1]
+                h[:j + 1, j] += c
+            beta = np.linalg.norm(w)
+            if j + 1 == size or beta <= LANCZOS_TOL * np.linalg.norm(h[:j + 1, j]):
+                break           # the basis is full, or spans an invariant subspace
+            v[j + 1] = w / beta
+        theta, s = np.linalg.eigh(h[:j + 1, :j + 1], UPLO="U")
+        if j + 1 < size or abs(beta * s[-1, -1]) <= LANCZOS_TOL * theta[-1]:
+            break
+        kept = size // 2
+        v[:kept], v[kept] = s[:, -kept:].T @ v, w / beta
+        h[:] = np.diag(np.r_[theta[-kept:], np.zeros(size - kept)])
+    x = s[:, -1] @ v[:j + 1]
+    y, modulus = np.abs(x), NcPolynomial(n, {word: abs(coeff) for word, coeff in p.terms.items()})
+    square = (np.vdot(x, _compressed_square(r, wi, x)).real - 2 * eps * (r.size + wi.dim)
+              * (y @ _compressed_square(_symbol(modulus, gaps).real, wi, y)))
+    return float(np.sqrt(max(square, 0.0) / np.vdot(x, x).real)) * (1 - 4 * eps)
 
 
 def _circle_max(p: NcPolynomial) -> float:
@@ -942,15 +966,18 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     multiplier norm (capped at upper, since evaluation can round above it).
     Where the work on W exceeds FEJER_RIESZ_MAX_WORK (_fejer_riesz_work) the
     solve is skipped: upper is the grade-norm sum and, for n >= 2, lower the
-    norm of L_p on P_m (Lanczos on the symbol), the only place m enters.  For
+    norm of L_p on P_m (_truncated_norm), the only place m enters.  For
     homogeneous p, L_p is ||p||_2 times an isometry, so lower = upper =
-    ||p||_2 and no solve is made.  upper_method, lower_method and gram_size
+    ||p||_2.  For deg p <= 1, sum c_i L_i is ||c||_2 times a pure isometry,
+    whose spectrum is the closed unit disc, so the norm of c_() + sum c_i L_i
+    is its spectral radius |c_()| + ||c||_2, the grade-norm sum.  Neither
+    makes a solve.  upper_method, lower_method and gram_size
     (|W|, when the solve ran) on the result say which bounds were used.
     """
     if p.is_zero:
         return NormBounds(0.0, 0.0, "grade_norms", "grade_norms")
     grade_sum = float(sum(p.grade_norms()))
-    if p.is_homogeneous:
+    if p.is_homogeneous or p.degree <= 1:
         return NormBounds(grade_sum, grade_sum, "grade_norms", "grade_norms")
     n, d = p.n, int(p.degree)
     upper, upper_method = grade_sum, "grade_norms"
@@ -968,5 +995,7 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     if n == 1:
         return NormBounds(min(_circle_max(p), upper), upper, upper_method, "circle", size)
     if lower is None:
-        return NormBounds(_truncated_norm(p, m), upper, upper_method, "truncated")
+        with _BLAS_SCOPE:
+            lower = _truncated_norm(p, m)
+        return NormBounds(lower, upper, upper_method, "truncated")
     return NormBounds(lower, upper, upper_method, "fejer_riesz_dual", size)

@@ -6,10 +6,9 @@ singular by design.
 
 One thread rule: every LAPACK call, and the kernel products below, runs on
 one OpenBLAS thread at every size, inside the scope _BLAS_SCOPE, entered
-once per public call (inner calls nest in it).  The scope finds a library
-only when entered at depth 0 with its package loaded.  Everything runs on
-numpy's LAPACK except the two uses of scipy: the Lanczos fallback of
-sup_norm_bounds, which keeps the process's threads, and the retry of _svd.
+once per public call (inner calls nest in it).  ncfock runs on numpy alone,
+so the scope holds one library, the OpenBLAS bundled with numpy, found once
+at import.
 There is no size cut-off: on a 2-vCPU host two threads were faster only
 above side 256 or about 48,000 entries, which only the benchmark's
 quotient_ladder reaches, about 0.06 times a request, and its largest fresh
@@ -31,9 +30,9 @@ threads cost most on these calls (2-vCPU host, fresh processes):
     3, 4   426     1810-2430 ms    366-417 ms
     2, 6   642     2630-3140 ms    570-727 ms
 
-  That table was taken on scipy's LAPACK.  On numpy's, which the solve now
-  uses, one of eight two-thread solves at (2, 5) and (3, 4) took 915 ms,
-  against 86-100 ms on one thread.
+  That table was taken on another LAPACK build.  On numpy's, one of eight
+  two-thread solves at (2, 5) and (3, 4) took 915 ms, against 86-100 ms on
+  one thread.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
-import sys
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -53,22 +51,20 @@ from .errors import DomainError
 DEFAULT_TOL = 1e-10
 HERMITIAN_RTOL = 1e-12
 
-# The OpenBLAS builds bundled in the numpy and scipy wheels: the package,
-# the library file next to it, and the suffix of its thread-count symbols.
-_OPENBLAS_BUILDS = (("numpy", "libscipy_openblas64_-*.so", "64_"),
-                    ("scipy", "libscipy_openblas-*.so", ""))
 
-
-def _openblas_thread_functions(package: str, pattern: str, suffix: str):
-    """(get, set) of a bundled OpenBLAS thread count, or the reason there is none."""
-    root = os.path.dirname(os.path.dirname(sys.modules[package].__file__))
-    paths = sorted(glob.glob(os.path.join(root, f"{package}.libs", pattern)))
+def _openblas_thread_functions():
+    """(get, set) of the thread count of the OpenBLAS bundled in the numpy
+    wheel, or the reason there is none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(libs, "lib*openblas64_-*.so")))
     if not paths:
-        return f"no {pattern} in {package}.libs"
+        return "no lib*openblas64_-*.so in numpy.libs"
+    # its symbols carry the prefix of its file name, lib<prefix>openblas64_-<hash>.so
+    prefix = os.path.basename(paths[0])[3:].split("openblas64_")[0]
     try:
         lib = ctypes.CDLL(paths[0])
-        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        get = getattr(lib, f"{prefix}openblas_get_num_threads64_")
+        set_ = getattr(lib, f"{prefix}openblas_set_num_threads64_")
     except (OSError, AttributeError) as exc:
         return f"{paths[0]}: {exc}"
     get.argtypes, get.restype = [], ctypes.c_int
@@ -77,56 +73,39 @@ def _openblas_thread_functions(package: str, pattern: str, suffix: str):
 
 
 class _BlasThreadScope:
-    """The OpenBLAS thread counts of the process, held at 1 while any scope is open.
+    """The thread count of numpy's OpenBLAS, held at 1 while any scope is open.
 
     The count is process-wide, so scopes are counted across Python threads:
-    the first to enter saves each library's count and sets 1, the last to
-    exit restores the saved counts.  A library is looked up when its package
-    is first seen in sys.modules at an entry; `status` records, per package,
-    the library in control or why there is none, in which case the scope
-    leaves that library alone.
+    the first to enter saves the count and sets 1, the last to exit restores
+    it.  The library is looked up once, at import; `status` says whether it
+    is controlled or why not, in which case the scope is a no-op.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._depth = 0
-        self._saved = []
-        self._functions = {}
-        self.status = {}
+        self._saved = 1
+        found = _openblas_thread_functions()
+        self._get, self._set = (None, None) if isinstance(found, str) else found
+        self.status = f"not controlled: {found}" if isinstance(found, str) else "controlled"
 
-    def counts(self) -> dict:
-        """Current thread count of each controlled library, by package."""
-        with self._lock:
-            self._look_up()
-            return {package: get() for package, (get, _) in self._functions.items()}
-
-    def _look_up(self) -> None:
-        for package, pattern, suffix in _OPENBLAS_BUILDS:
-            if package not in self.status and package in sys.modules:
-                found = _openblas_thread_functions(package, pattern, suffix)
-                if isinstance(found, str):
-                    self.status[package] = f"not controlled: {found}"
-                else:
-                    self._functions[package] = found
-                    self.status[package] = "controlled"
+    def count(self):
+        """The current thread count of numpy's OpenBLAS, or None when it is not controlled."""
+        return self._get() if self._get else None
 
     def __enter__(self):
         with self._lock:
-            if not self._depth:
-                self._look_up()
-                self._saved = [(set_, get()) for get, set_ in self._functions.values()]
-                for set_, count in self._saved:
-                    if count != 1:
-                        set_(1)
+            if not self._depth and self._get:
+                self._saved = self._get()
+                if self._saved != 1:
+                    self._set(1)
             self._depth += 1
 
     def __exit__(self, *exc_info):
         with self._lock:
             self._depth -= 1
-            if not self._depth:
-                for set_, count in self._saved:
-                    if count != 1:
-                        set_(count)
+            if not self._depth and self._saved != 1:
+                self._set(self._saved)
 
 
 _BLAS_SCOPE = _BlasThreadScope()
@@ -188,15 +167,14 @@ def operator_norm(a):
 
 
 def _svd(a: np.ndarray, full_matrices: bool = False):
-    """(u, s, vh) of np.linalg.svd (zgesdd), retried once with zgesvd when
-    that does not converge, as it did on a finite 94 x 94 triangle of the
-    quotient recursion of [e1, e2] + c e1 (n = 2, m = 8, c = 0.47878923076784435).
-    If scipy is first imported here, that retry runs on scipy's own count."""
+    """(u, s, vh) of np.linalg.svd (zgesdd), retried once on a* when that does
+    not converge, as it did on a finite 94 x 94 triangle of the quotient
+    recursion of [e1, e2] + c e1 (n = 2, m = 8, c = 0.47878923076784435)."""
     try:
         return np.linalg.svd(a, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
-        import scipy.linalg
-        return scipy.linalg.svd(a, full_matrices=full_matrices, lapack_driver="gesvd")
+        u, s, vh = np.linalg.svd(a.conj().T, full_matrices=full_matrices)
+        return vh.conj().T, s, u.conj().T
 
 
 def hermitian_sqrt(a, *, tol: float = 1e-12) -> np.ndarray:

@@ -198,7 +198,7 @@ def test_pick_dense_cap_exit_code(tmp_path, capsys, monkeypatch, action):
 
 @pytest.mark.parametrize("fault, code, label", [
     (np.linalg.LinAlgError("SVD did not converge"), 4, "internal error"),
-    (RuntimeError("ARPACK did not converge"), 4, "internal error"),
+    (RuntimeError("solver did not converge"), 4, "internal error"),
     (MemoryError(), 3, "resource cap"),
     (TypeError("unsupported operand"), 4, "internal error"),
     (OverflowError("cannot convert float infinity to integer"), 4, "internal error"),

@@ -473,18 +473,52 @@ def test_lower_bound_is_the_truncated_multiplier_norm():
         assert lower >= oracle * (1 - 1e-12)
 
 
+@pytest.mark.parametrize("n, degrees", [(1, (25, 50, 100)), (2, (2, 5, 8)), (3, (1, 3, 5))])
+def test_degree_one_norm_is_the_grade_norm_sum_without_a_solve(n, degrees):
+    # sum c_i L_i is ||c||_2 times a pure isometry, whose spectrum is the
+    # closed disc, so ||c_() + sum c_i L_i|| = |c_()| + ||c||_2; the norms on
+    # P_m rise to it from below
+    rng = np.random.default_rng(430 + n)
+    c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    p = NcPolynomial(n, {(): c[0], **{(i + 1,): c[i + 1] for i in range(n)}})
+    exact = abs(c[0]) + np.linalg.norm(c[1:])
+    bounds = sup_norm_bounds(p, degrees[-1])
+    assert bounds == pytest.approx((exact, exact), rel=1e-15)
+    assert (bounds.lower_method, bounds.upper_method, bounds.gram_size) == (
+        "grade_norms", "grade_norms", None)
+    norms = [np.linalg.norm(mult_matrix(p, m), 2) for m in degrees]
+    assert norms == sorted(norms)
+    assert exact * (1 - 1 / degrees[-1]) <= norms[-1] <= exact * (1 + 1e-12)
+
+
 def test_truncated_fallback_is_the_multiplier_norm_on_p_m(monkeypatch):
-    # above the work cap the n >= 2 lower bound is Lanczos on P_m, at
-    # D(n, m) <= 256 (once diagonalized densely) and above (D(2, 8) = 511)
+    # above the work cap the n >= 2 lower bound is the thick-restart Lanczos
+    # on P_m, at D(n, m) below its 20 vectors (D(2, 1) = 3, D(3, 2) = 13), at
+    # D(2, 5) = 63 and D(3, 3) = 40, and at D(2, 8) = 511
     monkeypatch.setattr(freealg, "FEJER_RIESZ_MAX_WORK", 0)
     rng = np.random.default_rng(406)
-    for n, m in [(2, 0), (2, 1), (2, 5), (3, 3), (2, 8)]:
+    for n, m in [(2, 0), (2, 1), (2, 5), (3, 3), (2, 8), (3, 2)]:
         for dense in (True, False):
             p = _norm_test_polynomial(rng, n, 3, dense)
             bounds = sup_norm_bounds(p, m)
             assert bounds.lower_method == "truncated"
             oracle = np.linalg.norm(mult_matrix(p, m), 2)
             assert abs(bounds[0] - oracle) <= 1e-10 * oracle
+            assert bounds[0] <= oracle * (1 + 4 * np.finfo(float).eps)
+
+
+def test_truncated_fallback_cut_short_is_still_a_lower_bound(monkeypatch):
+    # one cycle of 3 vectors converges nowhere near the top of the spectrum,
+    # and the quotient of its explicit Ritz vector is still below the norm
+    monkeypatch.setattr(freealg, "FEJER_RIESZ_MAX_WORK", 0)
+    monkeypatch.setattr(freealg, "LANCZOS_VECTORS", 3)
+    monkeypatch.setattr(freealg, "LANCZOS_MAX_RESTARTS", 1)
+    rng = np.random.default_rng(407)
+    for n, m in [(2, 5), (3, 3)]:
+        p = _norm_test_polynomial(rng, n, 3, dense=True)
+        lower = sup_norm_bounds(p, m)[0]
+        oracle = np.linalg.norm(mult_matrix(p, m), 2)
+        assert 0.5 * oracle < lower < oracle * (1 - 1e-6)
 
 
 def _all_words(p):
@@ -661,6 +695,9 @@ def test_gram_solve_on_the_suffix_closure_matches_the_solve_on_all_words(n, d):
         assert abs(closure[0] - full[0]) <= 1e-8 * scale
         assert abs(closure[1] - full[1]) <= 1e-8 * scale
         bounds = sup_norm_bounds(p, 2)
+        if p.degree <= 1:   # no solve is made: lower = upper = |c_()| + ||c||_2
+            assert closure[0] <= bounds[0] * (1 + 1e-12) and bounds[1] <= closure[1] * (1 + 1e-12)
+            continue
         assert bounds.gram_size == freealg._suffix_closure(p).size <= basis_size(n, d)
         assert bounds[0] == pytest.approx(closure[0], rel=1e-12)
 

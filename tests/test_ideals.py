@@ -302,7 +302,7 @@ def test_non_homogeneous_model_past_the_old_dense_cap():
 
 def test_non_homogeneous_build_survives_an_svd_that_does_not_converge():
     # with OpenBLAS 0.3.31, zgesdd fails on a finite 94 x 94 triangle of this
-    # recursion ("SVD did not converge"); numerics._svd retries with zgesvd
+    # recursion ("SVD did not converge"); numerics._svd retries on its adjoint
     c = 0.47878923076784435
     spec = IdealSpec(2, (NcPolynomial(2, {(1, 2): 1.0, (2, 1): -1.0, (1,): c}),), 8)
     N = build_quotient(spec).n_basis

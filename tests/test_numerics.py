@@ -1,4 +1,5 @@
 import collections
+import json
 import os
 import subprocess
 import sys
@@ -6,7 +7,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.linalg  # noqa: F401  loaded first, so that the fixture below sets its OpenBLAS too
 
 import ncfock
 from ncfock import (DomainError, IdealSpec, NcPolynomial, PickProblem, SingularGramError,
@@ -18,14 +18,19 @@ from helpers import max_generalized_eigenvalue, random_row_contraction, random_u
 
 @pytest.fixture
 def two_threads():
-    """Every controlled OpenBLAS at 2 threads, so that a lost restore shows."""
-    before = _BLAS_SCOPE.counts()
-    setters = [set_ for _, set_ in _BLAS_SCOPE._functions.values()]
-    for set_ in setters:
-        set_(2)
-    yield _BLAS_SCOPE.counts()
-    for set_, count in zip(setters, before.values()):
-        set_(count)
+    """numpy's OpenBLAS at 2 threads, so that a lost restore shows; None when
+    the scope controls no library."""
+    before = _BLAS_SCOPE.count()
+    if before is not None:
+        _BLAS_SCOPE._set(2)
+    yield _BLAS_SCOPE.count()
+    if before is not None:
+        _BLAS_SCOPE._set(before)
+
+
+def _one(two_threads):
+    """The count a scope sets: 1, or None when it controls no library."""
+    return None if two_threads is None else 1
 
 
 def test_psd_identity():
@@ -86,16 +91,26 @@ def test_operator_norm_matches_spectral_norm():
     assert operator_norm(np.zeros((4, 0, 3))).tolist() == [0.0] * 4
 
 
-def test_svd_retries_with_gesvd_when_gesdd_does_not_converge(monkeypatch):
-    a = np.random.default_rng(2).normal(size=(6, 4)) + 0j
+@pytest.mark.parametrize("full_matrices", [False, True])
+def test_svd_retries_on_the_adjoint_when_gesdd_does_not_converge(monkeypatch, full_matrices):
+    a = np.random.default_rng(2).normal(size=(6, 4)) + 1j
     _, s, _ = numerics._svd(a)
+    calls, svd = [], np.linalg.svd
 
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-    monkeypatch.setattr(np.linalg, "svd", failing)
-    u, t, vh = numerics._svd(a)
+    def failing_once(x, *args, **kwargs):
+        calls.append(x.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(x, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", failing_once)
+    u, t, vh = numerics._svd(a, full_matrices=full_matrices)
+    assert calls == [(6, 4), (4, 6)]
+    side = 6 if full_matrices else 4
+    assert u.shape == (6, side) and vh.shape == (4, 4)
     assert t == pytest.approx(s, rel=1e-13)
-    assert np.abs((u * t) @ vh - a).max() <= 1e-13
+    assert np.abs((u[:, :4] * t) @ vh - a).max() <= 1e-13
+    assert np.abs(u.conj().T @ u - np.eye(side)).max() <= 1e-13
+    assert np.abs(vh @ vh.conj().T - np.eye(4)).max() <= 1e-13
 
 
 # The generalized eigenvalue is the c* oracle of the Pick tests (helpers).
@@ -163,10 +178,9 @@ def test_hermitian_sqrt_rejects_indefinite():
 
 
 def test_blas_thread_scope_controls_numpys_openblas():
-    _BLAS_SCOPE.counts()
-    if _BLAS_SCOPE.status["numpy"].startswith("not controlled: no "):
+    if _BLAS_SCOPE.status.startswith("not controlled: no "):
         pytest.skip("numpy bundles no OpenBLAS here; the scope is a no-op")
-    assert _BLAS_SCOPE.status["numpy"] == "controlled"
+    assert _BLAS_SCOPE.status == "controlled"
 
 
 @pytest.mark.parametrize("size", [40, 600])
@@ -174,7 +188,7 @@ def test_psd_check_leaves_the_thread_count(two_threads, size):
     rng = np.random.default_rng(size)
     g = rng.normal(size=(size, size))
     assert not psd_check(g + g.T).is_psd
-    assert _BLAS_SCOPE.counts() == two_threads
+    assert _BLAS_SCOPE.count() == two_threads
 
 
 def _public_call(name: str, side: int):
@@ -211,14 +225,14 @@ def test_public_entries_run_on_one_thread_at_every_size(two_threads, monkeypatch
     seen = []
     for lapack in ("eigh", "eigvalsh", "svd", "qr", "cholesky", "solve", "lstsq"):
         def recorded(a, *args, _lapack=getattr(np.linalg, lapack), **kwargs):
-            seen.append((_BLAS_SCOPE.counts(), max(np.shape(a)[-2:])))
+            seen.append((_BLAS_SCOPE.count(), max(np.shape(a)[-2:])))
             return _lapack(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, lapack, recorded)
     call()
     sides = [size for _, size in seen]
     assert max(sides) <= 16 if side == 3 else max(sides) > 256
-    assert all(counts == dict.fromkeys(two_threads, 1) for counts, _ in seen)
-    assert _BLAS_SCOPE.counts() == two_threads
+    assert all(count == _one(two_threads) for count, _ in seen)
+    assert _BLAS_SCOPE.count() == two_threads
 
 
 def test_thread_count_is_restored_when_the_call_raises(two_threads):
@@ -230,16 +244,16 @@ def test_thread_count_is_restored_when_the_call_raises(two_threads):
         min_interpolation_norm(PickProblem(nodes[:, None], [0.5] * size))
     with pytest.raises(DomainError):
         hermitian_sqrt(np.diag(np.linspace(-0.5, 1.0, size)))
-    assert _BLAS_SCOPE.counts() == two_threads
+    assert _BLAS_SCOPE.count() == two_threads
 
 
 def test_nested_scopes_restore_the_outer_count(two_threads):
     with _BLAS_SCOPE:
-        outer = _BLAS_SCOPE.counts()
+        outer = _BLAS_SCOPE.count()
         with _BLAS_SCOPE:
             psd_check(np.eye(17))
-        assert _BLAS_SCOPE.counts() == outer
-    assert _BLAS_SCOPE.counts() == two_threads
+        assert _BLAS_SCOPE.count() == outer
+    assert _BLAS_SCOPE.count() == two_threads
 
 
 def test_scopes_from_many_python_threads_restore_the_count(two_threads):
@@ -264,7 +278,7 @@ def test_scopes_from_many_python_threads_restore_the_count(two_threads):
     finally:
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers) and not errors
-    assert _BLAS_SCOPE.counts() == two_threads
+    assert _BLAS_SCOPE.count() == two_threads
 
 
 def _fresh_python(code: str, *args: str, **env) -> str:
@@ -276,48 +290,60 @@ def _fresh_python(code: str, *args: str, **env) -> str:
                           text=True, timeout=60, check=True).stdout
 
 
-def test_pick_certification_does_not_import_scipy(tmp_path):
-    # the Pick matrix and c* of 20 nodes, which take the one-thread scope;
-    # then the same nodes through `pick interpolant`, which also computes c*
-    code = ("import sys, numpy, ncfock, ncfock.cli\n"
-            "nodes = 0.3 * numpy.random.default_rng(1).normal(size=(20, 3))\n"
-            "targets = numpy.linspace(-0.5, 0.5, 20)\n"
-            "ncfock.certify(ncfock.PickProblem(nodes, targets))\n"
-            "ncfock.min_interpolation_norm(ncfock.PickProblem(nodes, targets))\n"
-            "doc = {'kind': 'pick', 'n': 3, 'points': [[[x, 0.0] for x in p] for p in nodes.tolist()],\n"
-            "       'targets': [[[[w, 0.0]]] for w in targets.tolist()]}\n"
-            "open(sys.argv[1], 'w').write(__import__('json').dumps(doc))\n"
-            "code = ncfock.cli.main(['pick', 'interpolant', sys.argv[1], '--out', sys.argv[2]])\n"
-            "print('scipy' in sys.modules, code, ncfock.numerics._BLAS_SCOPE.status)")
-    out = _fresh_python(code, str(tmp_path / "p.json"), str(tmp_path / "report.txt"))
-    assert out.startswith("False 0 ")
-    assert (tmp_path / "report.txt").read_text().startswith("ncfock pick interpolant")
-
-
-def test_norm_solve_and_vonneumann_do_not_import_scipy():
-    # the Gram solve and its certificate run on numpy's LAPACK: one solve,
-    # then `poisson vonneumann` on a problem file, leave scipy unloaded, and
-    # numpy's OpenBLAS reads one thread inside the solve and its own two
-    # after; this module has imported scipy already, so a fresh interpreter
+def test_nothing_loads_scipy_when_it_is_blocked(tmp_path):
+    # a fresh interpreter blocks scipy as sys.modules["scipy"] = None does, so
+    # that any import of it raises, then runs the Gram solve, the truncated
+    # fallback, the SVD retry on the triangle where zgesdd fails
+    # (test_ideals), Pick certification and c*, `pick interpolant` and
+    # `poisson vonneumann`; numpy's OpenBLAS reads one thread inside the solve and
+    # the fallback, and its own two after
     problem = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "problems", "poisson_three_letters.json")
-    code = ("import contextlib, io, sys\n"
-            "from ncfock import NcPolynomial, cli, freealg\n"
+    code = ("import contextlib, io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy\n"
+            "from ncfock import IdealSpec, NcPolynomial, PickProblem, build_quotient, certify\n"
+            "from ncfock import cli, freealg, min_interpolation_norm\n"
             "from ncfock.numerics import _BLAS_SCOPE as scope\n"
-            "seen, schur = [], freealg._schur_system\n"
-            "freealg._schur_system = (lambda *a:\n"
-            "    seen.append(scope.counts().get('numpy')) or schur(*a))\n"
+            "seen = []\n"
+            "for name in ('_schur_system', '_compressed_square'):\n"
+            "    setattr(freealg, name, lambda *a, f=getattr(freealg, name):\n"
+            "            seen.append(scope.count()) or f(*a))\n"
             "p = NcPolynomial(2, {(): 0.5, (1,): 1.0, (2, 1): -0.25, (1, 2, 2): 0.2j})\n"
-            "method = freealg.sup_norm_bounds(p, 3).lower_method\n"
+            "cap = freealg.FEJER_RIESZ_MAX_WORK\n"
+            "methods = [freealg.sup_norm_bounds(p, 3).lower_method]\n"
+            "freealg.FEJER_RIESZ_MAX_WORK = 0\n"
+            "methods.append(freealg.sup_norm_bounds(p, 3).lower_method)\n"
+            "freealg.FEJER_RIESZ_MAX_WORK = cap\n"
+            "triangle = NcPolynomial(2, {(1, 2): 1.0, (2, 1): -1.0, (1,): 0.47878923076784435})\n"
+            "rows = build_quotient(IdealSpec(2, (triangle,), 8)).n_basis.shape[0]\n"
+            "nodes = 0.3 * numpy.random.default_rng(1).normal(size=(20, 3))\n"
+            "targets = numpy.linspace(-0.5, 0.5, 20)\n"
+            "certify(PickProblem(nodes, targets))\n"
+            "min_interpolation_norm(PickProblem(nodes, targets))\n"
+            "doc = {'kind': 'pick', 'n': 3,\n"
+            "       'points': [[[x, 0.0] for x in p] for p in nodes.tolist()],\n"
+            "       'targets': [[[[w, 0.0]]] for w in targets.tolist()]}\n"
+            "open(sys.argv[2], 'w').write(json.dumps(doc))\n"
+            "codes = [cli.main(['pick', 'interpolant', sys.argv[2], '--out', sys.argv[3]])]\n"
             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            "    code = cli.main(['poisson', 'vonneumann', sys.argv[1], '--json'])\n"
-            "print(method, code, '\"fejer_riesz_dual\"' in out.getvalue(), 'scipy' in sys.modules,\n"
-            "      '/', *set(seen), '/', scope.counts().get('numpy'), '/', scope.status['numpy'])")
-    out = _fresh_python(code, problem, OPENBLAS_NUM_THREADS="2").split(" / ")
-    assert out[0].split() == ["fejer_riesz_dual", "0", "True", "False"]
-    if out[3].startswith("not controlled: no "):
+            "    codes.append(cli.main(['poisson', 'vonneumann', sys.argv[1], '--json']))\n"
+            "print(json.dumps(dict(\n"
+            "    methods=methods, rows=rows, codes=codes, report=json.loads(out.getvalue()),\n"
+            "    scipy=[name for name, module in sys.modules.items() if name.startswith('scipy')\n"
+            "           and module is not None], inside=list(set(seen)), after=scope.count(),\n"
+            "    status=scope.status)))")
+    # the last line: OpenBLAS prints its complaint about the failed zgesdd first
+    stdout = _fresh_python(code, problem, str(tmp_path / "p.json"), str(tmp_path / "report.txt"),
+                           OPENBLAS_NUM_THREADS="2")
+    out = json.loads(stdout.splitlines()[-1])
+    assert out["methods"] == ["fejer_riesz_dual", "truncated"]
+    assert (out["rows"], out["codes"], out["scipy"]) == (511, [0, 0], [])
+    assert out["report"]["results"]["lower_method"] == "fejer_riesz_dual"
+    assert (tmp_path / "report.txt").read_text().startswith("ncfock pick interpolant")
+    if out["status"].startswith("not controlled: no "):
         pytest.skip("numpy bundles no OpenBLAS here; the scope is a no-op")
-    assert out[1:3] == ["1", "2"]
+    assert (out["inside"], out["after"]) == ([1], 2)
 
 
 def test_c0_sequence_holds_one_scope_around_its_loop(two_threads, monkeypatch):
@@ -329,17 +355,17 @@ def test_c0_sequence_holds_one_scope_around_its_loop(two_threads, monkeypatch):
         x = T.cp_map(x)
         expected.append(float(np.linalg.svd(x, compute_uv=False)[0]))
     counts, cp_map = [], T.cp_map
-    monkeypatch.setattr(T, "cp_map", lambda x: counts.append(_BLAS_SCOPE.counts()) or cp_map(x))
+    monkeypatch.setattr(T, "cp_map", lambda x: counts.append(_BLAS_SCOPE.count()) or cp_map(x))
     assert c0_sequence(T, 20) == pytest.approx(expected, rel=1e-13, abs=0)
-    assert len(counts) == 20 and all(set(c.values()) <= {1} for c in counts)
-    assert _BLAS_SCOPE.counts() == two_threads
+    assert len(counts) == 20 and all(c == _one(two_threads) for c in counts)
+    assert _BLAS_SCOPE.count() == two_threads
 
     def failing(x):
         raise FloatingPointError("map failed")
     monkeypatch.setattr(T, "cp_map", failing)
     with pytest.raises(FloatingPointError):
         c0_sequence(T, 5)
-    assert _BLAS_SCOPE.counts() == two_threads
+    assert _BLAS_SCOPE.count() == two_threads
 
 
 def test_gram_solve_and_certificate_run_on_one_thread(two_threads, monkeypatch):
@@ -348,17 +374,31 @@ def test_gram_solve_and_certificate_run_on_one_thread(two_threads, monkeypatch):
     p = NcPolynomial(2, {(): 0.5, (1,): 1.0, (2, 1): -0.25, (1, 2, 2): 0.2j})
     counts, schur, bounds = [], freealg._schur_system, freealg._fejer_riesz_bounds
     monkeypatch.setattr(freealg, "_schur_system",
-                        lambda *a: counts.append(_BLAS_SCOPE.counts()) or schur(*a))
+                        lambda *a: counts.append(_BLAS_SCOPE.count()) or schur(*a))
     monkeypatch.setattr(freealg, "_fejer_riesz_bounds",
-                        lambda *a: counts.append(_BLAS_SCOPE.counts()) or bounds(*a))
+                        lambda *a: counts.append(_BLAS_SCOPE.count()) or bounds(*a))
     assert freealg.sup_norm_bounds(p, 3).lower_method == "fejer_riesz_dual"
     assert len(counts) > 2
-    assert all(c == dict.fromkeys(two_threads, 1) for c in counts)
-    assert _BLAS_SCOPE.counts() == two_threads
+    assert all(c == _one(two_threads) for c in counts)
+    assert _BLAS_SCOPE.count() == two_threads
 
     def failing(*args):
         raise FloatingPointError("certificate failed")
     monkeypatch.setattr(freealg, "_fejer_riesz_bounds", failing)
     with pytest.raises(FloatingPointError):
         freealg.sup_norm_bounds(p, 3)
-    assert _BLAS_SCOPE.counts() == two_threads
+    assert _BLAS_SCOPE.count() == two_threads
+
+
+def test_truncated_fallback_runs_on_one_thread(two_threads, monkeypatch):
+    # above the work cap the Lanczos products, its Gram-Schmidt and its eigh
+    # hold one scope, and the counts come back after it returns
+    p = NcPolynomial(2, {(): 0.5, (1,): 1.0, (2, 1): -0.25, (1, 2, 2): 0.2j})
+    monkeypatch.setattr(freealg, "FEJER_RIESZ_MAX_WORK", 0)
+    counts, square = [], freealg._compressed_square
+    monkeypatch.setattr(freealg, "_compressed_square",
+                        lambda *a: counts.append(_BLAS_SCOPE.count()) or square(*a))
+    assert freealg.sup_norm_bounds(p, 5).lower_method == "truncated"
+    assert len(counts) > 2
+    assert all(c == _one(two_threads) for c in counts)
+    assert _BLAS_SCOPE.count() == two_threads
