@@ -290,20 +290,44 @@ def _fresh_python(code: str, *args: str, **env) -> str:
                           text=True, timeout=60, check=True).stdout
 
 
-def test_nothing_loads_scipy_when_it_is_blocked(tmp_path):
-    # a fresh interpreter blocks scipy as sys.modules["scipy"] = None does, so
-    # that any import of it raises, then runs the Gram solve, the truncated
-    # fallback, the SVD retry on the triangle where zgesdd fails
-    # (test_ideals), Pick certification and c*, `pick interpolant` and
-    # `poisson vonneumann`; numpy's OpenBLAS reads one thread inside the solve and
-    # the fallback, and its own two after
+# a fresh interpreter, since this module has imported scipy already, that
+# blocks it as sys.modules["scipy"] = None does, so that any import of it raises
+_BLOCK_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
+_LOADED_SCIPY = ("[name for name, module in sys.modules.items()\n"
+                 " if name.startswith('scipy') and module is not None]")
+
+
+def test_pick_certification_does_not_import_scipy(tmp_path):
+    # the Pick matrix and c* of 20 nodes, which take the one-thread scope;
+    # then the same nodes through `pick interpolant`, which also computes c*
+    code = (_BLOCK_SCIPY +
+            "import json, numpy\n"
+            "from ncfock import PickProblem, certify, cli, min_interpolation_norm\n"
+            "nodes = 0.3 * numpy.random.default_rng(1).normal(size=(20, 3))\n"
+            "targets = numpy.linspace(-0.5, 0.5, 20)\n"
+            "certify(PickProblem(nodes, targets))\n"
+            "min_interpolation_norm(PickProblem(nodes, targets))\n"
+            "doc = {'kind': 'pick', 'n': 3,\n"
+            "       'points': [[[x, 0.0] for x in p] for p in nodes.tolist()],\n"
+            "       'targets': [[[[w, 0.0]]] for w in targets.tolist()]}\n"
+            "open(sys.argv[1], 'w').write(json.dumps(doc))\n"
+            "code = cli.main(['pick', 'interpolant', sys.argv[1], '--out', sys.argv[2]])\n"
+            f"print(json.dumps(dict(code=code, scipy={_LOADED_SCIPY})))")
+    out = json.loads(_fresh_python(code, str(tmp_path / "p.json"), str(tmp_path / "report.txt")))
+    assert out == {"code": 0, "scipy": []}
+    assert (tmp_path / "report.txt").read_text().startswith("ncfock pick interpolant")
+
+
+def test_norm_solve_and_vonneumann_do_not_import_scipy():
+    # the Gram solve and its certificate, the truncated fallback, and
+    # `poisson vonneumann` on a problem file run on numpy alone; numpy's
+    # OpenBLAS reads one thread inside the solve and the fallback, and its
+    # own two after
     problem = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "problems", "poisson_three_letters.json")
-    code = ("import contextlib, io, json, sys\n"
-            "sys.modules['scipy'] = None\n"
-            "import numpy\n"
-            "from ncfock import IdealSpec, NcPolynomial, PickProblem, build_quotient, certify\n"
-            "from ncfock import cli, freealg, min_interpolation_norm\n"
+    code = (_BLOCK_SCIPY +
+            "import contextlib, io, json\n"
+            "from ncfock import NcPolynomial, cli, freealg\n"
             "from ncfock.numerics import _BLAS_SCOPE as scope\n"
             "seen = []\n"
             "for name in ('_schur_system', '_compressed_square'):\n"
@@ -315,35 +339,33 @@ def test_nothing_loads_scipy_when_it_is_blocked(tmp_path):
             "freealg.FEJER_RIESZ_MAX_WORK = 0\n"
             "methods.append(freealg.sup_norm_bounds(p, 3).lower_method)\n"
             "freealg.FEJER_RIESZ_MAX_WORK = cap\n"
-            "triangle = NcPolynomial(2, {(1, 2): 1.0, (2, 1): -1.0, (1,): 0.47878923076784435})\n"
-            "rows = build_quotient(IdealSpec(2, (triangle,), 8)).n_basis.shape[0]\n"
-            "nodes = 0.3 * numpy.random.default_rng(1).normal(size=(20, 3))\n"
-            "targets = numpy.linspace(-0.5, 0.5, 20)\n"
-            "certify(PickProblem(nodes, targets))\n"
-            "min_interpolation_norm(PickProblem(nodes, targets))\n"
-            "doc = {'kind': 'pick', 'n': 3,\n"
-            "       'points': [[[x, 0.0] for x in p] for p in nodes.tolist()],\n"
-            "       'targets': [[[[w, 0.0]]] for w in targets.tolist()]}\n"
-            "open(sys.argv[2], 'w').write(json.dumps(doc))\n"
-            "codes = [cli.main(['pick', 'interpolant', sys.argv[2], '--out', sys.argv[3]])]\n"
             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            "    codes.append(cli.main(['poisson', 'vonneumann', sys.argv[1], '--json']))\n"
+            "    code = cli.main(['poisson', 'vonneumann', sys.argv[1], '--json'])\n"
             "print(json.dumps(dict(\n"
-            "    methods=methods, rows=rows, codes=codes, report=json.loads(out.getvalue()),\n"
-            "    scipy=[name for name, module in sys.modules.items() if name.startswith('scipy')\n"
-            "           and module is not None], inside=list(set(seen)), after=scope.count(),\n"
+            "    methods=methods, code=code, report=json.loads(out.getvalue()),\n"
+            f"    scipy={_LOADED_SCIPY}, inside=list(set(seen)), after=scope.count(),\n"
             "    status=scope.status)))")
-    # the last line: OpenBLAS prints its complaint about the failed zgesdd first
-    stdout = _fresh_python(code, problem, str(tmp_path / "p.json"), str(tmp_path / "report.txt"),
-                           OPENBLAS_NUM_THREADS="2")
-    out = json.loads(stdout.splitlines()[-1])
+    out = json.loads(_fresh_python(code, problem, OPENBLAS_NUM_THREADS="2"))
     assert out["methods"] == ["fejer_riesz_dual", "truncated"]
-    assert (out["rows"], out["codes"], out["scipy"]) == (511, [0, 0], [])
+    assert (out["code"], out["scipy"]) == (0, [])
     assert out["report"]["results"]["lower_method"] == "fejer_riesz_dual"
-    assert (tmp_path / "report.txt").read_text().startswith("ncfock pick interpolant")
     if out["status"].startswith("not controlled: no "):
         pytest.skip("numpy bundles no OpenBLAS here; the scope is a no-op")
     assert (out["inside"], out["after"]) == ([1], 2)
+
+
+def test_svd_retry_on_the_adjoint_does_not_import_scipy():
+    # the quotient by the triangle ideal, where zgesdd fails (test_ideals)
+    # and the SVD retries on a*, builds on numpy alone
+    code = (_BLOCK_SCIPY +
+            "import json\n"
+            "from ncfock import IdealSpec, NcPolynomial, build_quotient\n"
+            "triangle = NcPolynomial(2, {(1, 2): 1.0, (2, 1): -1.0, (1,): 0.47878923076784435})\n"
+            "rows = build_quotient(IdealSpec(2, (triangle,), 8)).n_basis.shape[0]\n"
+            f"print(json.dumps(dict(rows=rows, scipy={_LOADED_SCIPY})))")
+    # the last line: OpenBLAS prints its complaint about the failed zgesdd first
+    out = json.loads(_fresh_python(code).splitlines()[-1])
+    assert out == {"rows": 511, "scipy": []}
 
 
 def test_c0_sequence_holds_one_scope_around_its_loop(two_threads, monkeypatch):
