@@ -23,8 +23,7 @@ from .pick import (PickCertificate, PickProblem, certify, classical_ball_matrix,
 from .poisson import (PoissonKernelMatrix, RowContraction, c0_sequence,
                       is_c0_certified, minimal_subspace, poisson_compression,
                       poisson_covariance_check, poisson_covariance_residuals,
-                      poisson_kernel, radial_scale,
-                      suggest_truncation_degree, von_neumann_margin)
+                      poisson_kernel, von_neumann_margin)
 
 __all__ = [
     "BallPoint", "DomainError", "FockVector", "IdealSpec", "NcMatrixPolynomial",
@@ -39,8 +38,7 @@ __all__ = [
     "poisson_compression", "poisson_covariance_check",
     "poisson_covariance_residuals", "poisson_kernel",
     "psd_check", "q_commutation_spec", "quotient_checks", "quotient_distance",
-    "quotient_poisson_check",
-    "radial_scale", "sample_membership_check", "suggest_truncation_degree", "sup_norm_bounds", "tensor_product",
+    "quotient_poisson_check", "sample_membership_check", "sup_norm_bounds", "tensor_product",
     "truncated_mult_matrix", "z_vector",
 ]
 

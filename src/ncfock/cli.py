@@ -22,10 +22,12 @@ other exception).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -526,7 +528,8 @@ def _ideal_check(model, problem, params, report):
     f = _scalar_polynomial(problem)
     T = _row_contraction(problem)
     lhs, rhs, range_residual, covariance_residual = ideals.quotient_checks(
-        T, f, model.spec, params["degree"], model=model, gen_tol=params["tol"])
+        T, f, model.spec, params["degree"], model=model, gen_tol=params["tol"],
+        c0_kmax=params["kmax"])
     violated = lhs > rhs + CONVERGENCE_SLACK
     report.results.update(lhs=lhs, rhs=rhs, range_residual=range_residual,
                           covariance_residual=covariance_residual,
@@ -558,7 +561,7 @@ KINDS = {
         {"check": _pick_check, "norm": _pick_norm, "interpolant": _pick_interpolant,
          "classical": _pick_classical}),
     "caratheodory": Kind(
-        frozenset({"polynomial", "degree", "tol"}), ("tol", "degree"),
+        frozenset({"polynomial", "degree"}), ("degree",),
         lambda problem, params, report: _scalar_polynomial(problem),
         {None: _caratheodory}, _caratheodory_degree),
     "poisson": Kind(
@@ -726,13 +729,38 @@ def _emit(report: Report, flags):
         print(text)
 
 
+@contextlib.contextmanager
+def _fd1_on_stderr():
+    """fd 1 points at fd 2 inside the block, unless either cannot be duplicated,
+    so that what C code prints there (OpenBLAS's "** On entry to DLASCL" line
+    of a failed zgesdd) goes to stderr and stdout holds only the report.  The
+    swap is process-wide, so main is not for two threads at once."""
+    sys.stdout.flush()
+    saved = None
+    try:
+        saved = os.dup(1)
+        os.dup2(2, 1)
+    except OSError:
+        if saved is not None:
+            os.close(saved)
+            saved = None
+    try:
+        yield
+    finally:
+        if saved is not None:
+            sys.stdout.flush()
+            os.dup2(saved, 1)
+            os.close(saved)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     command = (args.group, getattr(args, "action", None))
     try:
         problem = parse_problem(args.problem)
-        report = dispatch(command, problem, args)
+        with _fd1_on_stderr():
+            report = dispatch(command, problem, args)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

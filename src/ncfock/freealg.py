@@ -642,15 +642,23 @@ def _truncated_norm(p: NcPolynomial, m: int) -> float:
 
 
 def _circle_max(p: NcPolynomial) -> float:
-    """max |p| on the unit circle for n = 1: the maxima of an FFT grid,
-    refined by safeguarded Newton steps on |p(e^(i theta))|^2."""
+    """A certified lower bound on max |p| on the unit circle for n = 1: the
+    maxima of an FFT grid, refined by safeguarded Newton steps on
+    |p(e^(i theta))|^2, choose the angles, and |p| there, the direct sum of
+    c_k e^(i k theta), less a slack for its rounding is the bound.  With
+    eps = 2^-52 and |theta| < 7 (a start in [0, 2 pi) and CIRCLE_NEWTON_STEPS
+    steps of at most 2 pi / size, under 0.6 in all), k theta is rounded by
+    at most 3.5 k eps, e^(i .) by eps, the sum of c.size terms by
+    (c.size + 3) eps sum |c_k| and the modulus by eps |p|, so the slack
+    eps sum_k |c_k| (4 k + c.size + 5) covers them."""
     c = p.to_fock(int(p.degree)).coeffs
     k = np.arange(c.size)
     size = 16 * c.size + 48
     grid = np.abs(np.fft.ifft(c, size)) * size          # |p| at theta_j = 2 pi j / size
     peaks = np.flatnonzero((grid > np.roll(grid, 1)) & (grid >= np.roll(grid, -1)))
-    peaks = peaks[np.argsort(grid[peaks])[-2 * c.size:]]
+    peaks = np.append(peaks[np.argsort(grid[peaks])[-2 * c.size:]], np.argmax(grid))
     theta, h = 2 * np.pi * peaks / size, 2 * np.pi / size
+    start = theta
     for _ in range(CIRCLE_NEWTON_STEPS):
         z = np.exp(1j * np.outer(theta, k))
         v, v1, v2 = z @ c, z @ (1j * k * c), z @ (-(k * k) * c)
@@ -659,8 +667,9 @@ def _circle_max(p: NcPolynomial) -> float:
         concave = curve < 0
         step = np.where(concave, -slope / np.where(concave, curve, 1.0), 0.0)
         theta = theta + np.clip(step, -h, h)
-    refined = np.abs(np.exp(1j * np.outer(theta, k)) @ c)
-    return float(max(grid.max(), refined.max(initial=0.0)))
+    values = np.abs(np.exp(1j * np.outer(np.append(start, theta), k)) @ c)
+    slack = np.finfo(float).eps * float(np.abs(c) @ (4 * k + c.size + 5))
+    return float(values.max()) - slack
 
 
 def _suffix_closure(p: NcPolynomial) -> np.ndarray:
@@ -962,8 +971,9 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     hermitian squares (Klep-Povh, J. Pure Appl. Algebra 214 (2010)).  For
     dense p and for n = 1, W is every word of length <= deg p.
 
-    For n = 1, lower is max |p| on the unit circle, which there is the
-    multiplier norm (capped at upper, since evaluation can round above it).
+    For n = 1, where max |p| on the unit circle is the multiplier norm,
+    lower is |p| at the best angle found, less the slack of its evaluation
+    (_circle_max), and at most upper.
     Where the work on W exceeds FEJER_RIESZ_MAX_WORK (_fejer_riesz_work) the
     solve is skipped: upper is the grade-norm sum and, for n >= 2, lower the
     norm of L_p on P_m (_truncated_norm), the only place m enters.  For

@@ -17,10 +17,10 @@ threads cost most on these calls (2-vCPU host, fresh processes):
 
 - The Poisson kernel's recursion and its K*K tail (poisson.poisson_kernel,
   one real product R^T R on K's float64 view R), and the products of kernel
-  blocks in poisson._compressions and ideals._poisson_residuals: GEMMs with
-  one long side.  A kernel build at n = 3, d = 2, m = 11 (531,440 rows)
-  took 163-177 ms on two threads in one of seven processes, on every call,
-  against 11-20 ms on one.
+  blocks in ideals._poisson_residuals: GEMMs with one long side.  A kernel
+  build at n = 3, d = 2, m = 11 (531,440 rows) took 163-177 ms on two
+  threads in one of seven processes, on every call, against 11-20 ms on
+  one.
 - The Fejer-Riesz Gram solve and its certificate (freealg.sup_norm_bounds),
   in one scope around both.  One solve of a dense p, on the pairs of its
   suffix closure (all words of length <= d), in each of four processes:

@@ -5,7 +5,9 @@ Its defect is Delta = (I - sum T_i T_i*)^(1/2) and the truncated Poisson
 kernel stacks the blocks Delta T_alpha* over all words with |alpha| <= m.
 The completely positive map Phi(X) = sum T_i X T_i* drives every tail
 estimate: the kernel satisfies K*K = I - Phi^(m+1)(I) identically, so the
-decay of sigma_k = ||Phi^k(I)|| certifies how trustworthy a truncation is.
+decay of sigma_k = ||Phi^k(I)|| certifies how trustworthy a truncation is,
+and its compressions to word pairs are T_alpha (sum_(k <= t) Phi^k(Delta^2))
+T_beta*, which the same iteration gives without the kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .freealg import (MAX_BASIS_SIZE, MAX_DENSE_ENTRIES, BallPoint, NcPolynomial, WordIndex,
-                      _word_products, evaluate, sup_norm_bounds, word_value)
+                      _word_products, evaluate, sup_norm_bounds)
 from .numerics import DEFAULT_TOL, _BLAS_SCOPE, _svd, hermitian_sqrt, operator_norm
 
 CONTRACTION_CLAMP = 1e-10
@@ -26,10 +28,6 @@ CONTRACTION_CLAMP = 1e-10
 # admitted call takes about 1 s (at most 2.1 s measured over n <= 3, d <= 256)
 C0_STEP_OVERHEAD = 2 ** 13
 C0_MAX_WORK = 2 ** 28
-# Real entries of each side gathered into one batched product of kernel runs
-# (_compressions): the 256 KB copies stay in cache at any pair count.  With
-# 2^18 entries a side, the 91 pairs of n = 3, d = 2, m = 9 took 20 ms, not 8
-COMPRESSION_BATCH_ENTRIES = 2 ** 15
 
 
 class RowContraction:
@@ -112,7 +110,7 @@ def _check_c0_work(T: RowContraction, kmax: int) -> None:
     """Each step of the decay sequence costs a fixed C0_STEP_OVERHEAD plus
     (n + 1) d^3 (the map and the norm); kmax steps are capped at C0_MAX_WORK,
     even if the loop stops early.  Under it kmax d^2 < 4.5e6, so the stack of
-    iterates that c0_sequence keeps stays under 72 MB."""
+    iterates that _iterates keeps stays under 72 MB."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if kmax * (C0_STEP_OVERHEAD + (T.n + 1) * T.d ** 3) > C0_MAX_WORK:
@@ -121,21 +119,28 @@ def _check_c0_work(T: RowContraction, kmax: int) -> None:
             f"cap {C0_MAX_WORK}")
 
 
+def _iterates(T: RowContraction, x0: np.ndarray, kmax: int) -> np.ndarray:
+    """Phi^k(x0) for k = 0..kmax, stacked with shape (kmax + 1, d, d): kmax
+    steps of the map in one thread scope, under the work cap of c0_sequence."""
+    _check_c0_work(T, kmax)
+    x = np.empty((kmax + 1, T.d, T.d), dtype=complex)
+    x[0] = x0
+    with _BLAS_SCOPE:
+        for k in range(kmax):
+            x[k + 1] = T.cp_map(x[k])
+    return x
+
+
 def c0_sequence(T: RowContraction, kmax: int) -> list:
     """sigma_k = ||Phi^k(I)|| for k = 0..kmax, by iterating the CP map.
 
     The sequence is nonincreasing; vanishing in the limit is the pure decay
     condition that makes kernel truncations certifiable.  The kmax iterates
-    are formed in one thread scope and their norms taken in one batched SVD
-    of their (kmax + 1, d, d) stack.
+    (_iterates) and their norms, one batched SVD of their (kmax + 1, d, d)
+    stack, run in one thread scope.
     """
-    _check_c0_work(T, kmax)
-    x = np.empty((kmax + 1, T.d, T.d), dtype=complex)
-    x[0] = np.eye(T.d)
     with _BLAS_SCOPE:
-        for k in range(kmax):
-            x[k + 1] = T.cp_map(x[k])
-        return operator_norm(x).tolist()
+        return operator_norm(_iterates(T, np.eye(T.d), kmax)).tolist()
 
 
 def _sigmas(T: RowContraction, kmax: int, floor: float) -> list:
@@ -165,19 +170,6 @@ def is_c0_certified(T: RowContraction, kmax: int = 30, margin: float = 1e-9) -> 
     as c0_sequence.
     """
     return _sigmas(T, kmax, 1.0 - margin)[-1] < 1.0 - margin
-
-
-def suggest_truncation_degree(T: RowContraction, target: float, kmax: int = 60) -> int:
-    """Smallest m with measured (or extrapolated) sigma_(m+1) <= target."""
-    sig = c0_sequence(T, kmax)
-    for k, s in enumerate(sig):
-        if s <= target:
-            return max(k - 1, 0)
-    ratio = (sig[-1] / sig[kmax // 2]) ** (1.0 / (kmax - kmax // 2))
-    if not ratio < 1.0 - 1e-12:
-        raise DomainError("no certified decay: the tuple does not look pure")
-    extra = int(np.ceil(np.log(target / sig[-1]) / np.log(ratio)))
-    return kmax + extra - 1
 
 
 def poisson_kernel(T: RowContraction, m: int, tol: float = DEFAULT_TOL) -> PoissonKernelMatrix:
@@ -223,46 +215,6 @@ def _complex_form(g: np.ndarray) -> np.ndarray:
     return c[..., 0::2, :] - 1j * c[..., 1::2, :]
 
 
-def _compressions(K: np.ndarray, wi: WordIndex, pairs: list) -> np.ndarray:
-    """K* (M_alphabeta tensor I_d) K of each word pair, shape (len(pairs), d, d).
-
-    The block of each word beta w meets that of alpha w, |w| <= m -
-    max(|alpha|, |beta|).  The words alpha w with |w| = t are a run of n^t
-    blocks, so each t takes one batched real product over the runs of every
-    pair that reaches it, gathered from K's float64 view, at most
-    COMPRESSION_BATCH_ENTRIES entries of each side a product; a longer run
-    is multiplied where it lies.  Each distinct pair is formed once; pairs
-    are ordered by their longer word, so the pairs that reach t lead the
-    batch.
-    """
-    n, d = wi.n, K.shape[1]
-    R = K.view(np.float64)
-    order = sorted(dict.fromkeys(pairs), key=lambda pair: max(map(len, pair)))
-    where = {pair: k for k, pair in enumerate(order)}
-    lengths = np.array([[len(alpha), len(beta)] for alpha, beta in order],
-                       dtype=int).reshape(-1, 2)
-    values = np.array([[word_value(alpha, n), word_value(beta, n)] for alpha, beta in order],
-                      dtype=int).reshape(-1, 2)
-    starts = np.array([wi.grade_start(k) for k in range(wi.m + 1)])
-    reach = wi.m - lengths.max(axis=1)
-    out = np.zeros((len(order), 2 * d, 2 * d))
-    for t in range(int(reach.max(initial=-1)) + 1):
-        live, size = int(np.count_nonzero(reach >= t)), n ** t
-        first = starts[lengths[:live] + t] + values[:live] * size   # first block of each run
-        # runs[s] is the run of size blocks from block s: overlapping views of R, only read
-        runs = np.ndarray((wi.dim - size + 1, size * d, 2 * d), R.dtype, R, 0,
-                          (d * R.strides[0], *R.strides))
-        step = max(1, COMPRESSION_BATCH_ENTRIES // (size * d * 2 * d))
-        for lo in range(0, live, step):
-            if step == 1:   # a run that fills the budget alone is sliced, not copied
-                a, b = first[lo]
-                left, right = runs[a:a + 1], runs[b:b + 1]
-            else:
-                left, right = runs[first[lo:lo + step, 0]], runs[first[lo:lo + step, 1]]
-            out[lo:lo + len(left)] += left.transpose(0, 2, 1) @ right
-    return _complex_form(out)[[where[pair] for pair in pairs]]
-
-
 def _word_pairs(pairs, m: int) -> list:
     pairs = [(tuple(alpha), tuple(beta)) for alpha, beta in pairs]
     for alpha, beta in pairs:
@@ -271,29 +223,49 @@ def _word_pairs(pairs, m: int) -> list:
     return pairs
 
 
+def _pair_factors(T: RowContraction, pairs, m: int):
+    """(T_alpha, Psi_t, T_beta) of each word pair, three stacks of shape
+    (len(pairs), d, d), with t = m - max(|alpha|, |beta|) and
+    Psi_t = sum_(k <= t) Phi^k(Delta^2), so that the pair's compression
+    K* (M_alphabeta tensor I_d) K of the degree-m kernel is T_alpha Psi_t T_beta*.
+
+    Proof: the row block of the word alpha w in K is Delta T_(alpha w)*,
+    and T_(alpha w) = T_alpha T_w.  M_alphabeta moves e_(beta w) to
+    e_(alpha w) for |w| <= t, so the compression is
+    sum_(|w| <= t) T_alpha T_w Delta^2 T_w* T_beta*, and
+    sum_(|w| = k) T_w X T_w* = Phi^k(X).  Delta^2 is formed as Delta Delta,
+    from the kernel's own (clamped) defect, not as I - Phi(I), from which it
+    differs by the clamp.  The iterates run under the work cap of
+    c0_sequence (_iterates), to the largest t; no kernel is built.
+    """
+    pairs = _word_pairs(pairs, m)
+    reach = [m - max(len(alpha), len(beta)) for alpha, beta in pairs]
+    words = list(dict.fromkeys(w for pair in pairs for w in pair))
+    where = {w: k for k, w in enumerate(words)}
+    with _BLAS_SCOPE:
+        Tw = _word_products(T.matrices, words)
+        psi = np.cumsum(_iterates(T, T.delta @ T.delta, max(reach, default=0)), axis=0)
+    return (Tw[[where[alpha] for alpha, _ in pairs]], psi[reach],
+            Tw[[where[beta] for _, beta in pairs]])
+
+
 def poisson_compression(T: RowContraction, alpha, beta, m: int) -> np.ndarray:
     """K* (M_alphabeta tensor I_d) K, where M_alphabeta is the compression to
-    P_m of the operator moving e_(beta delta) to e_(alpha delta)."""
-    pairs = _word_pairs([(alpha, beta)], m)
-    K = poisson_kernel(T, m).matrix
+    P_m of the operator moving e_(beta delta) to e_(alpha delta), for the
+    kernel K of degree m: T_alpha Psi_t T_beta* (_pair_factors)."""
+    left, psi, right = _pair_factors(T, [(alpha, beta)], m)
     with _BLAS_SCOPE:
-        return _compressions(K, WordIndex(T.n, m), pairs)[0]
+        return left[0] @ psi[0] @ right[0].conj().T
 
 
 def poisson_covariance_residuals(T: RowContraction, pairs, m: int) -> list:
     """Residuals ||K* (M_alphabeta tensor I) K - T_alpha T_beta*|| of the word
-    pairs (alpha, beta), all from one kernel of degree m: the compressions
-    in batched products (_compressions), the norms in one batched call."""
-    pairs = _word_pairs(pairs, m)
-    K = poisson_kernel(T, m).matrix
-    words = list(dict.fromkeys(w for pair in pairs for w in pair))
-    where = {w: k for k, w in enumerate(words)}
-    Tw = _word_products(T.matrices, words)
-    left = Tw[[where[alpha] for alpha, _ in pairs]]
-    right = Tw[[where[beta] for _, beta in pairs]]
+    pairs (alpha, beta) for the kernel K of degree m, each
+    ||T_alpha (Psi_t - I) T_beta*|| (_pair_factors), the norms in one
+    batched call."""
+    left, psi, right = _pair_factors(T, pairs, m)
     with _BLAS_SCOPE:
-        defects = (_compressions(K, WordIndex(T.n, m), pairs)
-                   - left @ right.conj().transpose(0, 2, 1))
+        defects = left @ (psi - np.eye(T.d)) @ right.conj().transpose(0, 2, 1)
         return operator_norm(defects).tolist()
 
 
@@ -317,18 +289,6 @@ def von_neumann_margin(T: RowContraction, p: NcPolynomial, m: int):
     lhs = operator_norm(evaluate(p, T.matrices))
     lower, upper = sup_norm_bounds(p, m)
     return (float(lhs), lower, upper)
-
-
-def radial_scale(T: RowContraction, r: float) -> RowContraction:
-    """The tuple [r T_1, ..., r T_n] for 0 < r < 1, always pure.
-
-    Compressions of the scaled kernels recover r^(|alpha| + |beta|) T_alpha
-    T_beta*; letting r -> 1 is the documented route to Poisson transforms of
-    tuples with no decay certificate.
-    """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"radial parameter must lie in (0, 1), got {r}")
-    return RowContraction(r * T.matrices)
 
 
 def minimal_subspace(T: RowContraction, m: int, rank_tol: float = 1e-10) -> np.ndarray:

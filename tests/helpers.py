@@ -58,8 +58,8 @@ def naive_evaluate(p, X):
 def naive_compression(blocks, wi, alpha, beta):
     """K* (M_alphabeta tensor I_d) K from the kernel's row blocks, one pair
     and one grade at a time: the block of each word beta w meets that of
-    alpha w, |w| <= m - max(|alpha|, |beta|).  The oracle for the batched
-    poisson._compressions."""
+    alpha w, |w| <= m - max(|alpha|, |beta|).  The oracle for the
+    compressions that poisson takes from the iterates of Phi."""
     n, d = wi.n, blocks.shape[1]
     va, vb = word_value(alpha, n), word_value(beta, n)
     out = np.zeros((d, d), dtype=complex)

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -458,6 +459,20 @@ def test_line_bracket_contains_the_circle_sup_and_is_tight():
         assert lower <= circle_sup + 1e-9
         assert circle_sup <= upper
         assert upper - lower <= 1e-8 * max(1.0, upper)
+
+
+def test_line_lower_bound_stays_below_a_sup_known_exactly():
+    # p = c_0 + sum_(k <= d) z^k / (k + 1) has positive coefficients, so its
+    # sup on the circle is p(1), their sum: the circle bound must not round
+    # above it, on all 132 of them, nor the reported lower bound, on those
+    # whose Gram solve is quick (d <= 18 holds 11 of the 13 that rounded above)
+    for c0 in (1.0, 0.3, 1e3):
+        for d in range(1, 45):
+            terms = {(): c0, **{(1,) * k: 1.0 / (k + 1) for k in range(1, d + 1)}}
+            p, sup = NcPolynomial(1, terms), math.fsum(terms.values())
+            assert sup * (1 - 1e-13) <= freealg._circle_max(p) <= sup
+            if d <= 18:
+                assert sup_norm_bounds(p, 0)[0] <= sup
 
 
 def test_lower_bound_is_the_truncated_multiplier_norm():

@@ -9,8 +9,7 @@ from ncfock import poisson
 from ncfock import (BallPoint, DomainError, NcPolynomial, ResourceCapError, RowContraction,
                     WordIndex, c0_sequence, evaluate, is_c0_certified, minimal_subspace,
                     operator_norm, poisson_compression, poisson_covariance_check,
-                    poisson_covariance_residuals, poisson_kernel, radial_scale,
-                    suggest_truncation_degree, truncated_mult_matrix,
+                    poisson_covariance_residuals, poisson_kernel, truncated_mult_matrix,
                     von_neumann_margin, z_vector)
 from helpers import (naive_compression, naive_word_product, random_polynomial,
                      random_row_contraction, random_unitary, symmetrized_basis)
@@ -150,20 +149,38 @@ def test_kernel_allocates_no_second_kernel(n, d, m):
     assert K.nbytes <= peak <= 1.1 * K.nbytes
 
 
-def test_covariance_copies_no_kernel_run_above_the_batch_budget():
-    # runs longer than the batch budget are multiplied in place; the gathered
-    # copies of shorter ones stay near 2 * COMPRESSION_BATCH_ENTRIES floats
+def test_covariance_peaks_below_a_tenth_of_the_kernel():
+    # the compressions come from the Phi iterates, so no kernel-sized array is
+    # allocated: the CLI's 91 pairs at (n, d, m) = (3, 1, 11)
     t = random_row_contraction(np.random.default_rng(12), 3, 1, rho=0.9)
     pairs = list(itertools.combinations_with_replacement(WordIndex(3, 2).words(), 2))
     poisson_covariance_residuals(t, pairs, 3)
-    K = poisson_kernel(t, 11).matrix
+    kernel_bytes = poisson_kernel(t, 11).matrix.nbytes
     tracemalloc.start()
     try:
         poisson_covariance_residuals(t, pairs, 11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * K.nbytes + 32 * poisson.COMPRESSION_BATCH_ENTRIES
+    assert peak < 0.1 * kernel_bytes
+
+
+def test_compressions_of_a_clamped_defect_match_its_kernel():
+    # I - sum T_i T_i* has least eigenvalue about -5e-11, which RowContraction
+    # clamps to 0: the compressions use the clamped Delta^2 that the kernel's
+    # blocks carry, which differs from I - Phi(I) by that clamp
+    rng = np.random.default_rng(27)
+    n, d, m = 2, 3, 6
+    raw = random_row_contraction(rng, n, d, rho=0.9).matrices
+    row_norm = np.linalg.norm(np.einsum("iab,icb->ac", raw, raw.conj()), 2)
+    raw = raw * np.sqrt((1 + 5e-11) / row_norm)
+    with pytest.warns(UserWarning, match="clamped"):
+        t = RowContraction(raw)
+    assert np.linalg.eigvalsh(t.defect)[0] == pytest.approx(-5e-11, rel=1e-3)
+    blocks, wi = poisson_kernel(t, m).blocks, WordIndex(n, m)
+    for alpha, beta in [((), ()), ((1,), ()), ((2,), (1, 2)), ((1, 1), (2, 1))]:
+        assert np.abs(poisson_compression(t, alpha, beta, m)
+                      - naive_compression(blocks, wi, alpha, beta)).max() <= 1e-13
 
 
 def test_kernel_identity_above_1e5_rows():
@@ -320,17 +337,6 @@ def test_von_neumann_unit():
     assert (lhs, lower, upper) == (1.0, 1.0, 1.0)
 
 
-def test_radial_scale_examples():
-    t = RowContraction([np.array([[1.0]])])
-    scaled = radial_scale(t, 0.9)
-    sig = c0_sequence(scaled, 6)
-    assert np.allclose(sig, [0.81 ** k for k in range(7)], atol=1e-14)
-    twice = radial_scale(radial_scale(t, 0.9), 0.5)
-    assert np.allclose(twice.matrices, radial_scale(t, 0.45).matrices)
-    with pytest.raises(DomainError):
-        radial_scale(t, 1.0)
-
-
 def test_radial_compression_recovers_word_moments():
     # scaled-kernel compressions give r^(|alpha|+|beta|) T_alpha T_beta*;
     # dividing the factor out and letting r -> 1 recovers the word moment
@@ -341,8 +347,7 @@ def test_radial_compression_recovers_word_moments():
     m = 12
     recovered = []
     for r in (0.9, 0.99):
-        scaled = radial_scale(t, r)
-        c = poisson_compression(scaled, alpha, beta, m)[0, 0]
+        c = poisson_compression(RowContraction(r * t.matrices), alpha, beta, m)[0, 0]
         assert abs(c - r ** 2 * exact) < 1e-4
         recovered.append(c / r ** 2)
     assert abs(recovered[1] - exact) < 1e-4
@@ -398,14 +403,3 @@ def test_minimal_subspace_unitary_conjugation_invariance():
     p1 = b1 @ b1.conj().T
     p2 = b2 @ b2.conj().T
     assert np.linalg.norm(p1 - p2, 2) <= 1e-9
-
-
-def test_suggest_truncation_degree():
-    rng = np.random.default_rng(90)
-    t = random_row_contraction(rng, 2, 2, rho=0.5)
-    m = suggest_truncation_degree(t, 1e-6)
-    sig = c0_sequence(t, m + 1)
-    assert sig[m + 1] <= 1e-6
-    unitary = RowContraction([np.array([[1.0]])])
-    with pytest.raises(DomainError):
-        suggest_truncation_degree(unitary, 1e-6, kmax=10)
