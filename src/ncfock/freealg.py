@@ -11,10 +11,11 @@ calculus (``evaluate``), which forms each word product once per prefix.
 
 Multiplication matrices are always built into the full target grade
 m + deg(p); compressing back to P_m is an explicit, separate step
-(``truncated_mult_matrix``).  Norm bounds form neither: both sides of the
-bracket come from one Fejer-Riesz Gram solve over the coefficients of
-L_p* L_p, its primal point certifying the upper bound and its dual point
-the lower one (``sup_norm_bounds``).
+(``truncated_mult_matrix``).  Norm bounds form neither (``sup_norm_bounds``):
+a p whose nonempty words are prefix-free has a closed-form norm, an n = 1 p
+is bounded on the unit circle, and every other p gets both sides of the
+bracket from one Fejer-Riesz Gram solve over the coefficients of L_p* L_p,
+its primal point certifying the upper bound and its dual point the lower one.
 """
 
 from __future__ import annotations
@@ -40,7 +41,11 @@ FEJER_RIESZ_MAX_WORK = 2 ** 23
 FR_MAX_ITER = 60               # interior-point iterations of the Gram solve
 FR_GAP_TOL = 1e-10             # stop once tr(XS) <= this * (1 + tr X) ...
 FR_STALL_TOL = 1e-8            # ... or once it stops halving below this
-CIRCLE_NEWTON_STEPS = 8        # Newton steps from each maximum of the n = 1 FFT grid
+CIRCLE_NEWTON_STEPS = 8        # Newton steps from each candidate peak of the n = 1 FFT grid
+CIRCLE_PEAKS = 16              # candidate peaks refined: the highest of the grid's maxima
+CIRCLE_GAP = 2 ** -36          # a cell settles within this of the lower side, relative
+CIRCLE_MAX_WORK = 2 ** 21      # angles x terms summed directly for the subdivided cells
+CIRCLE_MAX_DEGREE = 2 ** 13    # cap on deg p at n = 1: 0.2 s and 17 MB on a grid of 2^17 angles
 LANCZOS_TOL = 1e-10            # relative residual of the Ritz pair of the truncated fallback
 LANCZOS_VECTORS = 20           # vectors it stores, as ARPACK does for one eigenvalue
 LANCZOS_MAX_RESTARTS = 100     # restarts of its thick-restart Lanczos
@@ -530,14 +535,17 @@ def flip(v: FockVector) -> FockVector:
 class NormBounds(tuple):
     """The pair (lower, upper) returned by sup_norm_bounds.
 
-    upper_method names the source of upper: "fejer_riesz" when the Gram
-    certificate beat the sum of the grade norms, "grade_norms" otherwise.
-    lower_method names the source of lower: "fejer_riesz_dual" (the dual
-    point of the Gram solve), "circle" (n = 1), "truncated" (the norm on
-    P_m, when the solve's work exceeds FEJER_RIESZ_MAX_WORK) or "grade_norms"
-    (homogeneous p, or deg p <= 1).  gram_size is the number of words the
-    Gram solve ran on, the size of the suffix closure of supp p, or None when
-    no solve ran.
+    upper_method and lower_method name the sources of the two sides:
+    "prefix_free" for both when the nonempty words of p are prefix-free
+    (the closed form |c_()| + ||c||_2), "circle" for both for every other
+    n = 1 p (max |p| on the unit circle; upper is "grade_norms" where the
+    sum of the grade norms is smaller), and otherwise "fejer_riesz" for
+    upper when the Gram certificate beat the sum of the grade norms,
+    "grade_norms" when it did not, with lower "fejer_riesz_dual" (the dual
+    point of the Gram solve) or "truncated" (the norm on P_m, when the
+    solve's work exceeds FEJER_RIESZ_MAX_WORK).  gram_size is the number of
+    words the Gram solve ran on, the size of the suffix closure of supp p,
+    or None when no solve ran.
     """
 
     def __new__(cls, lower, upper, upper_method: str, lower_method: str, gram_size=None):
@@ -641,35 +649,184 @@ def _truncated_norm(p: NcPolynomial, m: int) -> float:
     return float(np.sqrt(max(square, 0.0) / np.vdot(x, x).real)) * (1 - 4 * eps)
 
 
-def _circle_max(p: NcPolynomial) -> float:
-    """A certified lower bound on max |p| on the unit circle for n = 1: the
-    maxima of an FFT grid, refined by safeguarded Newton steps on
-    |p(e^(i theta))|^2, choose the angles, and |p| there, the direct sum of
-    c_k e^(i k theta), less a slack for its rounding is the bound.  With
-    eps = 2^-52 and |theta| < 7 (a start in [0, 2 pi) and CIRCLE_NEWTON_STEPS
-    steps of at most 2 pi / size, under 0.6 in all), k theta is rounded by
-    at most 3.5 k eps, e^(i .) by eps, the sum of c.size terms by
-    (c.size + 3) eps sum |c_k| and the modulus by eps |p|, so the slack
-    eps sum_k |c_k| (4 k + c.size + 5) covers them."""
-    c = p.to_fock(int(p.degree)).coeffs
-    k = np.arange(c.size)
-    size = 16 * c.size + 48
-    grid = np.abs(np.fft.ifft(c, size)) * size          # |p| at theta_j = 2 pi j / size
-    peaks = np.flatnonzero((grid > np.roll(grid, 1)) & (grid >= np.roll(grid, -1)))
-    peaks = np.append(peaks[np.argsort(grid[peaks])[-2 * c.size:]], np.argmax(grid))
-    theta, h = 2 * np.pi * peaks / size, 2 * np.pi / size
-    start = theta
+def _is_prefix_free(p: NcPolynomial) -> bool:
+    """True when no nonempty word of p is a proper prefix of another.  Sorted
+    lexicographically, a word that is a prefix of some other word is one of
+    the next word, so adjacent pairs suffice."""
+    words = sorted(word for word in p.terms if word)
+    return all(b[:len(a)] != a for a, b in zip(words, words[1:]))
+
+
+def _prefix_free_norm(p: NcPolynomial):
+    """(lower, upper) around ||L_p|| = |c_()| + ||c||_2 for a p whose nonempty
+    words are prefix-free (sup_norm_bounds), c the coefficients of those words.
+
+    With u = eps / 2: abs(c_()) and ||c||_2 are hypots, each within one ulp
+    (2u; math.hypot of many arguments since Python 3.10), and neither squares
+    a coefficient, so none overflows before the norm does.  Their sum adds u:
+    the value is within 3u (+ O(u^2)) of the norm, and the factors
+    1 - 3 eps and 1 + 3 eps (1 -/+ 6u, exact in binary, each product rounded
+    by u) cover it.  A constant with a zero real or imaginary part is exact
+    (hypot(x, 0) = |x|) and gets no slack."""
+    c0 = complex(p.terms.get((), 0.0))
+    rest = [part for word, c in p.terms.items() if word for part in (c.real, c.imag)]
+    value = abs(c0) + math.hypot(*rest)
+    exact = not rest and (c0.real == 0.0 or c0.imag == 0.0)
+    slack = 0.0 if exact else 3 * np.finfo(float).eps
+    return value * (1 - slack), value * (1 + slack)
+
+
+def _grade_norm_bound(p: NcPolynomial) -> float:
+    """The sum of the grade norms of p, an upper bound on ||L_p||, times
+    1 + (terms + 2) eps.  With u = eps / 2, a grade of t_k terms has its norm
+    within (t_k + 6) u / 2 (|c|^2 through abs and a square 5u, t_k - 1
+    additions, the root), and at most terms - 1 of the additions over the
+    grades round: the sum is within (1.5 terms + 2) u, and the factor covers
+    that and its own rounding."""
+    eps = np.finfo(float).eps
+    return float(sum(p.grade_norms())) * (1 + (len(p.terms) + 2) * eps)
+
+
+def _circle_values(g: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sum_k g[j, k] e^(i k theta) at each angle for each row j of g: the
+    direct sums, shape (g.shape[0], theta.size), about 2^16 exponentials
+    at a time."""
+    k = np.arange(g.shape[1])
+    out = np.empty((g.shape[0], theta.size), dtype=complex)
+    rows = max(1, 2 ** 16 // k.size)
+    for i in range(0, theta.size, rows):
+        out[:, i:i + rows] = g @ np.exp(1j * k[:, None] * theta[i:i + rows])
+    return out
+
+
+def _square_taylor(v: np.ndarray, err) -> tuple:
+    """(t, t', t'') of t = |p|^2 in theta at each angle, stacked, from
+    v = (p, p', p''), and one bound on the error of each over the angles,
+    given bounds err on the errors of v: t' = 2 Re(conj(p) p') and
+    t'' = 2 (|p'|^2 + Re(conj(p) p'')).  For |a^ - a| <= e_a, |b^ - b| <= e_b
+    and |a^| <= A, |b^| <= B, conj(a^) b^ is within A e_b + B e_a + e_a e_b
+    of conj(a) b, and forming its real part (two products and a sum), the
+    doubling and the sum in t'' add at most 2 eps A B per product."""
+    eps, top, err = float(np.finfo(float).eps), np.abs(v).max(axis=1).tolist(), list(err)
+    conj = v[0].conj()
+    t = np.array([(conj * v[0]).real, 2 * (conj * v[1]).real,
+                  2 * ((v[1].conj() * v[1]).real + (conj * v[2]).real)])
+
+    def pair(i, j):
+        return top[i] * err[j] + top[j] * err[i] + err[i] * err[j] + 2 * eps * top[i] * top[j]
+
+    return t, np.array([pair(0, 0), 2 * pair(0, 1), 2 * (pair(1, 1) + pair(0, 2))])
+
+
+def _cell_bounds(t: np.ndarray, s: np.ndarray, w, m3: float) -> np.ndarray:
+    """Upper bounds on t = |p|^2 over [theta - w, theta + w], from (t, t', t'')
+    at theta with error bounds s (_square_taylor) and m3 >= max |t'''|.
+    Taylor's theorem and |x|^3 <= w x^2 give, for |x| <= w,
+    t(theta + x) <= top + slope |x| + curve x^2 with top = t + s,
+    slope = |t'| + s' and curve = (t'' + s'') / 2 + m3 w / 6.  Its largest
+    value on [0, w] is top + slope^2 / (-4 curve) when the vertex of a
+    concave model lies inside, top + w (slope + curve w) otherwise; either
+    is rounded by less than 4 eps (top + w slope + |curve| w^2)."""
+    eps = np.finfo(float).eps
+    top, slope = t[0] + s[0], np.abs(t[1]) + s[1]
+    curve = 0.5 * (t[2] + s[2]) + m3 * w / 6
+    inside = slope < -2 * curve * w
+    bound = np.where(inside, top + slope ** 2 / np.where(inside, -4 * curve, 1.0),
+                     top + w * (slope + curve * w))
+    return bound + 4 * eps * (top + w * (slope + np.abs(curve) * w))
+
+
+def _circle_bounds(p: NcPolynomial):
+    """Certified (lower, upper) for max |p| on the unit circle, the multiplier
+    norm for n = 1, or ResourceCapError when d = deg p > CIRCLE_MAX_DEGREE.
+
+    t(theta) = |p(e^(i theta))|^2 is a real trigonometric polynomial of
+    degree d.  One FFT gives p, p' and p'' on N >= 16 d angles
+    theta_j = j h, h = 2 pi / N, and t, t', t'' there (_square_taylor).
+    - Lower side: the grid's maxima whose cell bound exceeds every certified
+      grid value (the CIRCLE_PEAKS highest of them) are refined by at most
+      CIRCLE_NEWTON_STEPS safeguarded Newton steps on t, each of at most h,
+      and |p| at the refined angles and at the centres of halved cells, the
+      direct sum of c_k e^(i k theta), less a slack for its rounding is the
+      bound.  Every such angle has |theta| < 7 (the steps are reduced to
+      [0, 2 pi], the centres lie within h of it), so k theta is rounded by
+      at most 3.5 k eps, e^(i .) by eps, the sum of c.size terms by
+      (c.size + 3) eps sum |c_k| and the modulus by eps |p|, and the slack
+      eps sum_k |c_k| (4 k + c.size + 5) covers them.  The same sum over
+      k^j |c_k| bounds the error of the direct sum of p^(j), whose
+      coefficients (i k)^j c_k are formed within eps.
+    - Upper side: Bernstein's inequality gives |t'''| <= d^3 ||t||, and
+      Bernstein-Szego (t'^2 + d^2 t^2 <= d^2 ||t||^2, so t >= ||t|| cos(d x)
+      at a distance x <= pi / d from the maximum) puts a grid point where
+      t >= ||t|| cos(d pi / N).  So m3 = d^3 max_j t(theta_j) / cos(d pi / N)
+      bounds |t'''|.  Each cell [theta_j - h/2, theta_j + h/2] gets a
+      third-order Taylor bound (_cell_bounds), and so does the interval of
+      radius -1.5 t''_+ / m3 around each refined peak, t''_+ = t'' + its
+      slack < 0, where the model stays concave and closes the bracket.
+      Cells whose bound exceeds the lower side (squared) by more than
+      CIRCLE_GAP, relative, plus twice the rounding of t at the peaks, and
+      that no peak interval holds, are halved, their centres summed
+      directly, until none is left, the halves stop moving, or
+      CIRCLE_MAX_WORK angle-terms are spent; upper is the root of the
+      largest bound, times 1 + 2 eps for the root's rounding.
+    - FFT rounding: a length-N = 2^L FFT is within L eta ||y||_2 of exact,
+      eta = mu + gamma_4 (sqrt 2 + mu) < 4 eps for twiddles within
+      mu <= eps (Higham, Accuracy and Stability of Numerical Algorithms,
+      2nd ed., Thm 24.2).  Twice that for the mixed-radix passes, and eps
+      for the inputs, bound each entry by (8 L + 1) eps sqrt(N) ||g||_2,
+      as ||y||_2 = sqrt(N) ||g||_2 for the coefficients g.
+    """
+    d, eps = int(p.degree), np.finfo(float).eps
+    if d > CIRCLE_MAX_DEGREE:
+        raise ResourceCapError(
+            f"degree {d} at n = 1 exceeds the cap {CIRCLE_MAX_DEGREE} of the circle bound")
+    c, k = np.zeros(d + 1, dtype=complex), np.arange(d + 1)
+    c[[len(word) for word in p.terms]] = list(p.terms.values())
+    g = np.array([c, 1j * k * c, -(k * k) * c])     # the coefficients of p, p', p''
+    size = 1 << (16 * d - 1).bit_length()
+    h = 2 * np.pi / size
+    size_g = np.abs(g)
+    direct = eps * (size_g @ (4 * k + c.size + 5))
+    fft = (8 * size.bit_length() - 7) * eps * np.sqrt(size * (size_g * size_g).sum(axis=1))
+    t, s = _square_taylor(np.fft.ifft(g, size, norm="forward"), fft)
+    m3 = d ** 3 * float((t[0] + s[0]).max()) / math.cos(math.pi * d / size) * (1 + 8 * eps)
+    bounds = _cell_bounds(t, s, h / 2, m3)
+    ring = np.arange(size)
+    peaks = np.flatnonzero((t[0] > t[0, ring - 1]) & (t[0] >= t[0, ring + 1 - size])
+                           & (bounds > (t[0] - s[0]).max()))
+    peaks = np.append(peaks[np.argsort(t[0, peaks])[-CIRCLE_PEAKS:]], np.argmax(t[0]))
+    theta, slope, curve = h * peaks, t[1, peaks], t[2, peaks]   # the first step from the grid
+    v = None
     for _ in range(CIRCLE_NEWTON_STEPS):
-        z = np.exp(1j * np.outer(theta, k))
-        v, v1, v2 = z @ c, z @ (1j * k * c), z @ (-(k * k) * c)
-        slope = 2 * (v.conj() * v1).real
-        curve = 2 * (np.abs(v1) ** 2 + (v.conj() * v2).real)
-        concave = curve < 0
-        step = np.where(concave, -slope / np.where(concave, curve, 1.0), 0.0)
-        theta = theta + np.clip(step, -h, h)
-    values = np.abs(np.exp(1j * np.outer(np.append(start, theta), k)) @ c)
-    slack = np.finfo(float).eps * float(np.abs(c) @ (4 * k + c.size + 5))
-    return float(values.max()) - slack
+        step = slope / np.maximum(-curve, 1e-300)
+        step = np.where(curve < 0, np.maximum(np.minimum(step, h), -h), 0.0)
+        if v is not None and np.abs(step).max() <= 2 ** -30 * h:   # it would not show in t
+            break
+        theta = (theta + step) % (2 * np.pi)
+        v = _circle_values(g, theta)
+        slope = (v[0].conj() * v[1]).real
+        curve = (v[1].conj() * v[1] + v[0].conj() * v[2]).real
+    lower = float(np.abs(v[0]).max() - direct[0])
+    tp, sp = _square_taylor(v, direct)
+    radius = np.maximum(-1.5 * (tp[2] + sp[2]) / m3, 0.0)
+    best, floor = float(_cell_bounds(tp, sp, radius, m3).max()), 2 * float(sp[0].max())
+    centres, w, work = h * np.arange(size), h / 2, 0
+    while True:
+        settle = bounds <= max(lower, 0.0) ** 2 * (1 + CIRCLE_GAP) + floor
+        best = max(best, float(bounds[settle].max(initial=0.0)))
+        off = np.abs((centres[~settle, None] - theta + np.pi) % (2 * np.pi) - np.pi)
+        open_ = ~(off + w <= radius).any(axis=1)
+        centres, bounds = centres[~settle][open_], bounds[~settle][open_]
+        work += 2 * centres.size * c.size
+        if not centres.size or work > CIRCLE_MAX_WORK or w < 4 * np.pi * eps:
+            best = max(best, float(bounds.max(initial=0.0)))
+            break
+        w /= 2
+        centres = np.concatenate([centres - w, centres + w])
+        v = _circle_values(g, centres)
+        lower = max(lower, float(np.abs(v[0]).max() - direct[0]))
+        bounds = _cell_bounds(*_square_taylor(v, direct), w, m3)
+    return max(lower, 0.0), math.sqrt(max(best, lower * lower)) * (1 + 2 * float(eps))
 
 
 def _suffix_closure(p: NcPolynomial) -> np.ndarray:
@@ -937,14 +1094,32 @@ def _fejer_riesz_bounds(p: NcPolynomial, q: np.ndarray, y: np.ndarray, r: np.nda
 def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     """Certified (lower, upper) bounds for the multiplier sup-norm ||L_p||.
 
-    By McCullough's noncommutative Fejer-Riesz theorem, c^2 I - L_p* L_p >= 0
-    exactly when it is a hereditary square with a PSD Gram matrix Q indexed
-    by the words of length <= deg p, so the least tr Q is ||L_p||^2 - r_()
-    (see _symbol).  One interior-point solve of that semidefinite program
-    gives both sides, upper from its Gram matrix and lower from its dual
-    point by weak duality, each with a stated rounding slack and valid
-    whether or not the solve converged (_fejer_riesz_bounds).  upper is the
-    smaller of this bound and the sum of the grade norms.
+    The certificate is chosen from the words of p before any Gram layout is
+    built; each side carries a stated rounding slack.
+    - Prefix-free p (no nonempty word a proper prefix of another; any n, the
+      zero, constant, homogeneous and degree-1 p among them): lower and
+      upper surround |c_()| + ||c||_2 (_prefix_free_norm), c the
+      coefficients of the nonempty words.  For distinct v, w in a
+      prefix-free set, v alpha = w beta is impossible, so L_v* L_w = 0: the
+      L_w are isometries with orthogonal ranges, and
+      V = sum_(w != ()) c_w L_w / ||c||_2 is an isometry.  Its range after k
+      steps lies in the words of length >= k, so V is pure, a shift, whose
+      spectrum is the closed unit disc, and ||c_() I + ||c||_2 V|| =
+      |c_()| + ||c||_2.
+    - Every other n = 1 p: max |p| on the unit circle is the multiplier
+      norm, and both sides come from it (_circle_bounds, ResourceCapError
+      above deg p = CIRCLE_MAX_DEGREE); upper is the smaller of its bound
+      and the sum of the grade norms, which is the norm when all c_k z^k
+      peak together.
+    - The rest: by McCullough's noncommutative Fejer-Riesz theorem,
+      c^2 I - L_p* L_p >= 0 exactly when it is a hereditary square with a
+      PSD Gram matrix Q indexed by the words of length <= deg p, so the
+      least tr Q is ||L_p||^2 - r_() (see _symbol).  One interior-point
+      solve of that semidefinite program gives both sides, upper from its
+      Gram matrix and lower from its dual point by weak duality, valid
+      whether or not the solve converged (_fejer_riesz_bounds).  upper is
+      the smaller of this bound and the sum of the grade norms
+      (_grade_norm_bound).
 
     The solve runs on W, the suffix closure of supp p: the least word set
     that holds every word of p and is closed under deleting the first letter
@@ -969,43 +1144,35 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
       as S_W(y / (1 + delta)) = (S_W(y) + delta I) / (1 + delta).
     This is the hereditary analogue of the Newton chip method for sums of
     hermitian squares (Klep-Povh, J. Pure Appl. Algebra 214 (2010)).  For
-    dense p and for n = 1, W is every word of length <= deg p.
+    dense p, W is every word of length <= deg p.
 
-    For n = 1, where max |p| on the unit circle is the multiplier norm,
-    lower is |p| at the best angle found, less the slack of its evaluation
-    (_circle_max), and at most upper.
     Where the work on W exceeds FEJER_RIESZ_MAX_WORK (_fejer_riesz_work) the
-    solve is skipped: upper is the grade-norm sum and, for n >= 2, lower the
-    norm of L_p on P_m (_truncated_norm), the only place m enters.  For
-    homogeneous p, L_p is ||p||_2 times an isometry, so lower = upper =
-    ||p||_2.  For deg p <= 1, sum c_i L_i is ||c||_2 times a pure isometry,
-    whose spectrum is the closed unit disc, so the norm of c_() + sum c_i L_i
-    is its spectral radius |c_()| + ||c||_2, the grade-norm sum.  Neither
-    makes a solve.  upper_method, lower_method and gram_size
-    (|W|, when the solve ran) on the result say which bounds were used.
+    solve is skipped: upper is the grade-norm sum and lower the norm of L_p
+    on P_m (_truncated_norm), the only place m enters.  upper_method,
+    lower_method and gram_size (|W|, when the solve ran) on the result say
+    which bounds were used.
     """
-    if p.is_zero:
-        return NormBounds(0.0, 0.0, "grade_norms", "grade_norms")
-    grade_sum = float(sum(p.grade_norms()))
-    if p.is_homogeneous or p.degree <= 1:
-        return NormBounds(grade_sum, grade_sum, "grade_norms", "grade_norms")
+    if _is_prefix_free(p):
+        return NormBounds(*_prefix_free_norm(p), "prefix_free", "prefix_free")
+    upper, upper_method = _grade_norm_bound(p), "grade_norms"
+    if p.n == 1:
+        with _BLAS_SCOPE:
+            lower, bound = _circle_bounds(p)
+        if bound < upper:
+            upper, upper_method = bound, "circle"
+        return NormBounds(lower, upper, upper_method, "circle")
     n, d = p.n, int(p.degree)
-    upper, upper_method = grade_sum, "grade_norms"
-    lower = size = None
     words = _suffix_closure(p)
     # the |W|^3 term alone rules out a large W before its pairs are listed
     layout = _word_set_layout(n, d, words) if words.size ** 3 <= FEJER_RIESZ_MAX_WORK else None
     if layout is not None and _fejer_riesz_work(words.size, layout) <= FEJER_RIESZ_MAX_WORK:
-        size, r = words.size, _symbol(p, layout[4])
+        r = _symbol(p, layout[4])
         with _BLAS_SCOPE:
-            gram, dual = _fejer_riesz_gram(r[1:] / r[0].real, size, layout)
+            gram, dual = _fejer_riesz_gram(r[1:] / r[0].real, words.size, layout)
             lower, bound = _fejer_riesz_bounds(p, r[0].real * gram, dual, r, layout)
         if bound < upper:
             upper, upper_method = bound, "fejer_riesz"
-    if n == 1:
-        return NormBounds(min(_circle_max(p), upper), upper, upper_method, "circle", size)
-    if lower is None:
-        with _BLAS_SCOPE:
-            lower = _truncated_norm(p, m)
-        return NormBounds(lower, upper, upper_method, "truncated")
-    return NormBounds(lower, upper, upper_method, "fejer_riesz_dual", size)
+        return NormBounds(lower, upper, upper_method, "fejer_riesz_dual", words.size)
+    with _BLAS_SCOPE:
+        lower = _truncated_norm(p, m)
+    return NormBounds(lower, upper, upper_method, "truncated")

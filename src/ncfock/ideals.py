@@ -600,10 +600,23 @@ def _poisson_residuals(T, spec, m, model, word_degree):
     Y = (Bw.conj().transpose(0, 2, 1) @ coords.reshape(model.dim, -1)).reshape(
         len(words), model.dim * T.d, T.d)
     Tw = _word_products(T.matrices, words)
-    defects = (np.einsum("aki,bkj->abij", Y.conj(), Y)
-               - np.einsum("aij,bkj->abik", Tw, Tw.conj()))
-    worst = operator_norm(defects.reshape(-1, T.d, T.d)).max()
+    with _BLAS_SCOPE:
+        worst = operator_norm(_pair_defects(Y, Tw)).max()
     return (float(range_residual), float(worst))
+
+
+def _pair_defects(Y: np.ndarray, Tw: np.ndarray) -> np.ndarray:
+    """Y_alpha* Y_beta - T_alpha T_beta* for the unordered pairs alpha <= beta
+    of the stacked words, shape (pairs, d, d).  With Yf the Y_w side by side
+    and Tf the T_w stacked, block (alpha, beta) of Yf* Yf - Tf Tf* is the
+    defect: one product each.  The (beta, alpha) defect is the adjoint of
+    the (alpha, beta) one, with the same norm."""
+    count, rows, d = Y.shape
+    yf = Y.transpose(1, 0, 2).reshape(rows, count * d)
+    tf = Tw.reshape(count * d, d)
+    blocks = (yf.conj().T @ yf - tf @ tf.conj().T).reshape(count, d, count, d)
+    alpha, beta = np.triu_indices(count)
+    return blocks[alpha, :, beta, :]
 
 
 def quotient_poisson_check(T: RowContraction, spec: IdealSpec, m: int,

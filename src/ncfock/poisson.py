@@ -57,6 +57,9 @@ class RowContraction:
         self.d = d
         self.defect = defect
         self.delta = delta
+        # the factors of cp_map: the row [T_1 ... T_n] and the stack of T_i*
+        self._row = np.ascontiguousarray(T.transpose(1, 0, 2).reshape(d, -1))
+        self._adjoints = np.ascontiguousarray(T.conj().transpose(0, 2, 1))
 
     @classmethod
     def from_point(cls, point) -> "RowContraction":
@@ -77,9 +80,9 @@ class RowContraction:
         return cls([np.diag(coords[:, i]) for i in range(n)])
 
     def cp_map(self, x: np.ndarray) -> np.ndarray:
-        """The completely positive map Phi(X) = sum_i T_i X T_i*."""
-        # two contractions of n d^3 each: one three-operand einsum would loop over n d^4
-        return np.einsum("iac,idc->ad", self.matrices @ x, self.matrices.conj())
+        """The completely positive map Phi(X) = sum_i T_i X T_i*, as
+        [T_1 ... T_n] times the stacked X T_i*: two products of n d^3 each."""
+        return self._row @ (x @ self._adjoints).reshape(-1, self.d)
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,6 @@ def poisson_kernel(T: RowContraction, m: int, tol: float = DEFAULT_TOL) -> Poiss
         raise ResourceCapError(
             f"kernel of {wi.dim} * {d} rows and {wi.dim} * {d}^2 entries exceeds the "
             f"caps {MAX_BASIS_SIZE} rows and {MAX_DENSE_ENTRIES} entries")
-    tstar = np.ascontiguousarray(T.matrices.conj().transpose(0, 2, 1))
     K = np.empty((wi.dim * d, d), dtype=complex)
     blocks = K.reshape(wi.dim, d, d)
     blocks[0] = T.delta
@@ -197,7 +199,7 @@ def poisson_kernel(T: RowContraction, m: int, tol: float = DEFAULT_TOL) -> Poiss
             prev = blocks[wi.grade_slice(k - 1)].reshape(-1, d)
             grade = blocks[wi.grade_slice(k)].reshape(T.n, -1, d)
             for i in range(T.n):
-                np.matmul(prev, tstar[i], out=grade[i])
+                np.matmul(prev, T._adjoints[i], out=grade[i])
         R = K.view(np.float64)
         defect = np.eye(d) - _complex_form(R.T @ R)
         tail = operator_norm(defect)

@@ -72,6 +72,19 @@ def naive_compression(blocks, wi, alpha, beta):
     return out
 
 
+def naive_cp_map(T, x):
+    """sum_i T_i X T_i* as two einsum contractions: the oracle for
+    RowContraction.cp_map."""
+    return np.einsum("iac,idc->ad", T.matrices @ x, T.matrices.conj())
+
+
+def naive_pair_defects(Y, Tw):
+    """Y_alpha* Y_beta - T_alpha T_beta* for every ordered pair of the stacked
+    words, shape (words, words, d, d), from two einsum contractions: the
+    oracle for ideals._pair_defects."""
+    return np.einsum("aki,bkj->abij", Y.conj(), Y) - np.einsum("aij,bkj->abik", Tw, Tw.conj())
+
+
 def random_point(rng, n, radius=0.6):
     v = rng.uniform(-1.0, 1.0, size=(n, 2))
     coords = (v[:, 0] + 1j * v[:, 1]) * (radius / np.sqrt(2 * n))

@@ -285,40 +285,51 @@ def test_poisson_vonneumann(tmp_path, capsys):
 
 @pytest.mark.parametrize("n,flags,degree", [(1, [], 8), (2, [], 8), (2, ["--degree", "5"], 5)])
 def test_poisson_vonneumann_reports_the_certified_bracket(tmp_path, capsys, n, flags, degree):
-    doc = {"kind": "poisson", "n": n,
-           "targets": [[[[0.3, 0.1]]]] + [[[[0.2 * i, 0.0]]] for i in range(1, n)],
-           "polynomial": [{"word": [], "coeff": [0.5, 0.0]},
-                          {"word": [1], "coeff": [1.0, 0.0]},
-                          {"word": [n, 1], "coeff": [0.0, 0.7]}]}
-    path = _write(tmp_path, "p.json", doc)
-    assert cli.main(["poisson", "vonneumann", path, "--json"] + flags) == 0
-    payload = json.loads(capsys.readouterr().out)
-    res = payload["results"]
-    assert payload["parameters"]["degree"] == degree
-    # the Gram solve (or the circle max) gives the bracket: no degree entered it
-    assert res["degree_used"] is None
-    # on the suffix closure of the support: (), (1,) and (n, 1)
-    assert res["gram_size"] == 3
-    assert res["lower"] <= res["upper"]
-    assert res["lhs"] <= res["upper"]
-    assert res["gap"] == pytest.approx(res["upper"] - res["lower"], abs=1e-15)
-    assert res["upper_method"] == "fejer_riesz"
-    assert res["lower_method"] == ("circle" if n == 1 else "fejer_riesz_dual")
-    assert res["stabilized"] == (res["gap"] <= 1e-6 * max(1.0, res["upper"]))
-    # the Gram solve's dual point (or, for one generator, max |p| over the
-    # circle) closes the bracket
-    assert res["stabilized"]
+    # 0.5 + e_1 + 0.7i e_w for w = (n, 1) and (1, n).  For n = 1 both are
+    # 0.5 + z + 0.7i z^2, bounded on the circle.  At n = 2, (1) and (2, 1) are
+    # prefix-free, so the closed form 0.5 + ||(1, 0.7)||_2 is the norm; (1)
+    # is a prefix of (1, 2), and the Gram solve runs on the suffix closure
+    # (), (1), (2), (1, 2)
+    for word, methods, gram_size in [([n, 1], ("circle", "circle") if n == 1
+                                      else ("prefix_free", "prefix_free"), None),
+                                     ([1, n], ("circle", "circle") if n == 1
+                                      else ("fejer_riesz_dual", "fejer_riesz"),
+                                      None if n == 1 else 4)]:
+        doc = {"kind": "poisson", "n": n,
+               "targets": [[[[0.3, 0.1]]]] + [[[[0.2 * i, 0.0]]] for i in range(1, n)],
+               "polynomial": [{"word": [], "coeff": [0.5, 0.0]},
+                              {"word": [1], "coeff": [1.0, 0.0]},
+                              {"word": word, "coeff": [0.0, 0.7]}]}
+        path = _write(tmp_path, "p.json", doc)
+        assert cli.main(["poisson", "vonneumann", path, "--json"] + flags) == 0
+        payload = json.loads(capsys.readouterr().out)
+        res = payload["results"]
+        assert payload["parameters"]["degree"] == degree
+        # the closed form, the circle or the Gram solve gives the bracket: no
+        # degree entered it
+        assert res["degree_used"] is None
+        assert (res["lower_method"], res["upper_method"]) == methods
+        assert res["gram_size"] == gram_size
+        assert res["lower"] <= res["upper"]
+        assert res["lhs"] <= res["upper"]
+        assert res["gap"] == pytest.approx(res["upper"] - res["lower"], abs=1e-15)
+        assert res["stabilized"] == (res["gap"] <= 1e-6 * max(1.0, res["upper"]))
+        assert res["stabilized"]
+        if methods[0] == "prefix_free":
+            assert res["upper"] == pytest.approx(0.5 + math.hypot(1.0, 0.7), rel=1e-15)
 
 
 def test_poisson_vonneumann_reports_the_degree_of_the_truncated_bound(tmp_path, capsys):
-    # every word of degree 7 at n = 2: the suffix closure is all 255 words,
-    # above the Gram solve's work cap, so lower is the norm of L_p on P_m and
-    # m is the degree used
+    # every word of degree 7 at n = 2, and e_1, a prefix of half of them (the
+    # degree-7 words alone are prefix-free, with a closed-form norm): the
+    # suffix closure is all 255 words, above the Gram solve's work cap, so
+    # lower is the norm of L_p on P_m and m is the degree used
     rng = np.random.default_rng(31)
     top = [{"word": list(w), "coeff": [0.05 * rng.normal(), 0.05 * rng.normal()]}
            for w in itertools.product((1, 2), repeat=7)]
     doc = {"kind": "poisson", "n": 2, "targets": [[[[0.3, 0.1]]], [[[0.2, 0.0]]]],
-           "polynomial": [{"word": [], "coeff": [0.5, 0.0]}] + top}
+           "polynomial": [{"word": [], "coeff": [0.5, 0.0]},
+                          {"word": [1], "coeff": [0.3, 0.0]}] + top}
     path = _write(tmp_path, "p.json", doc)
     assert cli.main(["poisson", "vonneumann", path, "--json", "--degree", "9"]) == 0
     res = json.loads(capsys.readouterr().out)["results"]

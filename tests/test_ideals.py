@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from ncfock import ideals
+from ncfock.freealg import _word_products
 from ncfock import (BallPoint, DomainError, IdealSpec, NcPolynomial, ResourceCapError,
                     RowContraction, WordIndex, build_quotient, caratheodory_distance,
                     constrained_von_neumann_check, evaluate, ideal_subspace,
                     mult_matrix, q_commutation_spec, quotient_distance,
                     quotient_poisson_check, sup_norm_bounds, tensor_product,
                     truncated_mult_matrix)
-from helpers import dense_complement, padded_dense_rows, random_polynomial, symmetrized_basis
+from helpers import (dense_complement, naive_pair_defects, padded_dense_rows, random_polynomial,
+                     random_row_contraction, symmetrized_basis)
 
 
 @pytest.fixture(autouse=True)
@@ -557,6 +559,28 @@ def test_constrained_von_neumann_rejects_non_pure_tuple():
     spec = IdealSpec(2, (), 4)
     with pytest.raises(DomainError, match="pure"):
         constrained_von_neumann_check(t, NcPolynomial.unit(2), spec)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_defects_match_the_einsum_oracle(n):
+    # one product Yf* Yf - Tf Tf* over the unordered pairs of words of length
+    # <= k, k = 0..2, d = 1..8, against the einsum over all ordered pairs,
+    # whose (beta, alpha) blocks are the adjoints of the (alpha, beta) ones
+    rng = np.random.default_rng(450 + n)
+    for d in range(1, 9):
+        T = random_row_contraction(rng, n, d)
+        for k in range(3):
+            words = list(WordIndex(n, k).words())
+            Tw = _word_products(T.matrices, words)
+            shape = (len(words), 3 * d, d)
+            Y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            want = naive_pair_defects(Y, Tw)
+            alpha, beta = np.triu_indices(len(words))
+            got = ideals._pair_defects(Y, Tw)
+            scale = np.abs(want).max()
+            assert np.abs(got - want[alpha, beta]).max() <= 1e-13 * scale
+            adjoint = want[beta, alpha].conj().transpose(0, 2, 1)
+            assert np.abs(adjoint - want[alpha, beta]).max() <= 1e-13 * scale
 
 
 def test_quotient_poisson_check_scalar_point():

@@ -11,7 +11,7 @@ from ncfock import (BallPoint, DomainError, NcPolynomial, ResourceCapError, RowC
                     operator_norm, poisson_compression, poisson_covariance_check,
                     poisson_covariance_residuals, poisson_kernel, truncated_mult_matrix,
                     von_neumann_margin, z_vector)
-from helpers import (naive_compression, naive_word_product, random_polynomial,
+from helpers import (naive_compression, naive_cp_map, naive_word_product, random_polynomial,
                      random_row_contraction, random_unitary, symmetrized_basis)
 
 
@@ -23,6 +23,18 @@ def test_row_contraction_rejects_expansive_tuples():
 def test_row_contraction_boundary_allowed():
     t = RowContraction([np.array([[0.6]]), np.array([[0.8]])])
     assert np.allclose(t.delta, 0.0, atol=1e-7)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cp_map_matches_the_einsum_oracle(n):
+    # [T_1 ... T_n] times the stacked X T_i*, from the factors kept at
+    # construction, against the two einsum contractions, d = 1..8
+    rng = np.random.default_rng(440 + n)
+    for d in range(1, 9):
+        T = random_row_contraction(rng, n, d)
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        want = naive_cp_map(T, x)
+        assert np.abs(T.cp_map(x) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_c0_sequence_zero_tuple():
