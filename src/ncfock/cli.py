@@ -38,6 +38,7 @@ from . import freealg, ideals, pick, poisson
 from .errors import DomainError, ResourceCapError, SingularGramError
 from .freealg import BallPoint, NcMatrixPolynomial, NcPolynomial
 from .numerics import DEFAULT_TOL, operator_norm, psd_check
+from .poisson import DEFAULT_KMAX
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -45,9 +46,8 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-DEFAULT_KMAX = 20
 CONVERGENCE_SLACK = 1e-3   # slack on soft bounds whose right side converges upward
-STABILIZED_GAP = 1e-6      # a norm bracket this narrow, relative to max(1, upper), is stabilized
+STABILIZED_GAP = 1e-6      # a norm bracket this narrow, relative to upper, is stabilized
 
 
 class SchemaError(ValueError):
@@ -472,7 +472,7 @@ def _poisson_vonneumann(T, problem, params, report):
                           lower_method=bounds.lower_method, upper_method=bounds.upper_method,
                           degree_used=m if bounds.lower_method == "truncated" else None,
                           gram_size=bounds.gram_size,
-                          stabilized=upper - lower <= STABILIZED_GAP * max(1.0, upper))
+                          stabilized=upper - lower <= STABILIZED_GAP * upper)
     report.violation = bool(violated)
     if violated:
         report.warnings.append("hard inequality ||p(T)|| <= upper bound FAILED")
@@ -482,7 +482,7 @@ def _poisson_covariance(T, problem, params, report):
     m = params["degree"]
     # (alpha, beta) and (beta, alpha) give adjoint operators with equal residuals
     pairs = list(itertools.combinations_with_replacement(
-        freealg.WordIndex(T.n, min(2, m)).words(), 2))
+        freealg.WordIndex(T.n, min(poisson.COVARIANCE_WORD_DEGREE, m)).words(), 2))
     residuals = poisson.poisson_covariance_residuals(T, pairs, m)
     worst = int(np.argmax(residuals))
     sigma_tail = poisson.c0_sequence(T, m + 1)[-1]

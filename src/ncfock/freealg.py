@@ -30,7 +30,6 @@ from .numerics import _BLAS_SCOPE, operator_norm
 
 MAX_BASIS_SIZE = 10 ** 6       # cap on D(n, m); keeps everything desk-scale
 MAX_DENSE_ENTRIES = 2 ** 26    # cap on dense matrix allocations
-COEFF_CHOP = 1e-15             # coefficients below this are dropped after arithmetic
 # Cap on the work of one Fejer-Riesz Gram solve iteration, 8 P^2 + |W|^3 for the
 # |W| words of the solve's word set W and the P splittings inside it
 # (_fejer_riesz_work): an entry of the Schur system's P x P gathers costs about
@@ -205,10 +204,10 @@ def _as_point(point) -> BallPoint:
 class NcPolynomial:
     """Sparse polynomial in n noncommuting indeterminates.
 
-    Terms are stored as a word -> complex coefficient map.  Coefficients of
-    modulus below COEFF_CHOP are dropped on construction and after every
-    arithmetic operation, so rounding noise never causes fill-in.  The degree
-    of the zero polynomial is the sentinel -inf and never enters arithmetic.
+    Terms are stored as a word -> complex coefficient map.  Coefficients are
+    kept as given, at any scale; only exact zeros are dropped, on
+    construction and after every arithmetic operation.  The degree of the
+    zero polynomial is the sentinel -inf and never enters arithmetic.
     """
 
     __slots__ = ("n", "terms")
@@ -221,7 +220,7 @@ class NcPolynomial:
             word = _as_word(word)
             word_value(word, n)  # letter range check
             coeff = complex(coeff)
-            if abs(coeff) >= COEFF_CHOP:
+            if coeff != 0:
                 clean[word] = coeff
         self.n = n
         self.terms = clean
@@ -259,13 +258,13 @@ class NcPolynomial:
         return self.terms.get(_as_word(word), 0.0 + 0.0j)
 
     def grade_norms(self) -> list:
-        """l2 norm of the coefficient block of each grade 0..degree."""
-        if self.is_zero:
-            return []
-        out = [0.0] * (int(self.degree) + 1)
+        """l2 norm of the coefficient block of each grade 0..degree, one
+        math.hypot of the real and imaginary parts per grade: no coefficient
+        is squared, so no norm overflows or underflows before it must."""
+        parts = [[] for _ in range(int(max(self.degree, -1)) + 1)]
         for word, coeff in self.terms.items():
-            out[len(word)] += abs(coeff) ** 2
-        return [float(np.sqrt(v)) for v in out]
+            parts[len(word)] += (coeff.real, coeff.imag)
+        return [math.hypot(*grade) for grade in parts]
 
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
         self._check_same_algebra(other)
@@ -678,10 +677,9 @@ def _prefix_free_norm(p: NcPolynomial):
 
 def _grade_norm_bound(p: NcPolynomial) -> float:
     """The sum of the grade norms of p, an upper bound on ||L_p||, times
-    1 + (terms + 2) eps.  With u = eps / 2, a grade of t_k terms has its norm
-    within (t_k + 6) u / 2 (|c|^2 through abs and a square 5u, t_k - 1
-    additions, the root), and at most terms - 1 of the additions over the
-    grades round: the sum is within (1.5 terms + 2) u, and the factor covers
+    1 + (terms + 2) eps.  With u = eps / 2, each grade norm is a hypot,
+    within one ulp (2u), and at most terms - 1 of the additions over the
+    grades round: the sum is within (terms + 1) u, and the factor covers
     that and its own rounding."""
     eps = np.finfo(float).eps
     return float(sum(p.grade_norms())) * (1 + (len(p.terms) + 2) * eps)
@@ -1095,7 +1093,15 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     """Certified (lower, upper) bounds for the multiplier sup-norm ||L_p||.
 
     The certificate is chosen from the words of p before any Gram layout is
-    built; each side carries a stated rounding slack.
+    built; each side carries a stated rounding slack.  Every path runs on
+    p / 2^e, the e that puts the largest real or imaginary part of a
+    coefficient in [1/2, 1), and the bracket is multiplied back by 2^e.
+    ||L_(sp)|| = |s| ||L_p||, and scaling by a power of two is exact, so the
+    paths, which square coefficients, neither overflow nor underflow, and
+    sup_norm_bounds(p.scale(2^k), m) is 2^k sup_norm_bounds(p, m) bit for
+    bit while no coefficient leaves the normal range.  A part below
+    2^(e - 1074) is lost in the division; it moves ||L_p|| / 2^e by less
+    than 2^-1074 per term, far inside every slack.
     - Prefix-free p (no nonempty word a proper prefix of another; any n, the
       zero, constant, homogeneous and degree-1 p among them): lower and
       upper surround |c_()| + ||c||_2 (_prefix_free_norm), c the
@@ -1152,6 +1158,19 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     lower_method and gram_size (|W|, when the solve ran) on the result say
     which bounds were used.
     """
+    # every path runs on p / 2^e, with max(|Re c|, |Im c|) in [1/2, 1)
+    e = math.frexp(max((max(abs(c.real), abs(c.imag)) for c in p.terms.values()),
+                       default=0.0))[1]
+    p = NcPolynomial(p.n, {word: complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+                           for word, c in p.terms.items()})
+    bounds = _normalized_bounds(p, m)
+    return NormBounds(math.ldexp(bounds[0], e), math.ldexp(bounds[1], e), bounds.upper_method,
+                      bounds.lower_method, bounds.gram_size)
+
+
+def _normalized_bounds(p: NcPolynomial, m: int) -> NormBounds:
+    """sup_norm_bounds of a p whose coefficients have real and imaginary
+    parts below 1."""
     if _is_prefix_free(p):
         return NormBounds(*_prefix_free_norm(p), "prefix_free", "prefix_free")
     upper, upper_method = _grade_norm_bound(p), "grade_norms"

@@ -33,6 +33,7 @@ reliable_degree = m - max generator degree.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -43,8 +44,9 @@ from .errors import DomainError, ResourceCapError
 from .freealg import (MAX_DENSE_ENTRIES, NcPolynomial, WordIndex, _capped_basis_size,
                       _mult_triplets, _word_products, basis_size, evaluate,
                       truncated_mult_matrix)
-from .numerics import _BLAS_SCOPE, _svd, operator_norm
-from .poisson import RowContraction, is_c0_certified, poisson_kernel
+from .numerics import DEFAULT_TOL, _BLAS_SCOPE, _svd, operator_norm
+from .poisson import (COVARIANCE_WORD_DEGREE, DEFAULT_KMAX, RowContraction, is_c0_certified,
+                      poisson_kernel)
 
 GRADE_COORD_CAP = 4096       # largest single-grade coordinate space we factorize
 RANK_TOL = 1e-10
@@ -149,8 +151,8 @@ def _left_adjoint_shifts(X: np.ndarray, n: int, m: int) -> np.ndarray:
     return out
 
 
-def _null_space(A: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal columns spanning {x : A x = 0}, singular values <= tol cut.
+def _null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning {x : A x = 0}, singular values <= RANK_TOL cut.
 
     A stack taller than its width w is first reduced to its w x w triangle
     R, unless it has at most SMALL_STACK entries.  On the tall stacks of the
@@ -166,7 +168,7 @@ def _null_space(A: np.ndarray, tol: float) -> np.ndarray:
     if len(A) > w and A.size > SMALL_STACK:
         A = np.linalg.qr(A, mode="r")
     _, s, vh = _svd(A, full_matrices=len(A) < w)
-    return vh[np.count_nonzero(s > tol):].conj().T
+    return vh[np.count_nonzero(s > RANK_TOL):].conj().T
 
 
 def _padded_count(spec: IdealSpec) -> int:
@@ -191,13 +193,13 @@ def _require_model_fits(dim: int, n: int, r: int) -> None:
             f"entries exceed the cap {MAX_DENSE_ENTRIES}")
 
 
-def _memo_key(spec: IdealSpec, rank_tol: float) -> tuple:
-    """(n, the generators' words in order, their coefficients' bytes,
-    rank_tol): specs with equal keys run bit-identical recursions, and the
-    bytes keep apart coefficients that differ only in a signed zero."""
+def _memo_key(spec: IdealSpec) -> tuple:
+    """(n, the generators' words in order, their coefficients' bytes): specs
+    with equal keys run bit-identical recursions, and the bytes keep apart
+    coefficients that differ only in a signed zero."""
     gens = spec.generators
     coeffs = np.array([c for g in gens for c in g.terms.values()], dtype=complex)
-    return (spec.n, tuple(tuple(g.terms) for g in gens), coeffs.tobytes(), rank_tol)
+    return (spec.n, tuple(tuple(g.terms) for g in gens), coeffs.tobytes())
 
 
 class _Recursion:
@@ -259,7 +261,7 @@ def _memo_put(key, run: _Recursion) -> None:
             _memo.popitem(last=False)
 
 
-def _complement_recursion(spec: IdealSpec, rank_tol: float, key) -> _Recursion:
+def _complement_recursion(spec: IdealSpec, key) -> _Recursion:
     """The recursion for the complement N of the padded ideal V_m in P_m,
     resumed from the memo's state of spec's ideal and run up to degree m.
 
@@ -282,13 +284,15 @@ def _complement_recursion(spec: IdealSpec, rank_tol: float, key) -> _Recursion:
     run = _memo_get(key)
     if run is None:
         # unit-normalized generator rows by degree: the rows of their words,
-        # counted from the end of P_k, where grade k closes every step's rows
+        # counted from the end of P_k, where grade k closes every step's rows;
+        # the norm is a hypot, so no coefficient is squared and s g gives the
+        # row of g at any scale s
         units = {}
         for g in spec.generators:
             k, coeffs = int(g.degree), np.array(list(g.terms.values()))
             units.setdefault(k, []).append(
                 ([wi.index(word) - wi.grade_start(k + 1) for word in g.terms],
-                 coeffs.conj() / np.linalg.norm(coeffs)))
+                 coeffs.conj() / math.hypot(*coeffs.real, *coeffs.imag)))
         run = _Recursion(graded, units, min(units, default=None))
     k0 = m + 1 if run.k0 is None else run.k0
     if k0 > 0:
@@ -312,7 +316,7 @@ def _complement_recursion(spec: IdealSpec, rank_tol: float, key) -> _Recursion:
             coords.append(None)
             widths.append(None)
         else:
-            N, X = _next_complement(blocks[-1], n, k, run.units.get(k, ()), graded, rank_tol)
+            N, X = _next_complement(blocks[-1], n, k, run.units.get(k, ()), graded)
             blocks.append(N)
             coords.append(X.reshape(n, len(X) // n, X.shape[1]).conj().transpose(0, 2, 1)
                           if graded else None)
@@ -326,7 +330,7 @@ def _complement_recursion(spec: IdealSpec, rank_tol: float, key) -> _Recursion:
     return _Recursion(graded, run.units, run.k0, blocks, coords, widths)
 
 
-def _next_complement(N: np.ndarray, n: int, k: int, units, graded: bool, rank_tol: float):
+def _next_complement(N: np.ndarray, n: int, k: int, units, graded: bool):
     """(N_k, X) from N = N_{k-1}, with N_k = Phi X over orthonormal candidates Phi.
 
     The grade-k part of v in N_k lies in C^n (x) range(U), U an orthonormal
@@ -339,14 +343,14 @@ def _next_complement(N: np.ndarray, n: int, k: int, units, graded: bool, rank_to
     _complement_recursion).  Each constraint block maps the orthonormal
     candidates by a contraction and each generator row is a unit vector, so
     the null space keeps the singular values above the absolute cut
-    rank_tol.
+    RANK_TOL.
     """
     r, below, size = N.shape[1], len(N), n ** (k - 1)
     if graded:
         U, kept = N, N[:0, :0]
     else:
         u, s, _ = _svd(N[-size:])
-        U, kept = u[:, :np.count_nonzero(s > rank_tol)], N
+        U, kept = u[:, :np.count_nonzero(s > RANK_TOL)], N
     (base, lower), q = kept.shape, U.shape[1]
     w = lower + n * q
     _require_candidates_fit(k, base + n * size, w)
@@ -379,7 +383,7 @@ def _next_complement(N: np.ndarray, n: int, k: int, units, graded: bool, rank_to
     else:
         images -= N @ (N.conj().T @ images)
     rows.append(images.reshape(len(images) * shifted.shape[1], w))
-    X = _null_space(np.vstack(rows), rank_tol)
+    X = _null_space(np.vstack(rows))
     top = (U @ X[lower:].reshape(n, q, X.shape[1])).reshape(n * size, X.shape[1])
     # graded, kept is empty: stacking it on top would only copy top
     return (top if graded else np.vstack([kept @ X[:lower], top])), X
@@ -395,7 +399,7 @@ def _assemble(wi: WordIndex, blocks) -> np.ndarray:
     return out
 
 
-def ideal_subspace(spec: IdealSpec, rank_tol: float = RANK_TOL) -> np.ndarray:
+def ideal_subspace(spec: IdealSpec) -> np.ndarray:
     """Orthonormal basis of the degree-m component of the padded ideal.
 
     It is the orthogonal complement of the quotient model's N in P_m, taken
@@ -406,14 +410,13 @@ def ideal_subspace(spec: IdealSpec, rank_tol: float = RANK_TOL) -> np.ndarray:
     if factored > GRADE_COORD_CAP:
         raise ResourceCapError(
             f"coordinate space of size {factored} exceeds the cap {GRADE_COORD_CAP}")
-    model = build_quotient(spec, rank_tol)
+    model = build_quotient(spec)
     with _BLAS_SCOPE:
         if spec.homogeneous:
             return _assemble(wi, [
-                _null_space(model.n_basis[wi.grade_slice(k), model.grade_positions(k)].conj().T,
-                            rank_tol)
+                _null_space(model.n_basis[wi.grade_slice(k), model.grade_positions(k)].conj().T)
                 for k in range(spec.m + 1)])
-        return _null_space(model.n_basis.conj().T, rank_tol)
+        return _null_space(model.n_basis.conj().T)
 
 
 @dataclass
@@ -451,7 +454,7 @@ class QuotientModel:
         return np.flatnonzero(self.grades == k)
 
 
-def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel:
+def build_quotient(spec: IdealSpec) -> QuotientModel:
     """Quotient model on N = P_m minus the padded ideal, with B_i = P_N S_i|_N.
 
     One recursion over degrees builds N (_complement_recursion), run once
@@ -462,11 +465,13 @@ def build_quotient(spec: IdealSpec, rank_tol: float = RANK_TOL) -> QuotientModel
     are the block-bidiagonal compressions; the top grade maps into
     truncated territory, so relation checks only hold on grades up to
     reliable_degree.  Other generators give an approximate model, with
-    B_i = (L_i* N)* N.  The model's .spec is the caller's spec.
+    B_i = (L_i* N)* N.  The model's .spec is the caller's spec.  Each
+    generator enters as its unit row, so s g builds the model of g at any
+    scale s, and every rank is cut at the one absolute RANK_TOL.
     """
-    key = _memo_key(spec, rank_tol)
+    key = _memo_key(spec)
     with _BLAS_SCOPE:
-        run = _complement_recursion(spec, rank_tol, key)
+        run = _complement_recursion(spec, key)
         _memo_put(key, run)
         return _quotient_model(spec, run)
 
@@ -500,8 +505,8 @@ def _quotient_model(spec: IdealSpec, run: _Recursion) -> QuotientModel:
                          trivial=(r == 0), approximate=False)
 
 
-def quotient_distance(f: NcPolynomial, spec: IdealSpec, *, model: QuotientModel = None,
-                      rank_tol: float = RANK_TOL) -> float:
+def quotient_distance(f: NcPolynomial, spec: IdealSpec, *,
+                      model: QuotientModel = None) -> float:
     """Norm of the compression of multiplication by f to the complement N.
 
     For homogeneous generators the complement is grade-exact, so this is a
@@ -512,7 +517,7 @@ def quotient_distance(f: NcPolynomial, spec: IdealSpec, *, model: QuotientModel 
     an empirical approximation only (the model carries that flag).
     """
     if model is None:
-        model = build_quotient(spec, rank_tol)
+        model = build_quotient(spec)
     spec = model.spec
     if f.n != spec.n:
         raise ValueError(f"polynomial over n = {f.n}, ideal over n = {spec.n}")
@@ -570,8 +575,8 @@ def _von_neumann_sides(T, f, spec, model):
 
 
 def constrained_von_neumann_check(T: RowContraction, f: NcPolynomial, spec: IdealSpec,
-                                  *, model: QuotientModel = None, gen_tol: float = 1e-10,
-                                  c0_kmax: int = 30):
+                                  *, model: QuotientModel = None, gen_tol: float = DEFAULT_TOL,
+                                  c0_kmax: int = DEFAULT_KMAX):
     """(lhs, rhs) with lhs = ||f(T)|| and rhs the quotient compression norm.
 
     Requires a certified pure tuple annihilating every generator.  For
@@ -584,9 +589,12 @@ def constrained_von_neumann_check(T: RowContraction, f: NcPolynomial, spec: Idea
     return _von_neumann_sides(T, f, spec, model)
 
 
-def _poisson_residuals(T, spec, m, model, word_degree):
+def _poisson_residuals(T, spec, m, model):
     if model is None:
         model = build_quotient(spec.at_degree(m))
+    elif model.spec.m != m:
+        raise ValueError(f"kernel degree m = {m} differs from the model's degree "
+                         f"model.spec.m = {model.spec.m}")
     basis = model.n_basis
     K = poisson_kernel(T, m).matrix.reshape(len(basis), -1)   # a row of d^2 entries per word
     with _BLAS_SCOPE:
@@ -594,7 +602,7 @@ def _poisson_residuals(T, spec, m, model, word_degree):
         projected = basis @ coords
     range_residual = operator_norm((K - projected).reshape(-1, T.d))
 
-    words = list(WordIndex(T.n, min(word_degree, m)).words())
+    words = list(WordIndex(T.n, min(COVARIANCE_WORD_DEGREE, m)).words())
     # K* (B_alpha B_beta* tensor I) K = Y_alpha* Y_beta with Y_w = (B_w* tensor I) K
     Bw = _word_products(model.compressions, words)
     Y = (Bw.conj().transpose(0, 2, 1) @ coords.reshape(model.dim, -1)).reshape(
@@ -620,26 +628,26 @@ def _pair_defects(Y: np.ndarray, Tw: np.ndarray) -> np.ndarray:
 
 
 def quotient_poisson_check(T: RowContraction, spec: IdealSpec, m: int,
-                           *, model: QuotientModel = None, gen_tol: float = 1e-10,
-                           c0_kmax: int = 30, word_degree: int = 2):
+                           *, model: QuotientModel = None, gen_tol: float = DEFAULT_TOL,
+                           c0_kmax: int = DEFAULT_KMAX):
     """(range_residual, covariance_residual) for the kernel against the model.
 
     range_residual measures how far the kernel columns stick out of
     N tensor C^d; covariance_residual is the worst defect of
     K* (B_alpha B_beta* tensor I) K against T_alpha T_beta* over words of
-    length up to word_degree.  Both vanish with the truncation tail for pure
-    tuples.
+    length up to COVARIANCE_WORD_DEGREE.  Both vanish with the truncation
+    tail for pure tuples.  A model must be built at the kernel's degree m.
     """
     _require_admissible(T, spec, gen_tol, c0_kmax)
-    return _poisson_residuals(T, spec, m, model, word_degree)
+    return _poisson_residuals(T, spec, m, model)
 
 
 def quotient_checks(T: RowContraction, f: NcPolynomial, spec: IdealSpec, m: int,
-                    *, model: QuotientModel = None, gen_tol: float = 1e-10,
-                    c0_kmax: int = 30):
+                    *, model: QuotientModel = None, gen_tol: float = DEFAULT_TOL,
+                    c0_kmax: int = DEFAULT_KMAX):
     """(lhs, rhs, range_residual, covariance_residual): the results of
-    constrained_von_neumann_check and quotient_poisson_check (word degree 2)
-    for one tuple, which is checked once."""
+    constrained_von_neumann_check and quotient_poisson_check for one tuple,
+    which is checked once."""
     _require_admissible(T, spec, gen_tol, c0_kmax)
     return (*_von_neumann_sides(T, f, spec, model),
-            *_poisson_residuals(T, spec, m, model, 2))
+            *_poisson_residuals(T, spec, m, model))

@@ -111,15 +111,16 @@ class _BlasThreadScope:
 _BLAS_SCOPE = _BlasThreadScope()
 
 
-def as_hermitian(a, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Check near-Hermiticity and return the symmetrization (A + A*) / 2."""
+def as_hermitian(a) -> np.ndarray:
+    """Check near-Hermiticity, max |A - A*| <= HERMITIAN_RTOL (1 + max |A|),
+    and return the symmetrization (A + A*) / 2."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.size:
         gap = float(np.abs(a - a.conj().T).max())
         scale = 1.0 + float(np.abs(a).max())
-        if gap > rtol * scale:
+        if gap > HERMITIAN_RTOL * scale:
             raise ValueError(f"matrix is not Hermitian: max |A - A*| = {gap:.3e}")
     return (a + a.conj().T) / 2.0
 

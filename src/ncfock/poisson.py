@@ -23,6 +23,9 @@ from .freealg import (MAX_BASIS_SIZE, MAX_DENSE_ENTRIES, BallPoint, NcPolynomial
 from .numerics import DEFAULT_TOL, _BLAS_SCOPE, _svd, hermitian_sqrt, operator_norm
 
 CONTRACTION_CLAMP = 1e-10
+DEFAULT_KMAX = 20              # steps of the decay sequence that certify purity
+PURITY_MARGIN = 1e-9           # is_c0_certified wants sigma_kmax below 1 - this
+COVARIANCE_WORD_DEGREE = 2     # covariance residuals run over words of length <= this
 # c0_sequence work per step, in units of d^3 multiply-adds: on a 2-vCPU host a
 # step at d = 1 takes about 20 us and a unit 2.5-5 ns, so the costliest
 # admitted call takes about 1 s (at most 2.1 s measured over n <= 3, d <= 256)
@@ -33,12 +36,13 @@ C0_MAX_WORK = 2 ** 28
 class RowContraction:
     """An n-tuple of d x d matrices T_i with sum T_i T_i* <= I.
 
-    Eigenvalues of the defect I - sum T_i T_i* inside [-1e-10, 0) are clamped
-    to zero; anything lower is rejected.  delta is the PSD square root of the
-    (clamped) defect.
+    Eigenvalues of the defect I - sum T_i T_i* inside
+    [-CONTRACTION_CLAMP max(1, ||defect||), 0) are clamped to zero, with a
+    warning; anything lower is rejected.  delta is the PSD square root of
+    the (clamped) defect.
     """
 
-    def __init__(self, matrices, *, clamp_tol: float = CONTRACTION_CLAMP):
+    def __init__(self, matrices):
         mats = [np.atleast_2d(np.asarray(t, dtype=complex)) for t in matrices]
         if not mats:
             raise ValueError("need at least one tuple entry")
@@ -49,7 +53,7 @@ class RowContraction:
         T = np.stack(mats)
         defect = np.eye(d, dtype=complex) - np.einsum("iab,icb->ac", T, T.conj())
         try:
-            delta = hermitian_sqrt(defect, tol=clamp_tol)
+            delta = hermitian_sqrt(defect, tol=CONTRACTION_CLAMP)
         except DomainError as exc:
             raise DomainError(f"not a row contraction: {exc}") from exc
         self.matrices = T
@@ -163,16 +167,16 @@ def _sigmas(T: RowContraction, kmax: int, floor: float) -> list:
     return out
 
 
-def is_c0_certified(T: RowContraction, kmax: int = 30, margin: float = 1e-9) -> bool:
-    """True when sigma_kmax < 1 - margin.
+def is_c0_certified(T: RowContraction, kmax: int = DEFAULT_KMAX) -> bool:
+    """True when sigma_kmax < 1 - PURITY_MARGIN.
 
     Submultiplicativity (sigma_(a+b) <= sigma_a sigma_b) then forces
     sigma_k -> 0, so this is a genuine certificate, not a heuristic.  Since
     sigma_k never increases, the loop stops at the first sigma_k below
-    1 - margin (k = 1 for a strict row contraction), under the same work cap
-    as c0_sequence.
+    1 - PURITY_MARGIN (k = 1 for a strict row contraction), under the same
+    work cap as c0_sequence.  kmax defaults to the CLI's --kmax default.
     """
-    return _sigmas(T, kmax, 1.0 - margin)[-1] < 1.0 - margin
+    return _sigmas(T, kmax, 1.0 - PURITY_MARGIN)[-1] < 1.0 - PURITY_MARGIN
 
 
 def poisson_kernel(T: RowContraction, m: int, tol: float = DEFAULT_TOL) -> PoissonKernelMatrix:
@@ -293,12 +297,13 @@ def von_neumann_margin(T: RowContraction, p: NcPolynomial, m: int):
     return (float(lhs), lower, upper)
 
 
-def minimal_subspace(T: RowContraction, m: int, rank_tol: float = 1e-10) -> np.ndarray:
+def minimal_subspace(T: RowContraction, m: int) -> np.ndarray:
     """Orthonormal basis of the smallest subspace of P_m carrying the kernel.
 
     Spanned by the coefficient vectors alpha -> (Delta T_alpha*)[s, t] over
     all matrix positions (s, t); equivalently the column space of the kernel
-    blocks flattened along the matrix axes.  The kernel columns then lie in
+    blocks flattened along the matrix axes, its rank the singular values
+    above DEFAULT_TOL times the largest.  The kernel columns then lie in
     (span tensor C^d) by construction.
     """
     kernel = poisson_kernel(T, m)
@@ -311,5 +316,5 @@ def minimal_subspace(T: RowContraction, m: int, rank_tol: float = 1e-10) -> np.n
         u, s, _ = _svd(V)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((V.shape[0], 0), dtype=complex)
-    rank = int(np.count_nonzero(s > rank_tol * s[0]))
+    rank = int(np.count_nonzero(s > DEFAULT_TOL * s[0]))
     return np.ascontiguousarray(u[:, :rank])

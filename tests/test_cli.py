@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import format_value, jsonify
-from ncfock import cli, pick
+from ncfock import cli, freealg, pick
 
 
 def _write(tmp_path, name, doc):
@@ -313,10 +313,48 @@ def test_poisson_vonneumann_reports_the_certified_bracket(tmp_path, capsys, n, f
         assert res["lower"] <= res["upper"]
         assert res["lhs"] <= res["upper"]
         assert res["gap"] == pytest.approx(res["upper"] - res["lower"], abs=1e-15)
-        assert res["stabilized"] == (res["gap"] <= 1e-6 * max(1.0, res["upper"]))
+        assert res["stabilized"] == (res["gap"] <= 1e-6 * res["upper"])
         assert res["stabilized"]
         if methods[0] == "prefix_free":
             assert res["upper"] == pytest.approx(0.5 + math.hypot(1.0, 0.7), rel=1e-15)
+
+
+def _vonneumann(tmp_path, capsys, n, terms):
+    """The results of `poisson vonneumann --json` on p = sum c w over the
+    (word, coeff) terms, at the diagonal tuple of the points (0.5, 0.1) and,
+    at n = 1, 0.5 and 0.1."""
+    points = [[[0.5, 0.0], [0.1, 0.0]]] if n == 2 else [[[0.5, 0.0]], [[0.1, 0.0]]]
+    doc = {"kind": "poisson", "n": n, "points": points,
+           "polynomial": [{"word": list(w), "coeff": [c.real, c.imag]} for w, c in terms]}
+    assert cli.main(["poisson", "vonneumann", _write(tmp_path, "p.json", doc), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+def test_poisson_vonneumann_is_scale_free(tmp_path, capsys):
+    # no coefficient is chopped and the bracket is taken on p / 2^e, so a
+    # 1e-16 p keeps its norm and 1e200 does not overflow: each bracket is
+    # the unit-scale one times the scale, to 1e-12
+    assert _vonneumann(tmp_path, capsys, 1, [((1,), 1e-16)])["lower"] > 0.0
+    for n, word in ((1, (1, 1)), (2, (1, 2))):
+        unit = _vonneumann(tmp_path, capsys, n, [((), 1.0), ((1,), 0.5), (word, 0.25j)])
+        for scale in (1e-200, 1e-16, 1e200):
+            res = _vonneumann(tmp_path, capsys, n, [((), scale), ((1,), 0.5 * scale),
+                                                    (word, 0.25j * scale)])
+            assert 0.0 < res["lower"] <= res["upper"] and res["lhs"] <= res["upper"]
+            assert (res["lower"] / scale, res["upper"] / scale) == pytest.approx(
+                (unit["lower"], unit["upper"]), rel=1e-12)
+            assert res["stabilized"] and res["lower_method"] == unit["lower_method"]
+
+
+def test_poisson_vonneumann_stabilized_is_relative(tmp_path, capsys, monkeypatch):
+    # the truncated fallback leaves a bracket about 10% wide: not stabilized
+    # at any scale, though at 1e-8 its width is below 1e-6
+    monkeypatch.setattr(freealg, "FEJER_RIESZ_MAX_WORK", 0)
+    for scale in (1.0, 1e-8):
+        res = _vonneumann(tmp_path, capsys, 2, [((), 0.5 * scale), ((1,), scale),
+                                                ((1, 2), 0.7j * scale)])
+        assert res["lower_method"] == "truncated" and res["gap"] > 0.05 * res["upper"]
+        assert not res["stabilized"]
 
 
 def test_poisson_vonneumann_reports_the_degree_of_the_truncated_bound(tmp_path, capsys):

@@ -1073,8 +1073,55 @@ def test_zero_polynomial():
         mult_matrix(zero, 2)
 
 
-def test_coefficient_chop():
-    p = NcPolynomial(2, {(1,): 1e-16, (2,): 1.0})
-    assert (1,) not in p.terms
-    q = tensor_product(NcPolynomial(2, {(1,): 1e-8}), NcPolynomial(2, {(2,): 1e-8}))
-    assert q.is_zero
+def test_coefficients_are_kept_as_given():
+    # no scale is noise: 1e-300 coefficients stay, and only exact zeros go
+    p = NcPolynomial(2, {(1,): 1e-300, (2,): 1.0, (1, 2): 0.0, (2, 2): -0.0j})
+    assert p.terms == {(1,): 1e-300, (2,): 1.0}
+    q = tensor_product(NcPolynomial(2, {(1,): 1e-150}), NcPolynomial(2, {(2,): 1e-150j}))
+    assert q.terms == {(1, 2): 1e-300j}
+    assert (p - p).is_zero and (p + p.scale(-1.0)).is_zero
+    assert sup_norm_bounds(NcPolynomial(1, {(1,): 1e-300}), 3)[0] > 0.0
+
+
+def test_grade_norms_at_any_scale():
+    # one hypot per grade: no coefficient is squared, so 1e200 does not
+    # overflow and 1e-200 does not underflow
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        p = random_polynomial(rng, int(rng.integers(1, 4)), 4, terms=8)
+        unit = p.grade_norms()
+        for scale in (1e200, 1e-200):
+            scaled = p.scale(scale).grade_norms()
+            assert scaled == pytest.approx([scale * v for v in unit], rel=1e-15)
+    assert NcPolynomial.zero(2).grade_norms() == []
+
+
+def _scale_cases(rng, count):
+    """Random p for each certificate: homogeneous (the closed form), n = 1
+    (the circle) and n = 2 with e_1 a prefix of e_1 e_2 (the Gram solve)."""
+    for _ in range(count):
+        yield random_polynomial(rng, int(rng.integers(1, 4)), 3, terms=4, homogeneous=True)
+        yield random_polynomial(rng, 1, int(rng.integers(2, 9)), terms=6)
+        yield random_polynomial(rng, 2, 3) + NcPolynomial(2, {(1,): 1.0, (1, 2): 0.7j})
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_norm_bounds_are_scale_free_bit_for_bit(monkeypatch, capped):
+    # every path runs on p / 2^e, so scaling p by 2^k scales the bracket by
+    # 2^k exactly, with the same methods and gram_size; capped sends the
+    # Gram solve's cases to the truncated fallback
+    if capped:
+        monkeypatch.setattr(freealg, "FEJER_RIESZ_MAX_WORK", 0)
+    rng = np.random.default_rng(43)
+    methods = set()
+    for p in _scale_cases(rng, 10):
+        base = sup_norm_bounds(p, 4)
+        methods.add(base.lower_method)
+        for k in (-500, 500):
+            scaled = sup_norm_bounds(p.scale(2.0 ** k), 4)
+            assert tuple(scaled) == (2.0 ** k * base[0], 2.0 ** k * base[1])
+            assert ((scaled.lower_method, scaled.upper_method, scaled.gram_size)
+                    == (base.lower_method, base.upper_method, base.gram_size))
+    middle = "truncated" if capped else "fejer_riesz_dual"
+    assert methods == {"prefix_free", "circle", middle}
+

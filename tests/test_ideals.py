@@ -615,6 +615,31 @@ def test_quotient_poisson_check_commuting_rho_quarter():
     assert covariance_residual < 1e-4
 
 
+def test_quotient_poisson_checks_need_the_model_at_the_kernel_degree():
+    # a model at degree 4 against a kernel of degree 3 or 5 is an input error
+    # naming both degrees, not a failed reshape
+    t = RowContraction.from_point(BallPoint([0.3, 0.2]))
+    spec = q_commutation_spec(2, 1.0, 4)
+    model = build_quotient(spec)
+    f = NcPolynomial(2, {(1,): 1.0})
+    for m in (3, 5):
+        match = f"m = {m} differs from the model's degree model.spec.m = 4"
+        with pytest.raises(ValueError, match=match):
+            quotient_poisson_check(t, spec, m, model=model)
+        with pytest.raises(ValueError, match=match):
+            ideals.quotient_checks(t, f, spec, m, model=model)
+    assert quotient_poisson_check(t, spec, 4, model=model) == quotient_poisson_check(t, spec, 4)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170])
+def test_quotient_is_scale_free(scale):
+    # s [e_1, e_2] generates the commutator ideal at any scale s: its unit
+    # row is formed with a hypot, which neither underflows nor overflows
+    g = NcPolynomial(2, {(1, 2): scale, (2, 1): -scale})
+    model = build_quotient(IdealSpec(2, (g,), 4))
+    assert model.grade_dimensions() == [1, 2, 3, 4, 5]
+
+
 def test_quotient_distance_degree_guard():
     spec = q_commutation_spec(2, 1.0, 3)
     with pytest.raises(ValueError):

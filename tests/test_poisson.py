@@ -82,18 +82,23 @@ def _tuples_strict_boundary_non_pure(rng, count):
 
 @pytest.mark.filterwarnings("ignore:clamped")
 def test_is_c0_certified_matches_the_last_sigma():
-    # the verdict stops at the first sigma_k below 1 - margin; it must be the
-    # verdict on sigma_kmax, and a strict tuple stops at k = 1
+    # the verdict stops at the first sigma_k below 1 - PURITY_MARGIN; it must
+    # be the verdict on sigma_kmax.  A strict tuple stops at k = 1; a boundary
+    # one has sigma_1 = 1 and stops at k = 2, before kmax when kmax > 2
     rng = np.random.default_rng(23)
-    kinds = set()
+    floor = 1.0 - poisson.PURITY_MARGIN
+    kinds, early = set(), 0
     for kind, t in _tuples_strict_boundary_non_pure(rng, 90):
         kmax = int(rng.integers(0, 31))
-        for margin in (1e-9, 1e-3, 0.2):
-            expected = c0_sequence(t, kmax)[-1] < 1.0 - margin
-            assert is_c0_certified(t, kmax, margin) == expected
+        assert is_c0_certified(t, kmax) == (c0_sequence(t, kmax)[-1] < floor)
+        steps = len(poisson._sigmas(t, kmax, floor)) - 1
         if kind == "strict" and kmax >= 1:
-            assert len(poisson._sigmas(t, kmax, 1.0 - 1e-9)) == 2
-        kinds.add((kind, is_c0_certified(t, 30)))
+            assert steps == 1
+        if kind == "boundary" and kmax >= 2:
+            assert steps == 2
+            early += kmax > 2
+        kinds.add((kind, is_c0_certified(t)))
+    assert early >= 10
     assert kinds == {("strict", True), ("boundary", True), ("non-pure", False)}
 
 
