@@ -9,37 +9,29 @@ quotients by 2-sided ideals such as commutation relations.
 """
 
 from .errors import DomainError, ResourceCapError, SingularGramError
-from .freealg import (BallPoint, FockVector, NcMatrixPolynomial, NcPolynomial,
-                      WordIndex, basis_size, evaluate, flip, mult_matrix,
-                      sup_norm_bounds, tensor_product, truncated_mult_matrix, z_vector)
+from .freealg import (BallPoint, NcMatrixPolynomial, NcPolynomial, WordIndex, basis_size,
+                      evaluate, sup_norm_bounds, tensor_product, truncated_mult_matrix)
 from .ideals import (IdealSpec, QuotientModel, build_quotient, caratheodory_distance,
-                     constrained_von_neumann_check, ideal_subspace, q_commutation_spec,
-                     quotient_checks, quotient_distance, quotient_poisson_check)
+                     constrained_von_neumann_check, q_commutation_spec, quotient_checks,
+                     quotient_distance, quotient_poisson_check)
 from .numerics import PsdVerdict, as_hermitian, hermitian_sqrt, operator_norm, psd_check
-from .pick import (PickCertificate, PickProblem, certify, classical_ball_matrix,
-                   gram, lagrange_interpolant, min_interpolation_norm,
-                   min_norm_and_condition, pick_matrix,
+from .pick import (PickCertificate, PickProblem, certify, classical_ball_matrix, gram,
+                   lagrange_interpolant, min_norm_and_condition, pick_matrix,
                    sample_membership_check)
-from .poisson import (PoissonKernelMatrix, RowContraction, c0_sequence,
-                      is_c0_certified, minimal_subspace, poisson_compression,
-                      poisson_covariance_check, poisson_covariance_residuals,
-                      poisson_kernel, von_neumann_margin)
+from .poisson import (PoissonKernelMatrix, RowContraction, c0_sequence, is_c0_certified,
+                      minimal_subspace, poisson_covariance_residuals, poisson_kernel)
 
 __all__ = [
-    "BallPoint", "DomainError", "FockVector", "IdealSpec", "NcMatrixPolynomial",
-    "NcPolynomial", "PickCertificate", "PickProblem", "PoissonKernelMatrix",
-    "PsdVerdict", "QuotientModel", "ResourceCapError", "RowContraction",
-    "SingularGramError", "WordIndex", "as_hermitian", "basis_size",
-    "build_quotient", "c0_sequence", "caratheodory_distance", "certify",
-    "classical_ball_matrix", "constrained_von_neumann_check", "evaluate", "flip",
-    "gram", "hermitian_sqrt", "ideal_subspace", "is_c0_certified",
-    "lagrange_interpolant", "min_interpolation_norm", "min_norm_and_condition",
-    "minimal_subspace", "mult_matrix", "operator_norm", "pick_matrix",
-    "poisson_compression", "poisson_covariance_check",
-    "poisson_covariance_residuals", "poisson_kernel",
-    "psd_check", "q_commutation_spec", "quotient_checks", "quotient_distance",
-    "quotient_poisson_check", "sample_membership_check", "sup_norm_bounds", "tensor_product",
-    "truncated_mult_matrix", "z_vector",
+    "BallPoint", "DomainError", "IdealSpec", "NcMatrixPolynomial", "NcPolynomial",
+    "PickCertificate", "PickProblem", "PoissonKernelMatrix", "PsdVerdict", "QuotientModel",
+    "ResourceCapError", "RowContraction", "SingularGramError", "WordIndex", "as_hermitian",
+    "basis_size", "build_quotient", "c0_sequence", "caratheodory_distance", "certify",
+    "classical_ball_matrix", "constrained_von_neumann_check", "evaluate", "gram",
+    "hermitian_sqrt", "is_c0_certified", "lagrange_interpolant", "min_norm_and_condition",
+    "minimal_subspace", "operator_norm", "pick_matrix", "poisson_covariance_residuals",
+    "poisson_kernel", "psd_check", "q_commutation_spec", "quotient_checks",
+    "quotient_distance", "quotient_poisson_check", "sample_membership_check",
+    "sup_norm_bounds", "tensor_product", "truncated_mult_matrix",
 ]
 
 __version__ = "0.1.0"

@@ -193,7 +193,8 @@ _FIELDS = {
 _DEFAULTS = {"tol": DEFAULT_TOL, "kmax": DEFAULT_KMAX}
 # The parameter flags: type and help; a kind accepts those in its parameters.
 _FLAGS = {"degree": (int, "truncation degree m"),
-          "tol": (float, "tolerance (default 1e-10)"),
+          "tol": (float, "tolerance (default 1e-10); ideal check admits a tuple T when "
+                         "||g(T)|| <= tol ||g||_2, relative to each generator's norm"),
           "kmax": (int, "decay-sequence length")}
 
 

@@ -1,4 +1,4 @@
-"""Words, truncated Fock-space vectors, and sparse noncommutative polynomials.
+"""Words, the truncated Fock space, and sparse noncommutative polynomials.
 
 The truncated Fock space P_m over n generators has one basis vector per word
 of length at most m.  Words are plain tuples of 1-based generator indices,
@@ -9,9 +9,8 @@ grade k sits at offset D(n, k-1) with D(n, m) = 1 + n + ... + n^m.
 Polynomials act on points and operator tuples through one functional
 calculus (``evaluate``), which forms each word product once per prefix.
 
-Multiplication matrices are always built into the full target grade
-m + deg(p); compressing back to P_m is an explicit, separate step
-(``truncated_mult_matrix``).  Norm bounds form neither (``sup_norm_bounds``):
+Multiplication by p is formed only as its compression to P_m
+(``truncated_mult_matrix``).  Norm bounds do not form it (``sup_norm_bounds``):
 a p whose nonempty words are prefix-free has a closed-form norm, an n = 1 p
 is bounded on the unit circle, and every other p gets both sides of the
 bracket from one Fejer-Riesz Gram solve over the coefficients of L_p* L_p,
@@ -142,33 +141,6 @@ class WordIndex:
         return (self.word(i) for i in range(self.dim))
 
 
-class FockVector:
-    """Coefficient vector over the word basis of P_m."""
-
-    __slots__ = ("n", "m", "coeffs")
-
-    def __init__(self, n: int, m: int, coeffs):
-        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
-        dim = _capped_basis_size(n, m)
-        if coeffs.shape != (dim,):
-            raise ValueError(f"expected {dim} coefficients, got shape {coeffs.shape}")
-        self.n = n
-        self.m = m
-        self.coeffs = coeffs
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def inner(self, other: "FockVector") -> complex:
-        """<self, other> = sum_alpha self(alpha) * conj(other(alpha))."""
-        if (self.n, self.m) != (other.n, other.m):
-            raise ValueError("vectors live on different truncated spaces")
-        return complex(np.vdot(other.coeffs, self.coeffs))
-
-    def coefficient(self, word) -> complex:
-        return complex(self.coeffs[WordIndex(self.n, self.m).index(word)])
-
-
 class BallPoint:
     """A point of the closed unit ball of C^n.
 
@@ -291,13 +263,6 @@ class NcPolynomial:
         scalar = complex(scalar)
         return NcPolynomial(self.n, {w: scalar * c for w, c in self.terms.items()})
 
-    def to_fock(self, m: int) -> FockVector:
-        wi = WordIndex(self.n, m)
-        coeffs = np.zeros(wi.dim, dtype=complex)
-        for word, coeff in self.terms.items():
-            coeffs[wi.index(word)] = coeff
-        return FockVector(self.n, m, coeffs)
-
     def _check_same_algebra(self, other: "NcPolynomial"):
         if self.n != other.n:
             raise ValueError(f"mismatched generator counts {self.n} and {other.n}")
@@ -401,8 +366,7 @@ def evaluate(p, X):
     A scalar polynomial gives a complex at a point and an array of shape
     (..., d, d) on a stack.  A matrix-valued polynomial gives
     sum_alpha C_alpha (x) X_alpha: its (rows, cols) matrix of values at a
-    point, an array of shape (..., rows d, cols d) on a stack.  At a point
-    the value agrees with <p, z_vector(point, m)> whenever m >= deg p.
+    point, an array of shape (..., rows d, cols d) on a stack.
     """
     point = isinstance(X, BallPoint) or np.ndim(X) <= 1
     X = _as_point(X).coords[:, None, None] if point else np.asarray(X, dtype=complex)
@@ -429,66 +393,22 @@ def evaluate(p, X):
     return complex(out[0, 0]) if point and scalar else out
 
 
-def z_vector(point, m: int) -> FockVector:
-    """The kernel vector with coefficients conj(lambda_alpha), |alpha| <= m.
-
-    Pairs against polynomials by <p, z> = p(lambda) for deg p <= m.  Requires
-    |lambda| < 1 strictly; on the sphere the full series diverges.
-    """
-    point = _as_point(point)
-    if point.norm >= 1.0:
-        raise DomainError(
-            f"kernel vector needs |lambda| < 1, got {point.norm:.6g} (series diverges)")
-    wi = WordIndex(point.n, m)
-    coeffs = np.empty(wi.dim, dtype=complex)
-    lam_bar = point.coords.conj()
-    block = np.ones(1, dtype=complex)
-    coeffs[0] = 1.0
-    for k in range(1, m + 1):
-        block = np.kron(block, lam_bar)
-        coeffs[wi.grade_slice(k)] = block
-    return FockVector(point.n, m, coeffs)
-
-
-def _mult_triplets(p: NcPolynomial, m: int, row_cap: int):
-    """(rows, cols, vals) triplet blocks of the multiplication action on P_m,
-    keeping only output grades < row_cap."""
+def _mult_triplets(p: NcPolynomial, m: int):
+    """(rows, cols, vals) triplet blocks of the multiplication by p compressed
+    to P_m: output grades above m are dropped."""
     n = p.n
     wi_in = WordIndex(n, m)
     blocks = []
     for word, coeff in p.terms.items():
         a = len(word)
         u = word_value(word, n)
-        for b in range(m + 1):
-            if a + b >= row_cap:
-                continue
+        for b in range(m - a + 1):
             size = n ** b
             cols = np.arange(size) + wi_in.grade_start(b)
             rows = basis_size(n, a + b - 1) if a + b else 0
             rows = rows + u * size + np.arange(size)
             blocks.append((rows, cols, coeff))
     return blocks
-
-
-def mult_matrix(p: NcPolynomial, m: int) -> np.ndarray:
-    """Matrix of multiplication by p from P_m into P_{m + deg p}.
-
-    The column of the word beta holds the coefficient vector of the product
-    of p with e_beta.  No silent truncation happens: the output space is the
-    full target grade, and compressing back to P_m is a separate step.
-    """
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no multiplication matrix")
-    d = int(p.degree)
-    wi_in = WordIndex(p.n, m)
-    wi_out = WordIndex(p.n, m + d)
-    if wi_out.dim * wi_in.dim > MAX_DENSE_ENTRIES:
-        raise ResourceCapError(
-            f"dense {wi_out.dim} x {wi_in.dim} multiplication matrix exceeds the cap")
-    out = np.zeros((wi_out.dim, wi_in.dim), dtype=complex)
-    for rows, cols, coeff in _mult_triplets(p, m, m + d + 1):
-        out[rows, cols] += coeff
-    return out
 
 
 def truncated_mult_matrix(p: NcPolynomial, m: int) -> np.ndarray:
@@ -500,35 +420,9 @@ def truncated_mult_matrix(p: NcPolynomial, m: int) -> np.ndarray:
     if wi.dim * wi.dim > MAX_DENSE_ENTRIES:
         raise ResourceCapError(f"dense {wi.dim} x {wi.dim} compression exceeds the cap")
     out = np.zeros((wi.dim, wi.dim), dtype=complex)
-    for rows, cols, coeff in _mult_triplets(p, m, m + 1):
+    for rows, cols, coeff in _mult_triplets(p, m):
         out[rows, cols] += coeff
     return out
-
-
-def _reversal_permutation(n: int, k: int) -> np.ndarray:
-    """perm[v] = grade position of the letter-reversed word at position v."""
-    v = np.arange(n ** k)
-    rev = np.zeros_like(v)
-    tmp = v.copy()
-    for _ in range(k):
-        rev = rev * n + tmp % n
-        tmp //= n
-    return rev
-
-
-def flip(v: FockVector) -> FockVector:
-    """Letter-reversing unitary: the coefficient of a word moves to its reversal.
-
-    An involution, and an l2 isometry grade by grade.
-    """
-    wi = WordIndex(v.n, v.m)
-    out = np.empty_like(v.coeffs)
-    for k in range(v.m + 1):
-        block = v.coeffs[wi.grade_slice(k)]
-        target = np.empty_like(block)
-        target[_reversal_permutation(v.n, k)] = block
-        out[wi.grade_slice(k)] = target
-    return FockVector(v.n, v.m, out)
 
 
 class NormBounds(tuple):
@@ -1101,7 +995,8 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     sup_norm_bounds(p.scale(2^k), m) is 2^k sup_norm_bounds(p, m) bit for
     bit while no coefficient leaves the normal range.  A part below
     2^(e - 1074) is lost in the division; it moves ||L_p|| / 2^e by less
-    than 2^-1074 per term, far inside every slack.
+    than 2^-1074 per term, far inside every slack.  A bracket that 2^e puts
+    above the largest double raises DomainError naming the scale.
     - Prefix-free p (no nonempty word a proper prefix of another; any n, the
       zero, constant, homogeneous and degree-1 p among them): lower and
       upper surround |c_()| + ||c||_2 (_prefix_free_norm), c the
@@ -1164,8 +1059,12 @@ def sup_norm_bounds(p: NcPolynomial, m: int) -> NormBounds:
     p = NcPolynomial(p.n, {word: complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
                            for word, c in p.terms.items()})
     bounds = _normalized_bounds(p, m)
-    return NormBounds(math.ldexp(bounds[0], e), math.ldexp(bounds[1], e), bounds.upper_method,
-                      bounds.lower_method, bounds.gram_size)
+    try:
+        lower, upper = math.ldexp(bounds[0], e), math.ldexp(bounds[1], e)
+    except OverflowError:
+        raise DomainError(f"the norm bracket [{bounds[0]!r}, {bounds[1]!r}] at scale 2^{e} "
+                          f"exceeds the largest double") from None
+    return NormBounds(lower, upper, bounds.upper_method, bounds.lower_method, bounds.gram_size)
 
 
 def _normalized_bounds(p: NcPolynomial, m: int) -> NormBounds:

@@ -193,6 +193,14 @@ def _require_model_fits(dim: int, n: int, r: int) -> None:
             f"entries exceed the cap {MAX_DENSE_ENTRIES}")
 
 
+def _coefficient_norm(g: NcPolynomial) -> float:
+    """||g||_2, one hypot of the real and imaginary parts of g's
+    coefficients: no coefficient is squared, so it neither overflows nor
+    underflows before it must."""
+    coeffs = np.array(list(g.terms.values()))
+    return math.hypot(*coeffs.real, *coeffs.imag)
+
+
 def _memo_key(spec: IdealSpec) -> tuple:
     """(n, the generators' words in order, their coefficients' bytes): specs
     with equal keys run bit-identical recursions, and the bytes keep apart
@@ -285,14 +293,13 @@ def _complement_recursion(spec: IdealSpec, key) -> _Recursion:
     if run is None:
         # unit-normalized generator rows by degree: the rows of their words,
         # counted from the end of P_k, where grade k closes every step's rows;
-        # the norm is a hypot, so no coefficient is squared and s g gives the
-        # row of g at any scale s
+        # s g gives the row of g at any scale s (_coefficient_norm)
         units = {}
         for g in spec.generators:
-            k, coeffs = int(g.degree), np.array(list(g.terms.values()))
+            k = int(g.degree)
             units.setdefault(k, []).append(
                 ([wi.index(word) - wi.grade_start(k + 1) for word in g.terms],
-                 coeffs.conj() / math.hypot(*coeffs.real, *coeffs.imag)))
+                 np.array(list(g.terms.values())).conj() / _coefficient_norm(g)))
         run = _Recursion(graded, units, min(units, default=None))
     k0 = m + 1 if run.k0 is None else run.k0
     if k0 > 0:
@@ -399,42 +406,20 @@ def _assemble(wi: WordIndex, blocks) -> np.ndarray:
     return out
 
 
-def ideal_subspace(spec: IdealSpec) -> np.ndarray:
-    """Orthonormal basis of the degree-m component of the padded ideal.
-
-    It is the orthogonal complement of the quotient model's N in P_m, taken
-    grade by grade for homogeneous generators, where it is grade-exact.
-    """
-    wi = WordIndex(spec.n, spec.m)
-    factored = spec.n ** spec.m if spec.homogeneous else wi.dim
-    if factored > GRADE_COORD_CAP:
-        raise ResourceCapError(
-            f"coordinate space of size {factored} exceeds the cap {GRADE_COORD_CAP}")
-    model = build_quotient(spec)
-    with _BLAS_SCOPE:
-        if spec.homogeneous:
-            return _assemble(wi, [
-                _null_space(model.n_basis[wi.grade_slice(k), model.grade_positions(k)].conj().T)
-                for k in range(spec.m + 1)])
-        return _null_space(model.n_basis.conj().T)
-
-
 @dataclass
 class QuotientModel:
     """Orthonormal basis of the co-invariant complement plus compressed shifts.
 
     n_basis, compressions and grades are read-only.  build_quotient
     assembles them per call, except n_basis for non-homogeneous generators:
-    that is the memo's own N_m, handed to every caller at degree m.
+    that is the memo's own N_m, handed to every caller at degree m.  grades
+    is None for an approximate (non-homogeneous) model.
     """
 
     spec: IdealSpec
     n_basis: np.ndarray = field(repr=False)
     compressions: np.ndarray = field(repr=False)
-    reliable_degree: int
-    grades: np.ndarray = None
-    trivial: bool = False
-    approximate: bool = False
+    grades: np.ndarray
 
     def __post_init__(self):
         for array in (self.n_basis, self.compressions, self.grades):
@@ -444,6 +429,20 @@ class QuotientModel:
     @property
     def dim(self) -> int:
         return int(self.n_basis.shape[1])
+
+    @property
+    def reliable_degree(self) -> int:
+        """The top grade on which relation and semi-invariance statements hold."""
+        return self.spec.m - self.spec.max_generator_degree
+
+    @property
+    def trivial(self) -> bool:
+        return self.dim == 0
+
+    @property
+    def approximate(self) -> bool:
+        """True for non-homogeneous generators: no grade-exact certificate."""
+        return self.grades is None
 
     def grade_dimensions(self) -> list:
         if self.grades is None:
@@ -478,7 +477,6 @@ def build_quotient(spec: IdealSpec) -> QuotientModel:
 
 def _quotient_model(spec: IdealSpec, run: _Recursion) -> QuotientModel:
     n, m = spec.n, spec.m
-    reliable = m - spec.max_generator_degree
     if not run.graded:
         n_basis = run.blocks[m]
         # B_i = N* L_i N = (L_i* N)* P_{m-1} N
@@ -486,8 +484,7 @@ def _quotient_model(spec: IdealSpec, run: _Recursion) -> QuotientModel:
         lowered = _left_adjoint_shifts(n_basis, n, m)   # L_i* N in P_{m-1}
         B = (lowered.reshape(len(lowered), n * r).conj().T
              @ n_basis[:len(lowered)]).reshape(n, r, r)
-        return QuotientModel(spec, n_basis, B, reliable, grades=None,
-                             trivial=(r == 0), approximate=True)
+        return QuotientModel(spec, n_basis, B, None)
     blocks, coords = run.blocks[:m + 1], run.coords
     sizes = [b.shape[1] for b in blocks]
     at = list(itertools.accumulate(sizes, initial=0))
@@ -500,9 +497,8 @@ def _quotient_model(spec: IdealSpec, run: _Recursion) -> QuotientModel:
                   at[k - 1]:at[k]] = np.eye(sizes[k - 1])
         else:
             B[:, at[k]:at[k + 1], at[k - 1]:at[k]] = coords[k]
-    return QuotientModel(spec, _assemble(WordIndex(n, m), blocks), B, reliable,
-                         grades=np.repeat(np.arange(m + 1), sizes),
-                         trivial=(r == 0), approximate=False)
+    return QuotientModel(spec, _assemble(WordIndex(n, m), blocks), B,
+                         np.repeat(np.arange(m + 1), sizes))
 
 
 def quotient_distance(f: NcPolynomial, spec: IdealSpec, *,
@@ -529,7 +525,7 @@ def quotient_distance(f: NcPolynomial, spec: IdealSpec, *,
         return operator_norm(evaluate(f, model.compressions))
     N = model.n_basis
     fN = np.zeros_like(N)   # L_f N compressed to P_m, as moves of word indices
-    for rows, cols, c in _mult_triplets(f, spec.m, spec.m + 1):
+    for rows, cols, c in _mult_triplets(f, spec.m):
         fN[rows] += c * N[cols]
     return operator_norm(N.conj().T @ fN)
 
@@ -554,12 +550,19 @@ def caratheodory_distance(p: NcPolynomial, m0: int) -> float:
 
 
 def _require_admissible(T: RowContraction, spec: IdealSpec, tol: float, kmax: int):
-    """Require a tuple that annihilates every generator and is certified pure."""
+    """Require a tuple that annihilates every generator and is certified pure.
+
+    g(T) = 0 is tested as ||g(T)|| <= tol ||g||_2 (_coefficient_norm, which
+    also scales g's unit row in _complement_recursion): the ideal of s g is
+    that of g, and so is the verdict, at any scale s.
+    """
     offenders = []
     for idx, g in enumerate(spec.generators):
         norm = operator_norm(evaluate(g, T.matrices))
-        if norm > tol:
-            offenders.append(f"generators[{idx}]: ||g(T)|| = {norm:.3e}")
+        bound = tol * _coefficient_norm(g)
+        if norm > bound:
+            offenders.append(f"generators[{idx}]: ||g(T)|| = {norm:.3e} > tol ||g||_2 = "
+                             f"{bound:.3e}")
     if offenders:
         raise DomainError(
             "tuple does not annihilate the ideal generators: " + "; ".join(offenders))

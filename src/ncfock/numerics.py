@@ -50,6 +50,7 @@ from .errors import DomainError
 
 DEFAULT_TOL = 1e-10
 HERMITIAN_RTOL = 1e-12
+CONTRACTION_CLAMP = 1e-10   # hermitian_sqrt clamps eigenvalues down to -this * scale
 
 
 def _openblas_thread_functions():
@@ -178,17 +179,18 @@ def _svd(a: np.ndarray, full_matrices: bool = False):
         return vh.conj().T, s, u.conj().T
 
 
-def hermitian_sqrt(a, *, tol: float = 1e-12) -> np.ndarray:
+def hermitian_sqrt(a) -> np.ndarray:
     """PSD square root by spectral decomposition.
 
-    Eigenvalues in [-tol*scale, 0) are clamped to zero with a warning;
-    anything lower means the input is indefinite and raises.
+    Eigenvalues in [-CONTRACTION_CLAMP * scale, 0), scale = max(1, the
+    largest |eigenvalue|), are clamped to zero with a warning; anything lower
+    means the input is indefinite and raises.
     """
     h = as_hermitian(a)
     with _BLAS_SCOPE:
         vals, vecs = np.linalg.eigh(h)
         scale = max(1.0, float(np.abs(vals).max()))
-        if vals[0] < -tol * scale:
+        if vals[0] < -CONTRACTION_CLAMP * scale:
             raise DomainError(
                 f"matrix is indefinite beyond tolerance: min eigenvalue {vals[0]:.3e}")
         if vals[0] < 0.0:

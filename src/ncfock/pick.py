@@ -149,8 +149,9 @@ def pick_matrix(problem: PickProblem, c: float) -> np.ndarray:
     return as_hermitian(_pick_blocks(gram(problem), problem.targets, c))
 
 
-def min_interpolation_norm(problem: PickProblem) -> float:
-    """The least multiplier norm c* among all interpolants of the problem.
+def min_norm_and_condition(problem: PickProblem) -> tuple:
+    """(c*, cond(G)): the least multiplier norm c* among all interpolants of
+    the problem, and cond(G) = lambda_max / lambda_min of the Gram matrix.
 
     pick_matrix(problem, c) is PSD exactly for c >= c*, so c*^2 is the top
     generalized eigenvalue of the pair (B, G (x) I) with block (i, j) of B
@@ -161,17 +162,10 @@ def min_interpolation_norm(problem: PickProblem) -> float:
     k x k Cholesky factor of G and one solve with L on k block rows.
     Raises SingularGramError when the least eigenvalue of G, which is that
     of G (x) I, is at most 1e-12 relative to max(1, ||G||).
-    """
-    return min_norm_and_condition(problem)[0]
-
-
-def min_norm_and_condition(problem: PickProblem) -> tuple:
-    """(c*, cond(G)), cond(G) = lambda_max / lambda_min of the Gram matrix.
 
     c* carries about 16 - log10 cond(G) correct digits: its relative
     rounding error is about 1e-16 cond(G).  cond(G) comes from the
-    eigenvalues that the singularity test of min_interpolation_norm takes
-    anyway.
+    eigenvalues that the singularity test takes anyway.
     """
     _dense_cap(problem)
     return _min_norm(gram(problem), problem.targets)

@@ -22,7 +22,6 @@ from .freealg import (MAX_BASIS_SIZE, MAX_DENSE_ENTRIES, BallPoint, NcPolynomial
                       _word_products, evaluate, sup_norm_bounds)
 from .numerics import DEFAULT_TOL, _BLAS_SCOPE, _svd, hermitian_sqrt, operator_norm
 
-CONTRACTION_CLAMP = 1e-10
 DEFAULT_KMAX = 20              # steps of the decay sequence that certify purity
 PURITY_MARGIN = 1e-9           # is_c0_certified wants sigma_kmax below 1 - this
 COVARIANCE_WORD_DEGREE = 2     # covariance residuals run over words of length <= this
@@ -37,9 +36,9 @@ class RowContraction:
     """An n-tuple of d x d matrices T_i with sum T_i T_i* <= I.
 
     Eigenvalues of the defect I - sum T_i T_i* inside
-    [-CONTRACTION_CLAMP max(1, ||defect||), 0) are clamped to zero, with a
-    warning; anything lower is rejected.  delta is the PSD square root of
-    the (clamped) defect.
+    [-numerics.CONTRACTION_CLAMP max(1, ||defect||), 0) are clamped to
+    zero, with a warning (hermitian_sqrt); anything lower is rejected.
+    delta is the PSD square root of the (clamped) defect.
     """
 
     def __init__(self, matrices):
@@ -53,7 +52,7 @@ class RowContraction:
         T = np.stack(mats)
         defect = np.eye(d, dtype=complex) - np.einsum("iab,icb->ac", T, T.conj())
         try:
-            delta = hermitian_sqrt(defect, tol=CONTRACTION_CLAMP)
+            delta = hermitian_sqrt(defect)
         except DomainError as exc:
             raise DomainError(f"not a row contraction: {exc}") from exc
         self.matrices = T
@@ -255,15 +254,6 @@ def _pair_factors(T: RowContraction, pairs, m: int):
             Tw[[where[beta] for _, beta in pairs]])
 
 
-def poisson_compression(T: RowContraction, alpha, beta, m: int) -> np.ndarray:
-    """K* (M_alphabeta tensor I_d) K, where M_alphabeta is the compression to
-    P_m of the operator moving e_(beta delta) to e_(alpha delta), for the
-    kernel K of degree m: T_alpha Psi_t T_beta* (_pair_factors)."""
-    left, psi, right = _pair_factors(T, [(alpha, beta)], m)
-    with _BLAS_SCOPE:
-        return left[0] @ psi[0] @ right[0].conj().T
-
-
 def poisson_covariance_residuals(T: RowContraction, pairs, m: int) -> list:
     """Residuals ||K* (M_alphabeta tensor I) K - T_alpha T_beta*|| of the word
     pairs (alpha, beta) for the kernel K of degree m, each
@@ -273,15 +263,6 @@ def poisson_covariance_residuals(T: RowContraction, pairs, m: int) -> list:
     with _BLAS_SCOPE:
         defects = left @ (psi - np.eye(T.d)) @ right.conj().transpose(0, 2, 1)
         return operator_norm(defects).tolist()
-
-
-def poisson_covariance_check(T: RowContraction, alpha, beta, m: int) -> float:
-    """Residual ||K* (M_alphabeta tensor I) K - T_alpha T_beta*||.
-
-    Vanishes as m grows for pure tuples; at alpha = beta = () it reduces to
-    the kernel isometry defect sigma_(m+1).
-    """
-    return poisson_covariance_residuals(T, [(alpha, beta)], m)[0]
 
 
 def von_neumann_margin(T: RowContraction, p: NcPolynomial, m: int):

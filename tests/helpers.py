@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from ncfock import (BallPoint, NcPolynomial, ResourceCapError, RowContraction,
+from ncfock import (BallPoint, DomainError, NcPolynomial, ResourceCapError, RowContraction,
                     SingularGramError, WordIndex, as_hermitian, gram)
 from ncfock.freealg import word_value
 from ncfock.ideals import _lambda_table
@@ -33,6 +33,44 @@ def random_polynomial(rng, n, degree, terms=5, scale=1.0, homogeneous=False,
     if p.is_zero:
         p = NcPolynomial(n, {(1,) * degree if homogeneous else (): 1.0})
     return p
+
+
+def coefficient_vector(p, m):
+    """The coefficients of p over the words of P_m, in WordIndex order."""
+    wi = WordIndex(p.n, m)
+    out = np.zeros(wi.dim, dtype=complex)
+    for word, coeff in p.terms.items():
+        out[wi.index(word)] = coeff
+    return out
+
+
+def z_vector(point, m):
+    """The kernel vector of a point of the open ball: the (D(n, m),) array of
+    the coefficients conj(lambda_alpha), |alpha| <= m, so that
+    <p, z> = np.vdot(z, coefficient_vector(p, m)) = p(lambda) for deg p <= m.
+    The oracle for the Gram matrix and the functional calculus at points."""
+    point = point if isinstance(point, BallPoint) else BallPoint(point)
+    if point.norm >= 1.0:
+        raise DomainError(f"kernel vector needs |lambda| < 1, got {point.norm:.6g}")
+    blocks = [np.ones(1, dtype=complex)]
+    for _ in range(m):
+        blocks.append(np.kron(blocks[-1], point.coords.conj()))
+    return np.concatenate(blocks)
+
+
+def mult_matrix(p, m):
+    """Multiplication by p from P_m into P_(m + deg p), with no truncation:
+    column beta holds p e_beta, each term put at WordIndex.index(alpha beta)
+    of the concatenated word.  The dense oracle for truncated_mult_matrix
+    (its top-left block) and for the multiplier norm ||L_p|| on P_m."""
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no multiplication matrix")
+    wi_in, wi_out = WordIndex(p.n, m), WordIndex(p.n, m + int(p.degree))
+    out = np.zeros((wi_out.dim, wi_in.dim), dtype=complex)
+    for j, beta in enumerate(wi_in.words()):
+        for alpha, coeff in p.terms.items():
+            out[wi_out.index(alpha + beta), j] += coeff
+    return out
 
 
 def naive_word_product(X, word):
@@ -131,7 +169,7 @@ def max_generalized_eigenvalue(b, a):
 def kron_min_norm(problem):
     """c* as the square root of the top generalized eigenvalue of the kN x kN
     pair (B, G (x) I), block (i, j) of B being G[i][j] W_i W_j*: the oracle
-    for min_interpolation_norm."""
+    for min_norm_and_condition."""
     G, W = gram(problem), problem.targets
     size = W.shape[0] * W.shape[1]
     B = np.einsum("ij,iab,jcb->iajc", G, W, W.conj()).reshape(size, size)

@@ -14,13 +14,12 @@ import pytest
 from ncfock import (BallPoint, IdealSpec, NcPolynomial, PickProblem,
                     RowContraction, build_quotient, c0_sequence,
                     caratheodory_distance, constrained_von_neumann_check, evaluate,
-                    lagrange_interpolant, min_interpolation_norm, operator_norm,
-                    pick_matrix, poisson_covariance_check, poisson_kernel, psd_check,
+                    lagrange_interpolant, min_norm_and_condition, operator_norm,
+                    pick_matrix, poisson_covariance_residuals, poisson_kernel, psd_check,
                     q_commutation_spec, quotient_distance, quotient_poisson_check,
-                    sup_norm_bounds, von_neumann_margin,
-                    z_vector, gram)
+                    sup_norm_bounds, gram)
 from helpers import (random_polynomial, random_row_contraction, separated_points,
-                     symmetrized_basis)
+                     symmetrized_basis, z_vector)
 
 TOL = 1e-10
 
@@ -65,7 +64,7 @@ def test_criterion_2_feasibility_equivalence():
         targets = [scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
                    / np.sqrt(dim) for _ in range(k)]
         problem = PickProblem(points, targets)
-        cstar = min_interpolation_norm(problem)
+        cstar = min_norm_and_condition(problem)[0]
         feasible = psd_check(pick_matrix(problem, 1.0), TOL).is_psd
         assert feasible == (cstar <= 1.0 + 1e-9)
         if cstar > 1e-3:
@@ -103,7 +102,7 @@ def test_criterion_3_gram_consistency():
             zs = [z_vector(p, m) for p in points]
             for i in range(k):
                 for j in range(k):
-                    assert abs(g[i, j] - zs[j].inner(zs[i])) <= bound + 1e-13
+                    assert abs(g[i, j] - np.vdot(zs[i], zs[j])) <= bound + 1e-13
                     cases += 1
     _report(3, f"Gram entries match truncated kernel vectors within the exact "
                f"geometric tail bound ({cases} comparisons)")
@@ -190,7 +189,7 @@ def test_criterion_7_poisson_kernel_identity():
             np.eye(d) - kernel.matrix.conj().T @ kernel.matrix - x)
         assert identity_gap <= 1e-12
         assert kernel.tail <= rho ** (m + 1)
-        ee = poisson_covariance_check(t, (), (), m)
+        ee = poisson_covariance_residuals(t, [((), ())], m)[0]
         sigma = c0_sequence(t, m + 1)[m + 1]
         assert abs(ee - sigma) <= 1e-12
     _report(7, "kernel Gram identity, rho-contraction tail bound, and the "

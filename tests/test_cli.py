@@ -346,6 +346,16 @@ def test_poisson_vonneumann_is_scale_free(tmp_path, capsys):
             assert res["stabilized"] and res["lower_method"] == unit["lower_method"]
 
 
+def test_poisson_vonneumann_above_the_largest_double_is_an_input_error(tmp_path, capsys):
+    doc = {"kind": "poisson", "n": 2, "points": [[[0.5, 0.0], [0.1, 0.0]]],
+           "polynomial": [{"word": [1], "coeff": [1.5e308, 0.0]},
+                          {"word": [2], "coeff": [1.5e308, 0.0]}]}
+    assert cli.main(["poisson", "vonneumann", _write(tmp_path, "p.json", doc), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "2^1024" in captured.err
+
+
 def test_poisson_vonneumann_stabilized_is_relative(tmp_path, capsys, monkeypatch):
     # the truncated fallback leaves a bracket about 10% wide: not stabilized
     # at any scale, though at 1e-8 its width is below 1e-6

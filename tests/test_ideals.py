@@ -12,12 +12,12 @@ from ncfock import ideals
 from ncfock.freealg import _word_products
 from ncfock import (BallPoint, DomainError, IdealSpec, NcPolynomial, ResourceCapError,
                     RowContraction, WordIndex, build_quotient, caratheodory_distance,
-                    constrained_von_neumann_check, evaluate, ideal_subspace,
-                    mult_matrix, q_commutation_spec, quotient_distance,
-                    quotient_poisson_check, sup_norm_bounds, tensor_product,
-                    truncated_mult_matrix)
-from helpers import (dense_complement, naive_pair_defects, padded_dense_rows, random_polynomial,
-                     random_row_contraction, symmetrized_basis)
+                    constrained_von_neumann_check, evaluate, q_commutation_spec,
+                    quotient_distance, quotient_poisson_check, sup_norm_bounds,
+                    tensor_product, truncated_mult_matrix)
+from helpers import (coefficient_vector, dense_complement, naive_pair_defects,
+                     padded_dense_rows, random_polynomial, random_row_contraction,
+                     symmetrized_basis)
 
 
 @pytest.fixture(autouse=True)
@@ -46,31 +46,35 @@ def test_spec_validation():
         spec.homogeneous = True
 
 
+def _padded_residual(model):
+    """max ||N* v|| over the padded products v = e_alpha g e_beta inside P_m:
+    the ideal subspace they span is orthogonal to the model's N."""
+    spec = model.spec
+    rows = padded_dense_rows(spec, WordIndex(spec.n, spec.m))
+    return float(np.linalg.norm(rows @ model.n_basis.conj(), axis=1).max())
+
+
 def test_ideal_subspace_single_generator_line():
-    spec = IdealSpec(1, (NcPolynomial.generator(1, 1),), 2)
-    basis = ideal_subspace(spec)
-    assert basis.shape == (3, 2)
-    # spans {e_1, e_1 e_1}: no vacuum component
-    assert np.allclose(basis[0, :], 0.0, atol=1e-14)
+    # the padded ideal of e_1 at m = 2 spans e_1 and e_1 e_1: N is the vacuum
+    model = build_quotient(IdealSpec(1, (NcPolynomial.generator(1, 1),), 2))
+    assert _padded_residual(model) <= 1e-12
+    assert model.n_basis.shape == (3, 1)
+    assert abs(model.n_basis[0, 0]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_ideal_subspace_unit_generator_fills_everything():
-    spec = IdealSpec(2, (NcPolynomial.unit(2),), 3)
-    basis = ideal_subspace(spec)
-    assert basis.shape == (15, 15)
-    model = build_quotient(spec)
+    model = build_quotient(IdealSpec(2, (NcPolynomial.unit(2),), 3))
+    assert model.n_basis.shape == (15, 0)
     assert model.trivial
     assert model.dim == 0
 
 
 def test_ideal_subspace_q_commutation_grade_two():
-    spec = q_commutation_spec(2, 1.0, 2)
-    basis = ideal_subspace(spec)
-    wi = WordIndex(2, 2)
-    grade2 = basis[wi.grade_slice(2), :]
-    ranks = np.linalg.matrix_rank(grade2)
-    assert basis.shape[1] == 1
-    assert ranks == 1
+    # the padded ideal of e2 e1 - e1 e2 at m = 2 is that line alone
+    model = build_quotient(q_commutation_spec(2, 1.0, 2))
+    assert _padded_residual(model) <= 1e-12
+    assert model.n_basis.shape == (7, 6)
+    assert model.grade_dimensions() == [1, 2, 3]
 
 
 def test_build_quotient_symmetric_dimensions():
@@ -293,13 +297,11 @@ def test_non_homogeneous_caps_precede_each_degree(monkeypatch, cap, value, messa
 
 
 def test_non_homogeneous_model_past_the_old_dense_cap():
-    # D(2, 12) = 8191 builds; ideal_subspace returns D rows and keeps its cap
+    # D(2, 12) = 8191 builds
     spec = IdealSpec(2, (NcPolynomial(2, {(1,): 1.0, (2,): -0.5, (): 0.3}),), 12)
     model = build_quotient(spec)
     assert model.n_basis.shape == (8191, 13)
     assert np.linalg.norm(model.n_basis.conj().T @ model.n_basis - np.eye(13), 2) < 1e-12
-    with pytest.raises(ResourceCapError):
-        ideal_subspace(spec)
 
 
 def test_non_homogeneous_build_survives_an_svd_that_does_not_converge():
@@ -387,19 +389,15 @@ def test_dense_compression_cap_precedes_allocation(monkeypatch):
 
 
 def test_grade_exactness_across_truncations():
-    spec4 = q_commutation_spec(2, 1.0, 4)
-    spec7 = q_commutation_spec(2, 1.0, 7)
-    b4 = ideal_subspace(spec4)
-    b7 = ideal_subspace(spec7)
+    # the grade-k block of N does not depend on the working degree
+    model4 = build_quotient(q_commutation_spec(2, 1.0, 4))
+    model7 = build_quotient(q_commutation_spec(2, 1.0, 7))
     wi4, wi7 = WordIndex(2, 4), WordIndex(2, 7)
     for k in range(5):
-        blk4 = b4[wi4.grade_slice(k), :]
-        blk7 = b7[wi7.grade_slice(k), :]
-        blk4 = blk4[:, np.linalg.norm(blk4, axis=0) > 1e-12]
-        blk7 = blk7[:, np.linalg.norm(blk7, axis=0) > 1e-12]
-        assert blk4.shape[1] == blk7.shape[1]
-        if blk4.shape[1]:
-            assert _projector_distance(blk4, blk7) < 1e-10
+        blk4 = model4.n_basis[wi4.grade_slice(k), model4.grade_positions(k)]
+        blk7 = model7.n_basis[wi7.grade_slice(k), model7.grade_positions(k)]
+        assert blk4.shape == blk7.shape == (2 ** k, k + 1)
+        assert _projector_distance(blk4, blk7) < 1e-10
 
 
 @pytest.mark.parametrize("n, m", [(1, 4), (2, 3), (3, 3)])
@@ -458,14 +456,11 @@ def test_non_homogeneous_model_is_flagged_and_spans_paddings():
     model = build_quotient(spec)
     assert model.approximate
     assert model.grades is None
-    basis = ideal_subspace(spec)
-    assert np.linalg.norm(basis.conj().T @ model.n_basis, 2) < 1e-12
-    assert basis.shape[1] + model.dim == WordIndex(2, 5).dim
+    assert _padded_residual(model) <= 1e-12
     padded = tensor_product(tensor_product(NcPolynomial(2, {(2,): 1.0}), g),
                             NcPolynomial(2, {(1,): 0.5, (): 1.0}))
-    vec = padded.to_fock(5).coeffs
-    residual = vec - basis @ (basis.conj().T @ vec)
-    assert np.linalg.norm(residual) < 1e-12
+    vec = coefficient_vector(padded, 5)
+    assert np.linalg.norm(model.n_basis.conj().T @ vec) < 1e-12
 
 
 def test_quotient_distance_unit_is_one():
@@ -638,6 +633,34 @@ def test_quotient_is_scale_free(scale):
     g = NcPolynomial(2, {(1, 2): scale, (2, 1): -scale})
     model = build_quotient(IdealSpec(2, (g,), 4))
     assert model.grade_dimensions() == [1, 2, 3, 4, 5]
+
+
+def _matrix_of_norm(rng, norm):
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    return a * (norm / np.linalg.norm(a, 2))
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170])
+def test_admission_is_scale_free(scale):
+    # g(T) = 0 is tested relative to ||g||_2: T = (A, A^2) annihilates
+    # s [e_1, e_2] up to rounding (||g(T)|| = 2.6e152 at s = 1e170, which an
+    # absolute tolerance rejected), and every s gives the unit-scale sides;
+    # a non-commuting pair is refused at every s (at s = 1e-170, ||g(T)||
+    # = 6.9e-172 fell under an absolute tolerance)
+    rng = np.random.default_rng(30)
+    a = _matrix_of_norm(rng, 0.3)
+    commuting = RowContraction([a, a @ a])
+    other = RowContraction([a, _matrix_of_norm(rng, 0.3)])
+    spec = IdealSpec(2, (NcPolynomial(2, {(1, 2): scale, (2, 1): -scale}),), 5)
+    unit = IdealSpec(2, (NcPolynomial(2, {(1, 2): 1.0, (2, 1): -1.0}),), 5)
+    f = NcPolynomial(2, {(): 0.5, (1,): 1.0, (2, 1): -0.7})
+    assert (constrained_von_neumann_check(commuting, f, spec)
+            == constrained_von_neumann_check(commuting, f, unit))
+    assert quotient_poisson_check(commuting, spec, 5) == quotient_poisson_check(commuting, unit, 5)
+    with pytest.raises(DomainError, match="does not annihilate"):
+        constrained_von_neumann_check(other, f, spec)
+    with pytest.raises(DomainError, match="does not annihilate"):
+        quotient_poisson_check(other, spec, 5)
 
 
 def test_quotient_distance_degree_guard():

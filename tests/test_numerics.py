@@ -11,7 +11,7 @@ import pytest
 import ncfock
 from ncfock import (DomainError, IdealSpec, NcPolynomial, PickProblem, SingularGramError,
                     as_hermitian, build_quotient, c0_sequence, certify, freealg, hermitian_sqrt,
-                    ideals, min_interpolation_norm, numerics, operator_norm, psd_check)
+                    ideals, min_norm_and_condition, numerics, operator_norm, psd_check)
 from ncfock.numerics import _BLAS_SCOPE
 from helpers import max_generalized_eigenvalue, random_row_contraction, random_unitary
 
@@ -241,7 +241,7 @@ def test_thread_count_is_restored_when_the_call_raises(two_threads):
     nodes = np.linspace(-0.8, 0.8, size)
     nodes[1] = nodes[0] + 2e-13
     with pytest.raises(SingularGramError):
-        min_interpolation_norm(PickProblem(nodes[:, None], [0.5] * size))
+        min_norm_and_condition(PickProblem(nodes[:, None], [0.5] * size))
     with pytest.raises(DomainError):
         hermitian_sqrt(np.diag(np.linspace(-0.5, 1.0, size)))
     assert _BLAS_SCOPE.count() == two_threads
@@ -302,11 +302,11 @@ def test_pick_certification_does_not_import_scipy(tmp_path):
     # then the same nodes through `pick interpolant`, which also computes c*
     code = (_BLOCK_SCIPY +
             "import json, numpy\n"
-            "from ncfock import PickProblem, certify, cli, min_interpolation_norm\n"
+            "from ncfock import PickProblem, certify, cli, min_norm_and_condition\n"
             "nodes = 0.3 * numpy.random.default_rng(1).normal(size=(20, 3))\n"
             "targets = numpy.linspace(-0.5, 0.5, 20)\n"
             "certify(PickProblem(nodes, targets))\n"
-            "min_interpolation_norm(PickProblem(nodes, targets))\n"
+            "min_norm_and_condition(PickProblem(nodes, targets))\n"
             "doc = {'kind': 'pick', 'n': 3,\n"
             "       'points': [[[x, 0.0] for x in p] for p in nodes.tolist()],\n"
             "       'targets': [[[[w, 0.0]]] for w in targets.tolist()]}\n"

@@ -6,10 +6,9 @@ import pytest
 from ncfock import pick
 from ncfock import (BallPoint, DomainError, NcPolynomial, PickProblem, ResourceCapError,
                     SingularGramError, certify, classical_ball_matrix, evaluate,
-                    gram, lagrange_interpolant, min_interpolation_norm,
-                    min_norm_and_condition, operator_norm, pick_matrix, psd_check,
-                    sample_membership_check, z_vector)
-from helpers import kron_min_norm, random_point, random_unitary, separated_points
+                    gram, lagrange_interpolant, min_norm_and_condition, operator_norm,
+                    pick_matrix, psd_check, sample_membership_check)
+from helpers import kron_min_norm, random_point, random_unitary, separated_points, z_vector
 
 
 def _random_problem(rng, n, k, target_dim, radius=0.6, target_scale=1.0):
@@ -96,7 +95,7 @@ def test_gram_matches_truncated_kernel_vectors():
     assert bound > 1e-10
     for i in range(4):
         for j in range(4):
-            truncated = zs[j].inner(zs[i])
+            truncated = np.vdot(zs[i], zs[j])
             assert abs(g[i, j] - truncated) <= bound
 
 
@@ -119,27 +118,27 @@ def test_pick_matrix_schwarz_threshold():
 def test_pick_matrix_large_level_dominates():
     rng = np.random.default_rng(2)
     problem = _random_problem(rng, 2, 3, 2)
-    big = 10.0 * (min_interpolation_norm(problem) + 1.0)
+    big = 10.0 * (min_norm_and_condition(problem)[0] + 1.0)
     assert psd_check(pick_matrix(problem, big)).is_psd
 
 
 def test_min_norm_single_node_is_target_norm():
     w = np.array([[1.0, 2.0], [0.0, -1.5j]])
     problem = PickProblem([[0.2, 0.1]], [w])
-    assert min_interpolation_norm(problem) == pytest.approx(np.linalg.norm(w, 2), abs=1e-12)
+    assert min_norm_and_condition(problem)[0] == pytest.approx(np.linalg.norm(w, 2), abs=1e-12)
 
 
 def test_min_norm_shift_example():
     problem = PickProblem([[0.0, 0.0], [0.5, 0.0]], [0.0, 0.5])
-    assert min_interpolation_norm(problem) == pytest.approx(1.0, abs=1e-10)
+    assert min_norm_and_condition(problem)[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_min_norm_scales_with_targets():
     rng = np.random.default_rng(31)
     problem = _random_problem(rng, 2, 3, 2)
-    base = min_interpolation_norm(problem)
+    base = min_norm_and_condition(problem)[0]
     scaled = PickProblem(problem.points, [2.5 * w for w in problem.targets])
-    assert min_interpolation_norm(scaled) == pytest.approx(2.5 * base, rel=1e-12)
+    assert min_norm_and_condition(scaled)[0] == pytest.approx(2.5 * base, rel=1e-12)
 
 
 def test_feasibility_equivalence_and_flip():
@@ -149,7 +148,7 @@ def test_feasibility_equivalence_and_flip():
         k = int(rng.integers(1, 6))
         dim = int(rng.integers(1, 4))
         problem = _random_problem(rng, n, k, dim, target_scale=0.8)
-        cstar = min_interpolation_norm(problem)
+        cstar = min_norm_and_condition(problem)[0]
         feasible = psd_check(pick_matrix(problem, 1.0)).is_psd
         assert feasible == (cstar <= 1.0 + 1e-9)
         if cstar > 1e-3:
@@ -181,8 +180,8 @@ def test_relabeling_invariance():
     perm = rng.permutation(4)
     shuffled = PickProblem([problem.points[i] for i in perm],
                            [problem.targets[i] for i in perm])
-    assert min_interpolation_norm(shuffled) == pytest.approx(
-        min_interpolation_norm(problem), abs=1e-10)
+    assert min_norm_and_condition(shuffled)[0] == pytest.approx(
+        min_norm_and_condition(problem)[0], abs=1e-10)
     v1 = psd_check(pick_matrix(problem, 1.0))
     v2 = psd_check(pick_matrix(shuffled, 1.0))
     assert v1.is_psd == v2.is_psd
@@ -195,8 +194,8 @@ def test_unitary_covariance():
     u = random_unitary(rng, 3)
     v = random_unitary(rng, 3)
     rotated = PickProblem(problem.points, [u @ w @ v.conj().T for w in problem.targets])
-    assert min_interpolation_norm(rotated) == pytest.approx(
-        min_interpolation_norm(problem), abs=1e-10)
+    assert min_norm_and_condition(rotated)[0] == pytest.approx(
+        min_norm_and_condition(problem)[0], abs=1e-10)
 
 
 def test_min_norm_agrees_with_psd_bisection():
@@ -204,7 +203,7 @@ def test_min_norm_agrees_with_psd_bisection():
     rng = np.random.default_rng(85)
     for _ in range(5):
         problem = _random_problem(rng, 2, 3, 2)
-        cstar = min_interpolation_norm(problem)
+        cstar = min_norm_and_condition(problem)[0]
         lo, hi = 0.0, 2.0 * cstar + 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -221,7 +220,7 @@ def _oracle_agreement(problem) -> tuple:
     1e-16 cond(G) where G is worse conditioned, since both routes lose about
     cond(G) eps to rounding (compared with a 40-digit reference, each was off
     by 1e-17 to 1e-16 cond(G) on ill-conditioned nodes)."""
-    cstar, oracle = min_interpolation_norm(problem), kron_min_norm(problem)
+    cstar, oracle = min_norm_and_condition(problem)[0], kron_min_norm(problem)
     return abs(cstar - oracle) / oracle, max(1e-12, 1e-16 * np.linalg.cond(gram(problem)))
 
 
@@ -270,7 +269,6 @@ def test_gram_condition_states_the_slack_of_cstar():
         cstar, cond = min_norm_and_condition(problem)
         cert = certify(problem)
         assert (cert.min_norm, cert.gram_condition) == (cstar, cond)
-        assert min_interpolation_norm(problem) == cstar
         assert cond == pytest.approx(np.linalg.cond(gram(problem)), rel=1e-8 + 1e-15 * cond)
         oracle = kron_min_norm(problem)
         assert abs(cstar - oracle) / oracle <= max(1e-12, 1e-16 * cond)
@@ -294,7 +292,7 @@ def test_min_norm_is_singular_exactly_where_the_oracle_is():
         k = len(points)
         problem = PickProblem(points, list(rng.normal(size=(k, N, N))))
         raised = []
-        for route in (min_interpolation_norm, kron_min_norm):
+        for route in (min_norm_and_condition, kron_min_norm):
             try:
                 route(problem)
                 raised.append(False)
@@ -390,7 +388,7 @@ def test_lagrange_norm_bracket():
         dim = int(rng.integers(1, 4))
         problem = _random_problem(rng, n, k, dim)
         upper = sum(lagrange_interpolant(problem).grade_norms())
-        assert min_interpolation_norm(problem) <= upper * (1 + 1e-10)
+        assert min_norm_and_condition(problem)[0] <= upper * (1 + 1e-10)
 
 
 def test_lagrange_cap_fires_at_the_first_degree_over():
@@ -471,4 +469,4 @@ def test_membership_precondition():
 def test_nearly_coincident_points_surface_singular_gram():
     problem = PickProblem([[0.3, 0.1], [0.3 + 2e-13, 0.1]], [0.1, 0.2])
     with pytest.raises(SingularGramError):
-        min_interpolation_norm(problem)
+        min_norm_and_condition(problem)

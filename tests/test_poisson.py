@@ -8,11 +8,18 @@ import pytest
 from ncfock import poisson
 from ncfock import (BallPoint, DomainError, NcPolynomial, ResourceCapError, RowContraction,
                     WordIndex, c0_sequence, evaluate, is_c0_certified, minimal_subspace,
-                    operator_norm, poisson_compression, poisson_covariance_check,
-                    poisson_covariance_residuals, poisson_kernel, truncated_mult_matrix,
-                    von_neumann_margin, z_vector)
+                    operator_norm, poisson_covariance_residuals, poisson_kernel,
+                    truncated_mult_matrix)
+from ncfock.poisson import von_neumann_margin
 from helpers import (naive_compression, naive_cp_map, naive_word_product, random_polynomial,
-                     random_row_contraction, random_unitary, symmetrized_basis)
+                     random_row_contraction, random_unitary, symmetrized_basis, z_vector)
+
+
+def _compression(t, alpha, beta, m):
+    """T_alpha Psi_t T_beta* from poisson._pair_factors: the compression
+    K* (M_alphabeta tensor I_d) K of the degree-m kernel K."""
+    left, psi, right = poisson._pair_factors(t, [(alpha, beta)], m)
+    return left[0] @ psi[0] @ right[0].conj().T
 
 
 def test_row_contraction_rejects_expansive_tuples():
@@ -129,7 +136,7 @@ def test_kernel_scalar_point():
     m = 6
     kernel = poisson_kernel(t, m)
     z = z_vector(lam, m)
-    expected = np.sqrt(1 - lam.norm ** 2) * z.coeffs.reshape(-1, 1)
+    expected = np.sqrt(1 - lam.norm ** 2) * z.reshape(-1, 1)
     assert np.allclose(kernel.matrix, expected, atol=1e-14)
     assert kernel.tail == pytest.approx(lam.norm ** (2 * (m + 1)), abs=1e-14)
 
@@ -196,7 +203,7 @@ def test_compressions_of_a_clamped_defect_match_its_kernel():
     assert np.linalg.eigvalsh(t.defect)[0] == pytest.approx(-5e-11, rel=1e-3)
     blocks, wi = poisson_kernel(t, m).blocks, WordIndex(n, m)
     for alpha, beta in [((), ()), ((1,), ()), ((2,), (1, 2)), ((1, 1), (2, 1))]:
-        assert np.abs(poisson_compression(t, alpha, beta, m)
+        assert np.abs(_compression(t, alpha, beta, m)
                       - naive_compression(blocks, wi, alpha, beta)).max() <= 1e-13
 
 
@@ -245,7 +252,7 @@ def test_covariance_identity_words_equal_tail():
     t = random_row_contraction(rng, 2, 3, rho=0.8)
     m = 5
     sig = c0_sequence(t, m + 1)
-    residual = poisson_covariance_check(t, (), (), m)
+    residual = poisson_covariance_residuals(t, [((), ())], m)[0]
     assert residual == pytest.approx(sig[m + 1], abs=1e-12)
 
 
@@ -254,7 +261,7 @@ def test_covariance_scalar_point_tail():
     t = RowContraction.from_point(lam)
     m = 8
     for alpha, beta in [((1,), ()), ((1, 2), (2,)), ((2, 2), (1, 1))]:
-        residual = poisson_covariance_check(t, alpha, beta, m)
+        residual = poisson_covariance_residuals(t, [(alpha, beta)], m)[0]
         bound = lam.norm ** (2 * (m + 1 - max(len(alpha), len(beta))))
         assert residual <= bound + 1e-14
 
@@ -262,14 +269,14 @@ def test_covariance_scalar_point_tail():
 def test_covariance_rho_half():
     rng = np.random.default_rng(50)
     t = random_row_contraction(rng, 2, 3, rho=0.5)
-    residual = poisson_covariance_check(t, (1,), (2,), 12)
+    residual = poisson_covariance_residuals(t, [((1,), (2,))], 12)[0]
     assert residual < 1e-3
 
 
 def test_covariance_rejects_long_words():
     t = RowContraction([np.array([[0.4]])])
     with pytest.raises(ValueError):
-        poisson_covariance_check(t, (1, 1, 1), (), 2)
+        poisson_covariance_residuals(t, [((1, 1, 1), ())], 2)
 
 
 def test_covariance_residuals_match_the_moved_word_operator():
@@ -288,7 +295,7 @@ def test_covariance_residuals_match_the_moved_word_operator():
             exact = (naive_word_product(t.matrices, alpha)
                      @ naive_word_product(t.matrices, beta).conj().T)
             assert abs(residual - operator_norm(moved - exact)) <= 1e-13
-            assert residual == poisson_covariance_check(t, alpha, beta, m)
+            assert residual == poisson_covariance_residuals(t, [(alpha, beta)], m)[0]
     with pytest.raises(ValueError):
         poisson_covariance_residuals(t, [((), ()), ((1, 1, 1, 1), ())], 3)
 
@@ -321,8 +328,8 @@ def test_batched_covariance_matches_the_per_pair_oracle(n, d, m):
             oracle = operator_norm(naive_compression(blocks, wi, alpha, beta) - exact)
             assert abs(residual - oracle) <= 1e-13
         alpha, beta = pairs[-1]
-        assert residuals[-1] == poisson_covariance_check(t, alpha, beta, m)
-        assert np.abs(poisson_compression(t, alpha, beta, m)
+        assert residuals[-1] == poisson_covariance_residuals(t, [(alpha, beta)], m)[0]
+        assert np.abs(_compression(t, alpha, beta, m)
                       - naive_compression(blocks, wi, alpha, beta)).max() <= 1e-13
 
 
@@ -364,7 +371,7 @@ def test_radial_compression_recovers_word_moments():
     m = 12
     recovered = []
     for r in (0.9, 0.99):
-        c = poisson_compression(RowContraction(r * t.matrices), alpha, beta, m)[0, 0]
+        c = _compression(RowContraction(r * t.matrices), alpha, beta, m)[0, 0]
         assert abs(c - r ** 2 * exact) < 1e-4
         recovered.append(c / r ** 2)
     assert abs(recovered[1] - exact) < 1e-4
@@ -376,7 +383,7 @@ def test_minimal_subspace_scalar_point_is_kernel_line():
     basis = minimal_subspace(t, 6)
     assert basis.shape[1] == 1
     z = z_vector(lam, 6)
-    overlap = abs(np.vdot(basis[:, 0], z.coeffs / z.norm()))
+    overlap = abs(np.vdot(basis[:, 0], z / np.linalg.norm(z)))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
